@@ -27,13 +27,21 @@ cargo test -p neptune-ham --features strict-invariants --lib
 
 # Fault-injection sweep, second seed. The workspace run above already
 # sweeps every fault kind across every I/O step of a 220-op workload at
-# the default seed; this pass rotates the seed with a bounded op count so
-# CI covers two workloads per run without doubling the cost. Every
-# failure message prints the seed — reproduce any cell locally with:
+# the default seed; this pass rotates the seed over the same 220 ops, so
+# CI covers two full workloads per run (checkpoints mirror only what
+# changed, so the node population no longer multiplies the fault points).
+# Every failure message prints the seed — reproduce any cell locally with:
 #   NEPTUNE_FAULT_SEED=<seed> NEPTUNE_FAULT_OPS=<n> \
 #       cargo test -p neptune-check --test crash_consistency <test_name>
-NEPTUNE_FAULT_SEED=0x5EED5 NEPTUNE_FAULT_OPS=120 \
+NEPTUNE_FAULT_SEED=0x5EED5 NEPTUNE_FAULT_OPS=220 \
     cargo test -p neptune-check --test crash_consistency
+
+# The repo benchmark (BENCHMARK.json) is a package of its own outside the
+# workspace, with path dependencies on crates/neptune-*: nothing above
+# compiles it, so a public-API change could break it unseen until the
+# benchmark pipeline runs. Build it and run its unit tests.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # Smoke-run the read-scaling bench (cache + zero-copy reads + concurrent
 # readers + lock-free reads under a foreign transaction): proves the bench

@@ -27,7 +27,7 @@ use std::sync::{Arc, OnceLock};
 
 use neptune_check::verify_store;
 use neptune_ham::context::ConflictPolicy;
-use neptune_ham::ham::WAL_FILE;
+use neptune_ham::ham::{NODES_DIR, WAL_FILE};
 use neptune_ham::types::{LinkPt, NodeIndex, Protections, Time, MAIN_CONTEXT};
 use neptune_ham::{Ham, ShardedHam, Value};
 use neptune_storage::fault::{FaultKind, FaultVfs};
@@ -103,9 +103,10 @@ enum Op {
 const ATTRS: [&str; 3] = ["document", "status", "owner"];
 
 fn gen_op(rng: &mut XorShift) -> Op {
-    // Node births and deaths are nearly balanced: every live node is
-    // re-mirrored by every checkpoint, so the population size multiplies
-    // the whole sweep's fault-point count.
+    // Node births and deaths are nearly balanced, which keeps the
+    // fingerprints (every node at every historical time) small. A
+    // checkpoint re-mirrors only the nodes changed since the last one, so
+    // the population no longer multiplies the sweep's fault-point count.
     match rng.below(48) {
         0..=5 => Op::AddNode(rng.chance(1, 2)),
         6..=15 => {
@@ -500,9 +501,49 @@ fn recovery_equivalence_power_cut() {
 // Checkpoint crash-point matrix
 // ===========================================================================
 
+/// `nodes/` against MAIN's current contents: no stray file, every live
+/// node's bytes, and — where the crash image kept them (`materialize_durable`
+/// does not) — the modes.
+fn assert_mirrored(ham: &Ham, modes: bool, what: &str) {
+    let mut on_disk = BTreeMap::new();
+    for entry in std::fs::read_dir(ham.directory().join(NODES_DIR)).unwrap() {
+        let entry = entry.unwrap();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let id = name
+            .strip_suffix(".blob")
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            .unwrap_or_else(|| panic!("{what}: stray file {name} in nodes/"));
+        #[cfg(unix)]
+        let mode = {
+            use std::os::unix::fs::PermissionsExt;
+            modes.then(|| entry.metadata().unwrap().permissions().mode() & 0o777)
+        };
+        #[cfg(not(unix))]
+        let mode = None;
+        on_disk.insert(id, (std::fs::read(entry.path()).unwrap(), mode));
+    }
+    let in_main: BTreeMap<_, _> = ham
+        .graph(MAIN_CONTEXT)
+        .unwrap()
+        .nodes()
+        .filter(|n| n.exists_at(Time::CURRENT))
+        .map(|n| {
+            let mode = (modes && cfg!(unix)).then_some(n.protections.mode);
+            let contents = n.contents_at(Time::CURRENT).unwrap().to_vec();
+            (n.id.0, (contents, mode))
+        })
+        .collect();
+    assert_eq!(
+        on_disk, in_main,
+        "{what}: nodes/ is not MAIN's current contents"
+    );
+}
+
 /// Deterministic store with history, links, attributes, a forked context,
 /// and committed-but-not-checkpointed transactions — the state every
-/// checkpoint fault below must preserve.
+/// checkpoint fault below must preserve. The checkpoint that follows is an
+/// *incremental* one: of the mirrored nodes it rewrites `a`, leaves `b`
+/// alone, removes `c`, and adds `d`.
 fn build_checkpoint_store(dir: &Path, vfs: &FaultVfs) -> Ham {
     let (mut ham, _, _) =
         Ham::create_graph_with(Arc::new(vfs.clone()), dir, Protections::DEFAULT).unwrap();
@@ -529,6 +570,18 @@ fn build_checkpoint_store(dir: &Path, vfs: &FaultVfs) -> Ham {
     // more committed work on top of it, plus a deleted node and a fork.
     ham.checkpoint().unwrap();
     ham.delete_node(MAIN_CONTEXT, c).unwrap();
+    let t = ham.get_node_time_stamp(MAIN_CONTEXT, a).unwrap();
+    let pts = ham
+        .open_node(MAIN_CONTEXT, a, Time::CURRENT, &[])
+        .unwrap()
+        .link_pts;
+    ham.modify_node(MAIN_CONTEXT, a, t, b"contents 0, revised".to_vec(), &pts)
+        .unwrap();
+    ham.change_node_protection(MAIN_CONTEXT, b, Protections::PRIVATE)
+        .unwrap();
+    let (d, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
+    ham.modify_node(MAIN_CONTEXT, d, t, b"born after the fold".to_vec(), &[])
+        .unwrap();
     let ctx = ham.create_context(MAIN_CONTEXT).unwrap();
     ham.add_node(ctx, true).unwrap();
     ham.begin_transaction().unwrap();
@@ -542,7 +595,10 @@ fn build_checkpoint_store(dir: &Path, vfs: &FaultVfs) -> Ham {
 /// snapshot write and rename, each blob-mirror put/chmod/delete, the blob
 /// directory fsync, and the WAL truncate/record/sync — and assert the
 /// store reopens to the same state with history intact, from both crash
-/// images.
+/// images, and that one more checkpoint then leaves `nodes/` complete:
+/// wherever the incremental mirror was cut short, recovery either replays
+/// the commits that re-dirty the unfinished nodes or (snapshot renamed,
+/// log not yet truncated) restarts the mirror from nothing.
 #[test]
 fn checkpoint_crash_point_matrix() {
     for kind in FaultKind::ALL {
@@ -569,16 +625,23 @@ fn checkpoint_crash_point_matrix() {
                 )
             });
             assert_eq!(fingerprint(&wham), before, "{kind} at {at}: working tree");
+            // The durable image below is rebuilt from the shadow copy, so
+            // checkpointing the working tree first does not disturb it.
+            let mut wham = wham;
+            wham.checkpoint().unwrap();
+            assert_mirrored(&wham, true, &format!("{kind} at {at}: working tree"));
             drop(wham);
             vfs.power_off();
             vfs.materialize_durable(&dir).unwrap();
             assert_clean(&dir, &format!("checkpoint {kind} at {at}"));
-            let (dham, _, _) = Ham::open_existing(&dir).unwrap_or_else(|e| {
+            let (mut dham, _, _) = Ham::open_existing(&dir).unwrap_or_else(|e| {
                 panic!(
                     "{kind} at {at}: durable image failed to reopen after faulted checkpoint: {e}"
                 )
             });
             assert_eq!(fingerprint(&dham), before, "{kind} at {at}: durable image");
+            dham.checkpoint().unwrap();
+            assert_mirrored(&dham, false, &format!("{kind} at {at}: durable image"));
             drop(dham);
             let _ = std::fs::remove_dir_all(&dir);
             at += 1;
@@ -724,12 +787,125 @@ fn blob_mirror_failure_leaves_wal_untruncated() {
         wal_len,
         "a failed blob mirror must leave the WAL untruncated"
     );
-    // And the failure is recoverable: reopen, retry, verify.
+    // And the failure is recoverable: reopen, retry, verify. The failed
+    // attempt had already renamed its snapshot, so the retry cannot trust
+    // the snapshot's time as a watermark and mirrors from scratch.
     let (mut ham, _, _) = Ham::open_existing(&dir).unwrap();
     assert_eq!(fingerprint(&ham), before);
     ham.checkpoint().unwrap();
+    assert_mirrored(&ham, true, "retried checkpoint");
     drop(ham);
     assert_clean(&dir, "retried checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fixture: a store whose previous checkpoint died mid-mirror — new
+/// snapshot durable, some blobs rewritten and some not, none of the renames
+/// durable, log untruncated. This is also what a crash of the pre-watermark
+/// binary leaves. The snapshot's time says nothing about `nodes/` here;
+/// the folded records still in the log give the state away, and the next
+/// checkpoint re-mirrors every node once, then goes back to incremental.
+#[test]
+fn store_whose_checkpoint_died_mid_mirror_is_re_mirrored_in_full() {
+    // Dry run to locate the second blob put of the checkpoint.
+    let probe_dir = tmpdir("mid-mirror-probe");
+    let probe_vfs = FaultVfs::new();
+    let mut probe = build_checkpoint_store(&probe_dir, &probe_vfs);
+    probe_vfs.clear_op_log();
+    probe.checkpoint().unwrap();
+    let second_put_at = probe_vfs
+        .op_log()
+        .iter()
+        .enumerate()
+        .filter(|(_, op)| op.starts_with("create") && op.ends_with(".blob.tmp"))
+        .nth(1)
+        .expect("the checkpoint mirrors two nodes")
+        .0 as u64;
+    drop(probe);
+    let _ = std::fs::remove_dir_all(&probe_dir);
+
+    let dir = tmpdir("mid-mirror");
+    let vfs = FaultVfs::new();
+    let mut ham = build_checkpoint_store(&dir, &vfs);
+    let before = fingerprint(&ham);
+    vfs.arm(FaultKind::PowerCut, second_put_at);
+    ham.checkpoint().unwrap_err();
+    assert!(vfs.op_log().last().unwrap().ends_with(".blob.tmp"));
+    drop(ham);
+    vfs.materialize_durable(&dir).unwrap();
+
+    // A fresh fault Vfs, never armed: its op log counts the I/O.
+    let vfs = FaultVfs::new();
+    let (mut ham, _, _) = Ham::open_existing_with(Arc::new(vfs.clone()), &dir).unwrap();
+    assert_eq!(fingerprint(&ham), before);
+    vfs.clear_op_log();
+    ham.checkpoint().unwrap();
+    let puts = vfs
+        .op_log()
+        .iter()
+        .filter(|op| op.starts_with("rename") && op.ends_with(".blob"))
+        .count();
+    assert_eq!(
+        puts,
+        live_nodes(&ham).len(),
+        "every live node is re-mirrored, not only those past the snapshot's time"
+    );
+    assert_mirrored(&ham, true, "after the full re-mirror");
+    vfs.clear_op_log();
+    ham.checkpoint().unwrap();
+    assert_eq!(vfs.op_log(), Vec::<String>::new(), "incremental again");
+    drop(ham);
+    assert_clean(&dir, "re-mirrored store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: a checkpoint that dies after its log truncation is durable
+/// but before its `Checkpoint` record is leaves an empty log under a
+/// snapshot whose fold boundary is far above LSN 1. The reopened log must
+/// not hand out LSNs at or below that boundary, or the next recovery skips
+/// the commits that carry them as "already folded".
+#[test]
+fn commits_after_a_half_finished_truncation_survive_recovery() {
+    let probe_dir = tmpdir("lsn-reuse-probe");
+    let probe_vfs = FaultVfs::new();
+    let mut probe = build_checkpoint_store(&probe_dir, &probe_vfs);
+    probe_vfs.clear_op_log();
+    probe.checkpoint().unwrap();
+    let record_at = probe_vfs
+        .op_log()
+        .iter()
+        .rposition(|op| op == "append wal.log")
+        .expect("checkpoint must append its record") as u64;
+    drop(probe);
+    let _ = std::fs::remove_dir_all(&probe_dir);
+
+    let dir = tmpdir("lsn-reuse");
+    let vfs = FaultVfs::new();
+    let mut ham = build_checkpoint_store(&dir, &vfs);
+    vfs.arm(FaultKind::PowerCut, record_at);
+    ham.checkpoint().unwrap_err();
+    drop(ham);
+    vfs.materialize_durable(&dir).unwrap();
+
+    let (mut ham, _, _) = Ham::open_existing(&dir).unwrap();
+    let (n, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
+    ham.modify_node(
+        MAIN_CONTEXT,
+        n,
+        t,
+        b"committed after the crash".to_vec(),
+        &[],
+    )
+    .unwrap();
+    let after = fingerprint(&ham);
+    drop(ham);
+    let (ham, _, _) = Ham::open_existing(&dir).unwrap();
+    assert_eq!(
+        fingerprint(&ham),
+        after,
+        "commits logged under reused LSNs were skipped as already folded"
+    );
+    drop(ham);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -149,7 +149,11 @@ mod tests {
     use neptune_ham::types::{Protections, MAIN_CONTEXT};
 
     fn versioned_node() -> (Ham, NodeIndex, Time, Time) {
-        let dir = std::env::temp_dir().join(format!("neptune-dv-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "neptune-dv-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id() // tests of one module run in parallel
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
         let (n, t0) = ham.add_node(MAIN_CONTEXT, true).unwrap();

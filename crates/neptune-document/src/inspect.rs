@@ -122,7 +122,11 @@ mod tests {
     use neptune_ham::Value;
 
     fn fixture() -> (Ham, NodeIndex) {
-        let dir = std::env::temp_dir().join(format!("neptune-inspect-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "neptune-inspect-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id() // tests of one module run in parallel
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
         let (n, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();

@@ -219,7 +219,11 @@ mod tests {
     use neptune_ham::types::{Protections, MAIN_CONTEXT};
 
     fn sample() -> (Ham, Document) {
-        let dir = std::env::temp_dir().join(format!("neptune-ob-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "neptune-ob-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id() // tests of one module run in parallel
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
         let doc = Document::create(&mut ham, MAIN_CONTEXT, "paper", "Paper").unwrap();

@@ -204,7 +204,11 @@ mod tests {
     use neptune_ham::types::{LinkPt, Protections, MAIN_CONTEXT};
 
     fn reading_graph() -> (Ham, Vec<NodeIndex>, Vec<LinkIndex>) {
-        let dir = std::env::temp_dir().join(format!("neptune-trail-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "neptune-trail-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id() // tests of one module run in parallel
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
         let mut nodes = Vec::new();

@@ -123,6 +123,12 @@ pub struct Ham {
     /// unsharded store. Consulted by the fork-topology invariant rules: a
     /// context adopted from another shard legitimately has no local parent.
     shard: (u32, u32),
+    /// The blob-mirror watermark: MAIN's clock when `nodes/` last became a
+    /// complete, durable mirror of MAIN. A checkpoint rewrites only nodes
+    /// with a version or existence change past it — the version times the
+    /// graph already keeps are the dirty bits. `Time(0)` means "mirror
+    /// state unknown": the next checkpoint re-mirrors every node.
+    mirrored_through: Time,
 }
 
 impl std::fmt::Debug for Ham {
@@ -206,6 +212,7 @@ impl Ham {
             last_seq: 0,
             forced_seq: None,
             shard: (0, 1),
+            mirrored_through: Time(0),
         };
         ham.write_meta()?;
         ham.checkpoint()?;
@@ -276,7 +283,19 @@ impl Ham {
         // after the snapshot rename became durable but before the log
         // truncation did, replaying the whole log would apply every folded
         // transaction a second time.
-        let committed = wal.recover_committed_after(state.boundary_lsn)?;
+        let recovery = wal.recover_committed_after(state.boundary_lsn)?;
+        wal.reserve_lsns_through(state.boundary_lsn);
+        // The mirror completed at the snapshot's MAIN time; replay below
+        // re-dirties exactly what postdates it. Two exceptions start from
+        // "unknown" instead. Folded records still in the log mean a
+        // checkpoint died after its snapshot rename and before truncating —
+        // the one window in which the mirror can lag the snapshot. And a
+        // legacy-format snapshot must be rewritten, which an unmoved clock
+        // would otherwise let the next checkpoint skip.
+        let mirrored_through = match state.threads.get(&MAIN_CONTEXT) {
+            Some(main) if !recovery.skipped_folded && state.current_format => main.graph.now(),
+            _ => Time(0),
+        };
         let blobs = BlobStore::open_with(Arc::clone(&vfs), directory.join(NODES_DIR), protections)?;
         let vcache = Arc::new(Mutex::new(MaterializationCache::default()));
         let view = CommittedView::new(
@@ -309,10 +328,11 @@ impl Ham {
             last_seq: state.last_seq,
             forced_seq: None,
             shard: (0, 1),
+            mirrored_through,
         };
         // Replay committed transactions that postdate the snapshot.
         ham.replaying = true;
-        for txn in committed {
+        for txn in recovery.committed {
             ham.next_txn = ham.next_txn.max(txn.txn_id + 1);
             for payload in txn.ops {
                 let op = RedoOp::from_bytes(&payload)?;
@@ -642,10 +662,12 @@ impl Ham {
         self.auto_txn(|ham| {
             ham.note_context(context)?;
             ham.graph_mut(context)?.live_node(node, Time::CURRENT)?;
-            ham.graph_mut(context)?.node_mut(node)?.protections = protections;
-            if context == MAIN_CONTEXT && ham.blobs.contains(node.0) {
-                ham.blobs.set_protections(node.0, protections)?;
+            let slot = &mut ham.graph_mut(context)?.node_mut(node)?.protections;
+            let old = std::mem::replace(slot, protections);
+            if let Some(txn) = &mut ham.txn {
+                txn.saved_protections.push((context, node, old));
             }
+            // The node's file changes mode once the commit is durable.
             ham.push_redo(RedoOp::ChangeProtection {
                 context,
                 node,
@@ -1057,7 +1079,7 @@ impl Ham {
             // A coordinator-forced sequence must not outlive the (empty)
             // commit it was meant for.
             self.forced_seq = None;
-            self.count_txn_outcome("neptune_ham_txn_commits_total");
+            count("neptune_ham_txn_commits_total", 1);
             return Ok(()); // read-only transaction: nothing new to publish
         }
         if let Err(e) = self.log_txn(&txn) {
@@ -1067,15 +1089,39 @@ impl Ham {
             // reconstruct — returning the error while keeping the changes
             // would leave the machine serving state that a crash loses.
             self.rollback(txn);
-            self.count_txn_outcome("neptune_ham_txn_commit_failures_total");
+            count("neptune_ham_txn_commit_failures_total", 1);
             return Err(e.into());
         }
         #[cfg(feature = "strict-invariants")]
         self.assert_strict_invariants("commit_transaction");
-        self.count_txn_outcome("neptune_ham_txn_commits_total");
+        count("neptune_ham_txn_commits_total", 1);
+        for op in &txn.redo {
+            if let RedoOp::ChangeProtection {
+                context: MAIN_CONTEXT,
+                node,
+                protections,
+            } = op
+            {
+                self.mirror_protection(*node, *protections);
+            }
+        }
         // The commit is durable; hand the new state to lock-free readers.
         self.publish_view();
         Ok(())
+    }
+
+    /// Carry a committed `changeNodeProtection` on a MAIN node through to
+    /// the file storing its contents — protections carry no version time,
+    /// so the watermark cannot see them. Runs only once the change is
+    /// durable (live commit, or WAL replay), so an abort or a crash before
+    /// the commit leaves the file alone. A node without a blob was created
+    /// past the watermark and gets its mode with its first put. A failed
+    /// chmod cannot fail a commit that is already durable; it resets the
+    /// watermark so the next checkpoint repairs the mirror.
+    fn mirror_protection(&mut self, node: NodeIndex, protections: Protections) {
+        if self.blobs.contains(node.0) && self.blobs.set_protections(node.0, protections).is_err() {
+            self.mirrored_through = Time(0);
+        }
     }
 
     /// Append a transaction's records and force the commit to disk. The
@@ -1095,13 +1141,6 @@ impl Ham {
             .append_commit_with(txn.id, seq.to_le_bytes().to_vec())?;
         self.last_seq = seq;
         Ok(())
-    }
-
-    /// Bump one of the `neptune_ham_txn_*_total` outcome counters.
-    fn count_txn_outcome(&self, key: &str) {
-        if neptune_obs::enabled() {
-            neptune_obs::registry().counter(key).inc();
-        }
     }
 
     /// With the `strict-invariants` feature, every commit and checkpoint
@@ -1128,7 +1167,7 @@ impl Ham {
         let txn = self.txn.take().ok_or(HamError::TransactionState {
             reason: "no active transaction",
         })?;
-        self.count_txn_outcome("neptune_ham_txn_aborts_total");
+        count("neptune_ham_txn_aborts_total", 1);
         self.rollback(txn);
         Ok(())
     }
@@ -1160,6 +1199,17 @@ impl Ham {
                 thread.graph.truncate_after(start);
             }
         }
+        // Nor are protections; nodes created inside the transaction are
+        // already gone.
+        for (context, node, protections) in txn.saved_protections.into_iter().rev() {
+            if let Some(n) = self
+                .threads
+                .get_mut(&context)
+                .and_then(|t| t.graph.node_mut(node).ok())
+            {
+                n.protections = protections;
+            }
+        }
         // Rollback rewinds version clocks, so future check-ins can reuse
         // the exact (node, time) pairs just discarded with different
         // contents. Drop every materialized version (which also starts a
@@ -1180,9 +1230,12 @@ impl Ham {
     }
 
     /// Fold the WAL into an atomic snapshot: after this, recovery starts
-    /// from the snapshot instead of replaying history. Also mirrors each
-    /// main-context node's current contents into its per-node file with the
-    /// node's protections (the paper's file-per-node storage model).
+    /// from the snapshot instead of replaying history. Also brings the
+    /// per-node files up to date: each main-context node that changed since
+    /// the last completed checkpoint has its current contents written to
+    /// its file with the node's protections (the paper's file-per-node
+    /// storage model). A machine with nothing to fold and nothing to mirror
+    /// returns without touching the disk.
     ///
     /// Ordering is the durability contract (DESIGN.md §12): every side
     /// effect — the snapshot, the blob mirror, and their fsyncs — completes
@@ -1199,17 +1252,30 @@ impl Ham {
                 reason: "cannot checkpoint inside a transaction",
             });
         }
-        if let Err(e) = self.checkpoint_side_effects() {
-            // Recoverable: the WAL is untouched, so reopening replays the
-            // full log over whichever snapshot generation survived.
-            self.count_checkpoint_failure();
-            return Err(e);
+        // Every record is folded and MAIN's clock has not passed the
+        // watermark, so no node version can postdate the mirror either:
+        // snapshot, blobs and log already say what a checkpoint would write.
+        if self.wal.is_folded() && self.threads[&MAIN_CONTEXT].graph.now() <= self.mirrored_through
+        {
+            count("neptune_ham_checkpoint_skipped_total", 1);
+            return Ok(());
+        }
+        match self.checkpoint_side_effects() {
+            Ok(through) => self.mirrored_through = through,
+            Err(e) => {
+                // Recoverable: the WAL is untouched, so reopening replays
+                // the full log over whichever snapshot generation survived,
+                // and the watermark has not moved, so a retry re-mirrors
+                // whatever this attempt did not finish.
+                count("neptune_ham_checkpoint_failures_total", 1);
+                return Err(e);
+            }
         }
         if let Err(e) = self.wal.checkpoint() {
             // The WAL poisons itself; the durable state stays consistent
             // either way because the new snapshot's boundary LSN already
             // covers everything the old log contains.
-            self.count_checkpoint_failure();
+            count("neptune_ham_checkpoint_failures_total", 1);
             return Err(e.into());
         }
         #[cfg(feature = "strict-invariants")]
@@ -1219,8 +1285,9 @@ impl Ham {
 
     /// Everything a checkpoint must make durable before the WAL truncates:
     /// the snapshot (which carries the fold boundary) and the per-node blob
-    /// mirror, ending with one directory fsync over the blobs.
-    fn checkpoint_side_effects(&self) -> Result<()> {
+    /// mirror of every node past the watermark, ending with one directory
+    /// fsync over the blobs. Returns the watermark the mirror now reaches.
+    fn checkpoint_side_effects(&self) -> Result<Time> {
         // Highest LSN currently in the log: all of it is folded into this
         // snapshot, so recovery must skip records at or below it.
         let boundary_lsn = self.wal.next_lsn() - 1;
@@ -1238,26 +1305,28 @@ impl Ham {
         )?;
         // Mirror current node contents to per-node files.
         let main = &self.threads[&MAIN_CONTEXT].graph;
+        let through = main.now();
+        let past = |t: Time| t > self.mirrored_through;
+        let (mut written, mut skipped, mut out_bytes) = (0u64, 0u64, bytes.len() as u64);
         for node in main.nodes() {
-            if node.exists_at(Time::CURRENT) {
+            let alive = node.exists_at(Time::CURRENT);
+            if !past(node.current_time()) && !node.alive.last_change_time().is_some_and(past) {
+                skipped += u64::from(alive);
+            } else if alive {
                 let contents = node.contents_at(Time::CURRENT)?;
                 self.blobs.put(node.id.0, &contents)?;
                 self.blobs.set_protections(node.id.0, node.protections)?;
+                written += 1;
+                out_bytes += contents.len() as u64;
             } else if self.blobs.contains(node.id.0) {
                 self.blobs.delete(node.id.0)?;
             }
         }
         self.blobs.sync_root()?;
-        Ok(())
-    }
-
-    /// Bump the failed-checkpoint counter.
-    fn count_checkpoint_failure(&self) {
-        if neptune_obs::enabled() {
-            neptune_obs::registry()
-                .counter("neptune_ham_checkpoint_failures_total")
-                .inc();
-        }
+        count("neptune_ham_checkpoint_blobs_written_total", written);
+        count("neptune_ham_checkpoint_blobs_skipped_total", skipped);
+        count("neptune_ham_checkpoint_bytes_total", out_bytes);
+        Ok(through)
     }
 
     // =====================================================================
@@ -1978,6 +2047,9 @@ impl Ham {
                 protections,
             } => {
                 self.graph_mut(context)?.node_mut(node)?.protections = protections;
+                if context == MAIN_CONTEXT {
+                    self.mirror_protection(node, protections);
+                }
             }
             RedoOp::CreateContext { id, from, time } => {
                 let parent = self.thread(from)?;
@@ -2068,6 +2140,13 @@ impl Ham {
     }
 }
 
+/// Add `n` to a registry counter, when metrics are on.
+pub(crate) fn count(key: &str, n: u64) {
+    if neptune_obs::enabled() {
+        neptune_obs::registry().counter(key).add(n);
+    }
+}
+
 fn policy_tag(p: ConflictPolicy) -> u8 {
     match p {
         ConflictPolicy::Fail => 0,
@@ -2106,6 +2185,9 @@ struct StoreState {
     /// Commit sequence of the last transaction folded into this snapshot
     /// (v2 snapshots only; v1 decodes as 0).
     last_seq: u64,
+    /// Whether the snapshot is in the format checkpoints write today; a
+    /// legacy one migrates at the next checkpoint.
+    current_format: bool,
     threads: HashMap<ContextId, GraphThread>,
 }
 
@@ -2144,7 +2226,8 @@ fn encode_store_state(
 fn decode_store_state(bytes: &[u8]) -> Result<StoreState> {
     let mut r = Reader::new(bytes);
     let first = r.get_u64()?;
-    let (boundary_lsn, last_seq) = if first == STORE_STATE_SENTINEL {
+    let current_format = first == STORE_STATE_SENTINEL;
+    let (boundary_lsn, last_seq) = if current_format {
         let version = r.get_u8()?;
         if version != STORE_STATE_VERSION {
             return Err(HamError::Storage(
@@ -2179,6 +2262,7 @@ fn decode_store_state(bytes: &[u8]) -> Result<StoreState> {
         next_context,
         next_txn,
         last_seq,
+        current_format,
         threads,
     })
 }

@@ -50,7 +50,7 @@ use neptune_storage::vfs::{StdVfs, Vfs};
 use crate::context::{ConflictPolicy, MergeReport};
 use crate::demons::DemonFireInfo;
 use crate::error::{HamError, Result};
-use crate::ham::Ham;
+use crate::ham::{count, Ham};
 use crate::invariants::{thread_violations, Violation};
 use crate::types::{ContextId, ProjectId, Protections, Time, MAIN_CONTEXT};
 use crate::view::CommittedView;
@@ -227,12 +227,6 @@ static SHARD_NAMES: [&str; MAX_SHARDS] = {
         "shard 57", "shard 58", "shard 59", "shard 60", "shard 61", "shard 62", "shard 63",
     ]
 };
-
-fn count_metric(name: &'static str) {
-    if neptune_obs::enabled() {
-        neptune_obs::registry().counter(name).inc();
-    }
-}
 
 fn count_shard_commit(index: usize) {
     if neptune_obs::enabled() {
@@ -498,7 +492,7 @@ impl ShardedHam {
         let deferred = self.join_txn(child_shard, &mut child.1)?;
         child.1.adopt_context(id, from, fork_time, graph)?;
         if !deferred {
-            count_metric("neptune_ham_cross_shard_txns_total");
+            count("neptune_ham_cross_shard_txns_total", 1);
             count_shard_commit(child_shard);
         }
         Ok(id)
@@ -650,7 +644,7 @@ impl ShardedHam {
             self.remove_cross_entry(seq);
             return Err(e);
         }
-        count_metric("neptune_ham_cross_shard_txns_total");
+        count("neptune_ham_cross_shard_txns_total", 1);
         count_shard_commit(parent_shard);
         count_shard_commit(child_shard);
         Ok(report)
@@ -766,7 +760,7 @@ impl ShardedHam {
             return Err(e);
         }
         if cross {
-            count_metric("neptune_ham_cross_shard_txns_total");
+            count("neptune_ham_cross_shard_txns_total", 1);
         }
         Ok(())
     }
@@ -803,13 +797,18 @@ impl ShardedHam {
     }
 
     /// Checkpoint every shard (ascending, one at a time — shards fold
-    /// their WALs independently).
+    /// their WALs independently, and an idle shard costs no I/O). A failing
+    /// shard does not stop the later ones from folding; the first error is
+    /// returned once every shard has been attempted.
     pub fn checkpoint(&self) -> Result<()> {
+        let mut first_error = Ok(());
         for k in 0..self.shards.len() {
-            let mut guard = self.lock_shard(k);
-            guard.checkpoint()?;
+            let result = self.lock_shard(k).checkpoint();
+            if first_error.is_ok() {
+                first_error = result;
+            }
         }
-        Ok(())
+        first_error
     }
 
     // =====================================================================
@@ -845,7 +844,7 @@ impl ShardedHam {
             if lagging == 0 {
                 return MultiView { views };
             }
-            count_metric("neptune_ham_view_skew_retries_total");
+            count("neptune_ham_view_skew_retries_total", 1);
             for (k, view) in views.iter_mut().enumerate() {
                 if lagging & (1u64 << k) != 0 {
                     *view = self.published[k].load();
@@ -854,7 +853,7 @@ impl ShardedHam {
         }
         // Fallback: with every shard lock held, no cross-shard commit can
         // be between its two halves' publishes.
-        count_metric("neptune_ham_multiview_fallbacks_total");
+        count("neptune_ham_multiview_fallbacks_total", 1);
         let all: BTreeSet<usize> = (0..self.shards.len()).collect();
         let guards = self.lock_ascending(&all);
         let views: Vec<Arc<CommittedView>> =
@@ -862,7 +861,7 @@ impl ShardedHam {
         if self.torn_shards(&views) != 0 {
             // Defensive: must be unreachable. Metrics-proof tests assert
             // this counter stays zero.
-            count_metric("neptune_ham_multiview_torn_total");
+            count("neptune_ham_multiview_torn_total", 1);
         }
         MultiView { views }
     }

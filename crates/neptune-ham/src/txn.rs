@@ -618,6 +618,9 @@ pub struct ActiveTxn {
     /// `RefixFork` path), with their pre-transaction values. Fork points
     /// are not clock-versioned, so abort must restore them explicitly.
     pub saved_forks: Vec<(ContextId, Option<(ContextId, Time)>)>,
+    /// Node protections changed inside this transaction, with their
+    /// previous values. Protections are not clock-versioned either.
+    pub saved_protections: Vec<(ContextId, NodeIndex, Protections)>,
     /// Redo records accumulated so far.
     pub redo: Vec<RedoOp>,
 }
@@ -631,6 +634,7 @@ impl ActiveTxn {
             created_contexts: Vec::new(),
             saved_contexts: Vec::new(),
             saved_forks: Vec::new(),
+            saved_protections: Vec::new(),
             redo: Vec::new(),
         }
     }

@@ -138,7 +138,11 @@ mod tests {
     use neptune_ham::types::{LinkPt, Protections, MAIN_CONTEXT};
 
     fn fixture() -> Ham {
-        let dir = std::env::temp_dir().join(format!("neptune-rel-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "neptune-rel-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id() // tests of one module run in parallel
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let (mut ham, _, _) = Ham::create_graph(dir, Protections::DEFAULT).unwrap();
         let doc = ham.get_attribute_index(MAIN_CONTEXT, "document").unwrap();

@@ -176,6 +176,9 @@ fn reads_during_foreign_txn_see_committed_state_without_waiting() {
 /// sees the pre-transaction snapshot.
 #[test]
 fn txn_owner_reads_its_own_writes() {
+    // No metrics asserted here, but its gate traffic would land in the
+    // process-global registry the zero-lock proof above is reading.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let server = start("ryw");
     let addr = server.addr();
     let mut owner = Client::connect(addr).unwrap();

@@ -544,6 +544,15 @@ fn cmd_stats(shell: &mut Shell) -> Result<String> {
             registry.counter("neptune_server_bytes_in_total").get(),
             registry.counter("neptune_server_bytes_out_total").get(),
         ));
+        let count = |name: &str| registry.counter(name).get();
+        out.push_str(&format!(
+            "checkpoints: {} blobs written, {} left alone, {} bytes; {} skipped as idle, {} failed\n",
+            count("neptune_ham_checkpoint_blobs_written_total"),
+            count("neptune_ham_checkpoint_blobs_skipped_total"),
+            count("neptune_ham_checkpoint_bytes_total"),
+            count("neptune_ham_checkpoint_skipped_total"),
+            count("neptune_ham_checkpoint_failures_total"),
+        ));
         out.push('\n');
         out.push_str(&neptune_obs::render::render_human(registry));
     } else {

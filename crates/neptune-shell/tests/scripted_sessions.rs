@@ -200,11 +200,13 @@ fn read_command_times_batched_reads() {
         shell.execute("read --batch zero"),
         Err(ShellError::Usage(_))
     ));
-    // stats surfaces the wire-traffic counters (zero in-process) — unless a
-    // parallel test flipped the global kill-switch, in which case it says so.
+    // stats surfaces the wire-traffic counters (zero in-process) and what
+    // checkpoints cost — unless a parallel test flipped the global
+    // kill-switch, in which case it says so.
     let stats = shell.execute("stats").unwrap();
     assert!(
-        stats.contains("bytes in") || stats.contains("disabled"),
+        (stats.contains("bytes in") && stats.contains("checkpoints: "))
+            || stats.contains("disabled"),
         "{stats}"
     );
 }

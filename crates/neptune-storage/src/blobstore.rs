@@ -71,7 +71,8 @@ impl BlobStore {
     }
 
     /// Open (creating if needed) a blob store rooted at `root` through
-    /// `vfs`.
+    /// `vfs`. Temp files a crashed [`BlobStore::put`] left behind are
+    /// removed: nothing else would ever reclaim them.
     pub fn open_with(
         vfs: Arc<dyn Vfs>,
         root: impl AsRef<Path>,
@@ -79,6 +80,11 @@ impl BlobStore {
     ) -> Result<BlobStore> {
         let root = root.as_ref().to_path_buf();
         vfs.create_dir_all(&root)?;
+        for name in vfs.read_dir(&root)? {
+            if name.to_string_lossy().ends_with(".blob.tmp") {
+                vfs.remove_file(&root.join(name))?;
+            }
+        }
         Ok(BlobStore {
             vfs,
             root,
@@ -99,12 +105,17 @@ impl BlobStore {
     pub fn put(&self, id: u64, contents: &[u8]) -> Result<()> {
         let path = self.path_for(id);
         let tmp = path.with_extension("blob.tmp");
-        {
+        let written = (|| {
             let mut f = self.vfs.create(&tmp)?;
             f.append(contents)?;
             f.sync()?;
+            self.vfs.rename(&tmp, &path)
+        })();
+        if let Err(e) = written {
+            // Best effort: whatever survives here, the next open sweeps.
+            let _ = self.vfs.remove_file(&tmp);
+            return Err(e.into());
         }
-        self.vfs.rename(&tmp, &path)?;
         self.vfs.set_permissions(&path, self.protections.mode)?;
         Ok(())
     }
@@ -244,6 +255,54 @@ mod tests {
     fn set_protections_on_missing_blob_fails() {
         let s = store("prot-missing");
         assert!(s.set_protections(42, Protections::PRIVATE).is_err());
+    }
+
+    #[test]
+    fn failed_put_leaves_no_temp_file_and_open_sweeps_stale_ones() {
+        use crate::fault::{FaultKind, FaultVfs};
+        let dir = std::env::temp_dir().join(format!("neptune-blob-tmp-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let names = |dir: &Path| {
+            let mut names: Vec<String> = fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        let blob = |id: u64| format!("{id:016x}.blob");
+
+        // A put that fails at its append or its fsync, or cannot even
+        // create the temp file.
+        for (kind, at) in [
+            (FaultKind::ShortWrite, 0),
+            (FaultKind::FailSync, 0),
+            (FaultKind::FailWrite, 0),
+        ] {
+            let vfs = FaultVfs::new();
+            let s =
+                BlobStore::open_with(Arc::new(vfs.clone()), &dir, Protections::DEFAULT).unwrap();
+            s.put(1, b"kept").unwrap();
+            vfs.arm(kind, at);
+            assert!(s.put(2, b"doomed").is_err(), "{kind}");
+            assert_eq!(names(&dir), vec![blob(1)], "{kind} left a temp file");
+            assert_eq!(s.get(1).unwrap(), b"kept".to_vec());
+        }
+
+        // The process died mid-put (power cut: the cleanup cannot run), so
+        // the temp file survives until the store is next opened.
+        let vfs = FaultVfs::new();
+        let s = BlobStore::open_with(Arc::new(vfs.clone()), &dir, Protections::DEFAULT).unwrap();
+        vfs.arm(FaultKind::PowerCut, 2); // create, append, then the sync dies
+        assert!(s.put(3, b"interrupted").is_err());
+        assert_eq!(names(&dir), vec![blob(1), format!("{}.tmp", blob(3))]);
+        let s = BlobStore::open(&dir, Protections::DEFAULT).unwrap();
+        assert_eq!(
+            names(&dir),
+            vec![blob(1)],
+            "open must sweep stale temp files"
+        );
+        assert_eq!(s.ids().unwrap(), vec![1]);
     }
 
     #[test]

@@ -59,4 +59,4 @@ pub use error::{Result, StorageError};
 pub use fault::{FaultKind, FaultVfs};
 pub use vcache::{CacheStats, MaterializationCache};
 pub use vfs::{StdVfs, Vfs, VfsFile};
-pub use wal::{CommittedTxn, RecordKind, Wal, WalRecord};
+pub use wal::{CommittedTxn, RecordKind, Recovery, Wal, WalRecord};

@@ -135,12 +135,28 @@ pub struct CommittedTxn {
     pub ops: Vec<Vec<u8>>,
 }
 
+/// What [`Wal::recover_committed_after`] found in the log.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Recovery {
+    /// Committed transactions past the boundary, in commit order.
+    pub committed: Vec<CommittedTxn>,
+    /// Whether any record after the last `Checkpoint` sat at or below the
+    /// boundary. A completed checkpoint truncates such records away, so
+    /// finding one means a checkpoint wrote its snapshot and then died
+    /// before the truncation — its other side effects (the HAM's blob
+    /// mirror) may be incomplete.
+    pub skipped_folded: bool,
+}
+
 /// An append-only, checksummed write-ahead log file.
 #[derive(Debug)]
 pub struct Wal {
     file: Box<dyn VfsFile>,
     path: PathBuf,
     next_lsn: u64,
+    /// Records appended since the last `Checkpoint` record (every record in
+    /// a log that has none).
+    unfolded: u64,
     poisoned: bool,
 }
 
@@ -168,6 +184,7 @@ impl Wal {
                 file,
                 path,
                 next_lsn: 1,
+                unfolded: 0,
                 poisoned: false,
             });
         }
@@ -183,10 +200,16 @@ impl Wal {
             }
         }
         let next_lsn = records.last().map(|r| r.lsn + 1).unwrap_or(1);
+        let unfolded = records
+            .iter()
+            .rev()
+            .take_while(|r| r.kind != RecordKind::Checkpoint)
+            .count() as u64;
         Ok(Wal {
             file,
             path,
             next_lsn,
+            unfolded,
             poisoned: false,
         })
     }
@@ -288,6 +311,7 @@ impl Wal {
         self.guard()?;
         let lsn = self.next_lsn;
         self.next_lsn += 1;
+        self.unfolded += 1;
         let record = WalRecord {
             lsn,
             txn_id,
@@ -354,8 +378,8 @@ impl Wal {
     /// [`Wal::recover_after`], additionally surfacing each committed
     /// transaction's global commit sequence (the first 8 LE bytes of its
     /// commit record's payload; 0 for pre-shard logs with empty commit
-    /// payloads).
-    pub fn recover_committed_after(&mut self, boundary: u64) -> Result<Vec<CommittedTxn>> {
+    /// payloads) and whether any record was skipped as already folded.
+    pub fn recover_committed_after(&mut self, boundary: u64) -> Result<Recovery> {
         let _span = neptune_obs::span!("storage.wal_recover");
         let records = self.records()?;
         // Start from the last checkpoint, if any.
@@ -366,7 +390,12 @@ impl Wal {
             .unwrap_or(0);
         let mut pending: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
         let mut committed: Vec<CommittedTxn> = Vec::new();
-        for r in records[start..].iter().filter(|r| r.lsn > boundary) {
+        let mut skipped_folded = false;
+        for r in &records[start..] {
+            if r.lsn <= boundary {
+                skipped_folded = true;
+                continue;
+            }
             match r.kind {
                 RecordKind::Begin => {
                     pending.insert(r.txn_id, Vec::new());
@@ -400,7 +429,10 @@ impl Wal {
                 .counter("neptune_storage_wal_recovered_txns_total")
                 .add(committed.len() as u64);
         }
-        Ok(committed)
+        Ok(Recovery {
+            committed,
+            skipped_folded,
+        })
     }
 
     /// Replay the log, ignoring every record with `lsn <= boundary` — they
@@ -414,6 +446,7 @@ impl Wal {
     pub fn recover_after(&mut self, boundary: u64) -> Result<Vec<(u64, Vec<Vec<u8>>)>> {
         Ok(self
             .recover_committed_after(boundary)?
+            .committed
             .into_iter()
             .map(|t| (t.txn_id, t.ops))
             .collect())
@@ -438,7 +471,24 @@ impl Wal {
             return Err(e.into());
         }
         self.append(0, RecordKind::Checkpoint, Vec::new())?;
-        self.sync()
+        self.sync()?;
+        self.unfolded = 0;
+        Ok(())
+    }
+
+    /// Whether the log holds nothing past its last `Checkpoint` record:
+    /// every record ever appended has been folded into a snapshot. Never
+    /// true of a poisoned log, whose contents are unknown until reopened.
+    pub fn is_folded(&self) -> bool {
+        self.unfolded == 0 && !self.poisoned
+    }
+
+    /// Never hand out an LSN at or below `boundary`. A snapshot's fold
+    /// boundary outlives a log truncated by a checkpoint that died before
+    /// its `Checkpoint` record became durable; LSNs restarting at 1 would
+    /// then be skipped as already folded by the next recovery.
+    pub fn reserve_lsns_through(&mut self, boundary: u64) {
+        self.next_lsn = self.next_lsn.max(boundary.saturating_add(1));
     }
 
     /// Path of the underlying file.
@@ -688,7 +738,7 @@ mod tests {
         wal.append(2, RecordKind::Op, b"new".to_vec()).unwrap();
         wal.append_commit_with(2, 42u64.to_le_bytes().to_vec())
             .unwrap();
-        let committed = wal.recover_committed_after(0).unwrap();
+        let committed = wal.recover_committed_after(0).unwrap().committed;
         assert_eq!(committed.len(), 2);
         assert_eq!((committed[0].txn_id, committed[0].seq), (1, 0));
         assert_eq!((committed[1].txn_id, committed[1].seq), (2, 42));
@@ -712,6 +762,48 @@ mod tests {
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].0, 2);
         assert!(wal.recover_after(u64::MAX).unwrap().is_empty());
+        // Only a boundary that actually hides records reports a skip.
+        assert!(!wal.recover_committed_after(0).unwrap().skipped_folded);
+        assert!(
+            wal.recover_committed_after(boundary)
+                .unwrap()
+                .skipped_folded
+        );
+    }
+
+    #[test]
+    fn folded_tracks_records_past_the_last_checkpoint() {
+        let dir = tmpdir("folded");
+        let path = dir.join("wal");
+        let mut wal = Wal::open(&path).unwrap();
+        assert!(wal.is_folded(), "a fresh log holds nothing to fold");
+        wal.append(1, RecordKind::Begin, vec![]).unwrap();
+        let boundary = wal.append_commit(1).unwrap();
+        assert!(!wal.is_folded());
+        wal.checkpoint().unwrap();
+        assert!(wal.is_folded());
+        // The completed checkpoint left nothing at or below the boundary.
+        assert!(
+            !wal.recover_committed_after(boundary)
+                .unwrap()
+                .skipped_folded
+        );
+        drop(wal);
+        let mut wal = Wal::open(&path).unwrap();
+        assert!(wal.is_folded(), "only the Checkpoint record remains");
+        wal.append(2, RecordKind::Begin, vec![]).unwrap();
+        drop(wal);
+        assert!(!Wal::open(&path).unwrap().is_folded());
+    }
+
+    #[test]
+    fn reserved_lsns_are_never_reissued() {
+        let dir = tmpdir("reserve");
+        let mut wal = Wal::open(dir.join("wal")).unwrap();
+        wal.reserve_lsns_through(41);
+        assert_eq!(wal.append(1, RecordKind::Begin, vec![]).unwrap(), 42);
+        wal.reserve_lsns_through(7);
+        assert_eq!(wal.next_lsn(), 43, "reserving never moves backwards");
     }
 
     #[test]

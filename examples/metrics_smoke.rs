@@ -77,6 +77,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (empty version cache, empty anchor cache) serves a mid-history read
     // by descending the *persisted* ladder — which caches a non-empty
     // boundary anchor, so the occupancy gauge is live at scrape time.
+    // Three checkpoints show all of a checkpoint's cost accounting: the
+    // first writes every blob, the second (one node edited) writes one and
+    // skips the rest, and the one `stop` issues finds nothing to do.
+    c.checkpoint()?;
+    c.modify_node(MAIN_CONTEXT, d, td, b"deep draft 24\n".to_vec(), vec![])?;
     c.checkpoint()?;
     drop(c);
     server.stop();
@@ -105,6 +110,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "neptune_ham_op_ns",
         "neptune_storage_op_ns",
         "neptune_ham_txn_commits_total",
+        "neptune_ham_checkpoint_blobs_written_total",
+        "neptune_ham_checkpoint_blobs_skipped_total",
+        "neptune_ham_checkpoint_bytes_total",
+        "neptune_ham_checkpoint_skipped_total",
         "neptune_storage_vcache_misses_total",
         "neptune_storage_index_hits_total",
         "neptune_storage_index_levels_depth",
