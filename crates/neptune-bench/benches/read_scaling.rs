@@ -1,17 +1,21 @@
-//! Read scaling: the version-materialization cache, zero-copy contents,
-//! and concurrent readers.
+//! Read scaling: the archive's version cache, zero-copy contents, and
+//! concurrent readers.
 //!
 //! Four claims from the read-path work are measured here and emitted as
 //! machine-readable JSON (`BENCH_read_scaling.json`, or the path named by
 //! `NEPTUNE_BENCH_OUT`):
 //!
 //! 1. **Deep-history checkout.** Opening a version `k` steps back replays
-//!    `k` backward deltas; the materialization cache (plus the archive's
-//!    skip ladder) turns repeated access into a cache hit. Measured with the
-//!    cache disabled (full replay) and enabled, at depth 100.
-//! 2. **Zero-copy cache hits.** With `Arc<[u8]>` contents a cache hit is a
-//!    refcount bump, not a memcpy, so hit cost must stay near-flat from
-//!    1 KiB to 1 MiB contents (the contents-size axis).
+//!    `k` backward deltas; the archive's temporal index (skip ladder plus
+//!    anchors, the retained target among them) turns repeated access into
+//!    an exact anchor hit. Measured at depth 100 as `openNode` ("cached")
+//!    against `Archive::checkout_uncached` on the same archive (full
+//!    replay).
+//! 2. **Zero-copy cache hits.** With `Arc<[u8]>` contents an anchor hit is
+//!    a refcount bump, not a memcpy, so hit cost must stay near-flat from
+//!    1 KiB to 1 MiB contents (the contents-size axis) — 1 MiB is four
+//!    times the anchor budget, so this also pins "the last target is always
+//!    retained".
 //! 3. **Multi-reader throughput.** Read-only requests share the HAM under a
 //!    reader lock, so aggregate `openNode` throughput should rise as reader
 //!    clients are added instead of flat-lining behind a single mutex.
@@ -51,26 +55,25 @@ fn bench_deep_checkout(c: &mut Criterion) {
     let oldest = times[0];
 
     let mut group = c.benchmark_group(format!("read_scaling_checkout_depth_{DEPTH}"));
-    ham.set_version_cache_enabled(false);
-    group.bench_function("uncached", |b| {
-        b.iter(|| {
-            let opened = ham.open_node(main_ctx(), node, oldest, &[]).unwrap();
-            black_box(opened.contents.len())
-        });
-    });
-    ham.set_version_cache_enabled(true);
     group.bench_function("cached", |b| {
         b.iter(|| {
             let opened = ham.open_node(main_ctx(), node, oldest, &[]).unwrap();
             black_box(opened.contents.len())
         });
     });
+    // The baseline is the reference replay on the node's own archive: the
+    // whole chain from the head, never touching the temporal index.
+    let graph = ham.graph(main_ctx()).unwrap();
+    let archive = graph.node(node).unwrap().archive().unwrap();
+    group.bench_function("uncached", |b| {
+        b.iter(|| black_box(archive.checkout_uncached(oldest.0).unwrap().len()));
+    });
     group.finish();
 }
 
 /// Cache-hit cost across contents sizes: each iteration opens a historical
-/// version already resident in the materialization cache. If contents were
-/// still copied per read this would grow linearly with size; with shared
+/// version already held as an anchor by its archive. If contents were still
+/// copied per read this would grow linearly with size; with shared
 /// `Arc<[u8]>` buffers it stays near-flat.
 fn bench_contents_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("read_scaling_contents_size");
@@ -78,7 +81,7 @@ fn bench_contents_size(c: &mut Criterion) {
         let mut ham = fresh_ham(&format!("rs-size-{label}"));
         let (node, times) = versioned_node(&mut ham, main_ctx(), bytes, 4, 1);
         let historical = times[1];
-        // Warm the cache so the measured loop is hits only.
+        // One read leaves the anchor, so the measured loop is hits only.
         ham.open_node(main_ctx(), node, historical, &[]).unwrap();
         group.bench_function(label, |b| {
             b.iter(|| {
@@ -116,22 +119,28 @@ fn bench_reader_scaling(c: &mut Criterion) {
             .collect();
         group.throughput(Throughput::Elements((readers * OPS_PER_READER) as u64));
 
-        group.bench_with_input(BenchmarkId::new("readers", readers), &readers, |b, _| {
-            b.iter(|| {
-                std::thread::scope(|scope| {
-                    for client in &mut clients {
-                        scope.spawn(|| {
-                            for _ in 0..OPS_PER_READER {
-                                let opened = client
-                                    .open_node(main_ctx(), node, Time::CURRENT, vec![])
-                                    .unwrap();
-                                black_box(opened.contents.len());
-                            }
-                        });
-                    }
+        // The 1-reader lockstep rate is the denominator of both ratio
+        // floors and is bimodal on small boxes (~12k/s vs ~22k/s on two
+        // vCPUs): measure it three times and let `rate` take the median.
+        let repeats = if readers == 1 { 3 } else { 1 };
+        for _ in 0..repeats {
+            group.bench_with_input(BenchmarkId::new("readers", readers), &readers, |b, _| {
+                b.iter(|| {
+                    std::thread::scope(|scope| {
+                        for client in &mut clients {
+                            scope.spawn(|| {
+                                for _ in 0..OPS_PER_READER {
+                                    let opened = client
+                                        .open_node(main_ctx(), node, Time::CURRENT, vec![])
+                                        .unwrap();
+                                    black_box(opened.contents.len());
+                                }
+                            });
+                        }
+                    });
                 });
             });
-        });
+        }
 
         group.bench_with_input(BenchmarkId::new("pipelined", readers), &readers, |b, _| {
             let requests = vec![open_req(node); OPS_PER_READER];
@@ -336,12 +345,20 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Aggregate reads/sec for a reader-scaling variant at a given count.
+/// Aggregate reads/sec for a reader-scaling variant at a given count: the
+/// median over however many times that cell was measured.
 fn rate(results: &[BenchResult], variant: &str, readers: usize) -> f64 {
-    find(results, &format!("{variant}/{readers}"))
-        .filter(|r| r.ns_per_iter > 0.0)
-        .map(|r| (readers * OPS_PER_READER) as f64 / (r.ns_per_iter / 1e9))
-        .unwrap_or(0.0)
+    let label = format!("/{variant}/{readers}");
+    let mut ns: Vec<f64> = results
+        .iter()
+        .filter(|r| r.label.ends_with(&label) && r.ns_per_iter > 0.0)
+        .map(|r| r.ns_per_iter)
+        .collect();
+    if ns.is_empty() {
+        return 0.0;
+    }
+    ns.sort_by(f64::total_cmp);
+    (readers * OPS_PER_READER) as f64 / (ns[(ns.len() - 1) / 2] / 1e9)
 }
 
 fn write_report(
@@ -372,13 +389,13 @@ fn write_report(
         ));
     }
     out.push_str("  ],\n  \"derived\": {\n");
-    // Registry-wide derived numbers: vcache hit ratio over the whole run,
-    // mean transaction-gate wait (zero in this read-only workload unless a
+    // Registry-wide derived numbers: the share of historical checkouts over
+    // the whole run that were exact anchor hits, mean transaction-gate wait (zero in this read-only workload unless a
     // writer contends).
     let snapshot = neptune_obs::registry().flat_snapshot();
     let flat = |key: &str| snapshot.get(key).copied().unwrap_or(0.0);
-    let hits = flat("neptune_storage_vcache_hits_total");
-    let misses = flat("neptune_storage_vcache_misses_total");
+    let hits = flat("neptune_storage_index_exact_hits_total");
+    let misses = flat("neptune_storage_index_replays_total");
     let hit_ratio = if hits + misses > 0.0 {
         hits / (hits + misses)
     } else {

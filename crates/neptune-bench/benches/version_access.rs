@@ -2,9 +2,10 @@
 //!
 //! Backward deltas make the current version O(size) to check out while a
 //! version k steps back applies k deltas. Measures `openNode` at the head,
-//! the midpoint, and the oldest version across history depths — with the
-//! version-materialization cache on (repeat access is a hit) and off (every
-//! access replays the full delta chain).
+//! the midpoint, and the oldest version across history depths — through the
+//! archive's temporal index (repeat access is an exact anchor hit) and
+//! through `Archive::checkout_uncached` (every access replays the full
+//! delta chain).
 
 use neptune_bench::harness::{BenchmarkId, Criterion};
 use neptune_bench::{criterion_group, criterion_main};
@@ -31,20 +32,17 @@ fn bench_version_access(c: &mut Criterion) {
                 });
             });
         }
-        // The same deep access with the cache off: every iteration pays the
-        // full backward-delta replay, the pre-cache behaviour.
-        ham.set_version_cache_enabled(false);
+        // The same deep access on the reference path: every iteration pays
+        // the full backward-delta replay, the pre-index behaviour.
+        let graph = ham.graph(main_ctx()).unwrap();
+        let archive = graph.node(node).unwrap().archive().unwrap();
         group.bench_with_input(
             BenchmarkId::from_parameter("oldest_uncached"),
             &times[0],
             |b, &t| {
-                b.iter(|| {
-                    let opened = ham.open_node(main_ctx(), node, t, &[]).unwrap();
-                    black_box(opened.contents.len())
-                });
+                b.iter(|| black_box(archive.checkout_uncached(t.0).unwrap().len()));
             },
         );
-        ham.set_version_cache_enabled(true);
         group.finish();
     }
 }

@@ -32,8 +32,8 @@ pub fn side_by_side(
     time1: Time,
     time2: Time,
 ) -> Result<Vec<DiffRow>> {
-    // read_node goes through the HAM's version-materialization cache, so
-    // browsing deep history repeatedly stays cheap.
+    // The archive keeps each version it rebuilds as an anchor, so browsing
+    // deep history repeatedly stays cheap.
     let old = ham.read_node(context, node, time1, &[])?.contents;
     let new = ham.read_node(context, node, time2, &[])?.contents;
     let old_lines = split_lines(&old);

@@ -16,13 +16,12 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use neptune_storage::blobstore::BlobStore;
 use neptune_storage::codec::{Decode, Encode, Reader, Writer};
 use neptune_storage::diff::Difference;
 use neptune_storage::snapshot::{read_snapshot_with, write_snapshot_with};
-use neptune_storage::vcache::{CacheStats, MaterializationCache};
 use neptune_storage::vfs::{StdVfs, Vfs};
 use neptune_storage::wal::{RecordKind, Wal};
 
@@ -53,8 +52,9 @@ pub(crate) struct GraphThread {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpenedNode {
     /// The node's contents at the requested time. Shared and immutable:
-    /// the same allocation may back the version cache and other concurrent
-    /// readers, so callers needing a private mutable copy must `to_vec()`.
+    /// the same allocation may back the archive's head or an anchor and
+    /// other concurrent readers, so callers needing a private mutable copy
+    /// must `to_vec()`.
     pub contents: Arc<[u8]>,
     /// Link attachments visible on that version, in canonical order
     /// (ascending link index, "from" end before "to" end). `modifyNode`
@@ -96,11 +96,6 @@ pub struct Ham {
     journal: Vec<FireRecord>,
     in_demon: bool,
     replaying: bool,
-    /// Materialized historical node versions, keyed by
-    /// `(context, node, resolved time)`. Behind a mutex so read-only
-    /// operations (`&self`) can consult and warm it; inside an `Arc` so
-    /// every published [`CommittedView`] shares the same cache.
-    vcache: Arc<Mutex<MaterializationCache>>,
     /// Publication point for committed snapshots: refreshed at every
     /// commit and rollback, loaded lock-free by snapshot readers.
     published: Arc<Published<CommittedView>>,
@@ -181,15 +176,7 @@ impl Ham {
         );
         let wal = Wal::open_with(vfs.as_ref(), directory.join(WAL_FILE))?;
         let blobs = BlobStore::open_with(Arc::clone(&vfs), directory.join(NODES_DIR), protections)?;
-        let vcache = Arc::new(Mutex::new(MaterializationCache::default()));
-        let view = CommittedView::new(
-            1,
-            0,
-            (0, 1),
-            &threads,
-            Arc::clone(&vcache),
-            directory.clone(),
-        );
+        let view = CommittedView::new(1, 0, (0, 1), &threads, directory.clone());
         let mut ham = Ham {
             directory,
             vfs,
@@ -205,7 +192,6 @@ impl Ham {
             journal: Vec::new(),
             in_demon: false,
             replaying: false,
-            vcache,
             published: Arc::new(Published::new(view)),
             view_epoch: 1,
             commit_seq: Arc::new(AtomicU64::new(0)),
@@ -297,15 +283,7 @@ impl Ham {
             _ => Time(0),
         };
         let blobs = BlobStore::open_with(Arc::clone(&vfs), directory.join(NODES_DIR), protections)?;
-        let vcache = Arc::new(Mutex::new(MaterializationCache::default()));
-        let view = CommittedView::new(
-            1,
-            state.last_seq,
-            (0, 1),
-            &state.threads,
-            Arc::clone(&vcache),
-            directory.clone(),
-        );
+        let view = CommittedView::new(1, state.last_seq, (0, 1), &state.threads, directory.clone());
         let mut ham = Ham {
             directory,
             vfs,
@@ -321,7 +299,6 @@ impl Ham {
             journal: Vec::new(),
             in_demon: false,
             replaying: false,
-            vcache,
             published: Arc::new(Published::new(view)),
             view_epoch: 1,
             commit_seq: Arc::new(AtomicU64::new(state.last_seq)),
@@ -614,8 +591,8 @@ impl Ham {
         link_pts: &[LinkPt],
     ) -> Result<Time> {
         let _span = neptune_obs::span!("ham.modify_node", "context {} node {}", context.0, node.0);
-        // One shared allocation backs the version store, the redo log, and
-        // the warm cache entry below — check-in never copies the contents.
+        // One shared allocation backs the version store and the redo log —
+        // check-in never copies the contents.
         let contents: Arc<[u8]> = contents.into();
         self.auto_txn(|ham| {
             ham.note_context(context)?;
@@ -633,11 +610,6 @@ impl Ham {
                 link_pts: link_pts.to_vec(),
                 time: now,
             });
-            // Warm the version cache: once a newer check-in displaces this
-            // version from the head, readers of time `now` hit this entry
-            // instead of replaying deltas.
-            ham.lock_vcache()
-                .insert((context.0, node.0, now.0), contents.clone());
             ham.fire(context, Event::NodeModified, Some(node), None)?;
             Ok(now)
         })
@@ -1212,16 +1184,10 @@ impl Ham {
         }
         // Rollback rewinds version clocks, so future check-ins can reuse
         // the exact (node, time) pairs just discarded with different
-        // contents. Drop every materialized version (which also starts a
-        // new cache generation, fencing off readers still pinned to views
-        // published before the rollback); aborts are rare.
-        self.lock_vcache().clear();
-        // Republish: the rolled-back state equals the last committed one,
-        // but the new view repins the post-clear cache generation so
-        // future lock-free reads can warm the cache again.
-        if !self.replaying {
-            self.publish_view();
-        }
+        // contents. No cache needs telling: `truncate_after` dropped each
+        // rewound archive's anchors past the cut, and those archives are
+        // this machine's own copies. Nor is there anything to publish: the
+        // current view is the last committed state, which is what is left.
     }
 
     /// Whether a transaction is currently active.
@@ -1418,8 +1384,6 @@ impl Ham {
                 into: parent_id,
                 policy: policy_tag(policy),
             });
-            // The merge rewrote parent archives; drop its cached versions.
-            ham.lock_vcache().invalidate_context(parent_id.0);
             Ok(report)
         })
     }
@@ -1439,7 +1403,6 @@ impl Ham {
             }
             ham.threads.remove(&id);
             ham.push_redo(RedoOp::DestroyContext { id });
-            ham.lock_vcache().invalidate_context(id.0);
             Ok(())
         })
     }
@@ -1537,10 +1500,6 @@ impl Ham {
                 fork_time,
                 graph: gw.into_bytes(),
             });
-            // Merges only append at fresh parent clock ticks, so resolved
-            // historical keys stay valid; the invalidation drops now-stale
-            // current-version materializations.
-            ham.lock_vcache().invalidate_context(into.0);
             Ok(report)
         })
     }
@@ -1656,8 +1615,6 @@ impl Ham {
     fn read_core(&self) -> ReadCore<'_> {
         ReadCore {
             threads: &self.threads,
-            vcache: &self.vcache,
-            generation: None,
         }
     }
 
@@ -1679,10 +1636,9 @@ impl Ham {
     }
 
     /// Build a snapshot of the current committed state and install it as
-    /// the published view. Called after every durable commit, after
-    /// rollback (to repin the cache generation), and at the end of
-    /// recovery. O(changes): the graph's internal maps are persistent, so
-    /// the clone is Arc bumps plus per-graph scalar state.
+    /// the published view. Called after every durable commit and at the
+    /// end of recovery. O(changes): the graph's internal maps are
+    /// persistent, so the clone is Arc bumps plus per-graph scalar state.
     fn publish_view(&mut self) {
         let start = std::time::Instant::now();
         self.view_epoch += 1;
@@ -1691,7 +1647,6 @@ impl Ham {
             self.last_seq,
             self.shard,
             &self.threads,
-            Arc::clone(&self.vcache),
             self.directory.clone(),
         );
         self.published.publish(view);
@@ -1704,40 +1659,6 @@ impl Ham {
                 .gauge("neptune_ham_snapshot_epoch")
                 .set(self.view_epoch.min(i64::MAX as u64) as i64);
         }
-    }
-
-    // =====================================================================
-    // Version-materialization cache
-    // =====================================================================
-
-    fn lock_vcache(&self) -> MutexGuard<'_, MaterializationCache> {
-        // The cache holds derived state only; recover from poison rather
-        // than failing every future read after one panicked thread.
-        self.vcache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Hit/miss counters and occupancy of the version-materialization cache.
-    pub fn version_cache_stats(&self) -> CacheStats {
-        self.lock_vcache().stats()
-    }
-
-    /// Enable or disable the version-materialization cache. Disabling also
-    /// makes historical reads bypass the archive's temporal index (skip
-    /// ladder and anchors), giving the true full-replay baseline; it drops
-    /// all cached entries.
-    pub fn set_version_cache_enabled(&self, enabled: bool) {
-        self.lock_vcache().set_enabled(enabled);
-    }
-
-    /// Replace the cache bounds (entries, payload bytes), dropping current
-    /// contents but keeping hit/miss counters at zero for the new instance.
-    /// The generation advances past the old cache's so views pinned to the
-    /// replaced instance can never alias entries of the new one.
-    pub fn configure_version_cache(&self, max_entries: usize, max_bytes: u64) {
-        let mut cache = self.lock_vcache();
-        let old_gen = cache.generation();
-        *cache = MaterializationCache::new(max_entries, max_bytes);
-        cache.advance_generation_past(old_gen);
     }
 
     /// Where `context` was forked from: `(parent, parent clock at fork)`,

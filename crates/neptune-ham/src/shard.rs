@@ -7,8 +7,8 @@
 //! shard `c % nshards` (its *home shard*) — so transactions touching
 //! disjoint shards validate, WAL-append, and epoch-publish with no shared
 //! lock at all. Each shard is a complete store (own snapshot, own WAL
-//! stream, own blob mirror, own version cache, own `Published` view slot),
-//! so recovery "fan-in" is simply opening every shard.
+//! stream, own blob mirror, own `Published` view slot), so recovery
+//! "fan-in" is simply opening every shard.
 //!
 //! What crosses shards:
 //!
@@ -44,7 +44,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use neptune_storage::codec::{Reader, Writer};
 use neptune_storage::snapshot::{read_snapshot_with, write_snapshot_with};
-use neptune_storage::vcache::CacheStats;
 use neptune_storage::vfs::{StdVfs, Vfs};
 
 use crate::context::{ConflictPolicy, MergeReport};
@@ -965,34 +964,6 @@ impl ShardedHam {
         for k in 0..self.shards.len() {
             let mut guard = self.lock_shard(k);
             guard.register_demon_callback(name.clone(), callback.clone());
-        }
-    }
-
-    /// Aggregate version-cache statistics across shards.
-    pub fn version_cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for k in 0..self.shards.len() {
-            let s = self.lock_shard(k).version_cache_stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-            total.bytes += s.bytes;
-        }
-        total
-    }
-
-    /// Enable or disable every shard's version cache.
-    pub fn set_version_cache_enabled(&self, enabled: bool) {
-        for k in 0..self.shards.len() {
-            self.lock_shard(k).set_version_cache_enabled(enabled);
-        }
-    }
-
-    /// Configure every shard's version cache bounds.
-    pub fn configure_version_cache(&self, max_entries: usize, max_bytes: u64) {
-        for k in 0..self.shards.len() {
-            self.lock_shard(k)
-                .configure_version_cache(max_entries, max_bytes);
         }
     }
 

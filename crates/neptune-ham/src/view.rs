@@ -18,19 +18,17 @@
 //! * [`CommittedView`]'s inherent read methods (pinned snapshot,
 //!   lock-free path).
 //!
-//! The only difference between the two is the materialization-cache
-//! generation: a view is pinned to the generation current when it was
-//! published, so a rollback (which rewinds version clocks and bumps the
-//! generation) can never leak post-rollback cache entries into a
-//! pre-rollback view or vice versa (DESIGN.md §9).
+//! The two differ only in which threads they borrow. Historical contents
+//! come from each node's own archive, whose anchor cache is the only
+//! version cache there is: a view's archives are never mutated under it
+//! (the tries are copy-on-write), so no read through either entry point can
+//! see bytes from another world (DESIGN.md §9).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use neptune_storage::diff::Difference;
-use neptune_storage::vcache::{CacheStats, MaterializationCache};
 
 use crate::demons::{DemonSpec, Event};
 use crate::error::{HamError, Result};
@@ -43,13 +41,9 @@ use crate::types::{AttributeIndex, ContextId, LinkIndex, NodeIndex, Time, Versio
 use crate::value::Value;
 
 /// The read-only core shared by the live machine and published views: a
-/// borrowed set of context threads plus the shared materialization cache.
+/// borrowed set of context threads.
 pub(crate) struct ReadCore<'a> {
     pub(crate) threads: &'a HashMap<ContextId, GraphThread>,
-    pub(crate) vcache: &'a Mutex<MaterializationCache>,
-    /// `None` = live state (use the cache's current generation);
-    /// `Some(g)` = a published view pinned to generation `g`.
-    pub(crate) generation: Option<u64>,
 }
 
 impl<'a> ReadCore<'a> {
@@ -58,12 +52,6 @@ impl<'a> ReadCore<'a> {
             .get(&context)
             .map(|t| &t.graph)
             .ok_or(HamError::NoSuchContext(context))
-    }
-
-    fn lock_vcache(&self) -> MutexGuard<'a, MaterializationCache> {
-        // Derived state only; recover from poison rather than failing
-        // every future read after one panicked thread.
-        self.vcache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub(crate) fn contexts(&self) -> Vec<ContextId> {
@@ -82,55 +70,6 @@ impl<'a> ReadCore<'a> {
             .ok_or(HamError::NoSuchContext(context))
     }
 
-    /// Node contents at `time`, served from the materialization cache when
-    /// possible. Head reads bypass the cache (the head is stored whole);
-    /// historical reads are keyed by resolved version time, so every alias
-    /// of a version shares one entry. With the cache disabled this is a
-    /// full uncached delta replay — the baseline the read-scaling
-    /// benchmarks compare against.
-    pub(crate) fn cached_contents(
-        &self,
-        context: ContextId,
-        n: &crate::node::Node,
-        time: Time,
-    ) -> Result<Arc<[u8]>> {
-        let Some(archive) = n.archive() else {
-            return n.contents_at(time); // file node: current version only
-        };
-        let resolved = archive.resolve_time(time.0)?;
-        if resolved == archive.head_time() {
-            return Ok(archive.head_shared());
-        }
-        let key = (context.0, n.id.0, resolved);
-        {
-            let mut cache = self.lock_vcache();
-            if !cache.enabled() {
-                drop(cache);
-                return Ok(archive.checkout_uncached(resolved)?);
-            }
-            let hit = match self.generation {
-                None => cache.get(&key),
-                Some(g) => cache.get_pinned(g, &key),
-            };
-            if let Some(data) = hit {
-                return Ok(data); // hit: refcount bump, no copy
-            }
-        }
-        // Miss: materialize outside the lock (checkout may replay a chain
-        // suffix), then publish the same allocation for the next reader —
-        // unless this reader's generation has been superseded, in which
-        // case the insert is silently dropped.
-        let data = archive.checkout(resolved)?;
-        {
-            let mut cache = self.lock_vcache();
-            match self.generation {
-                None => cache.insert(key, data.clone()),
-                Some(g) => cache.insert_pinned(g, key, data.clone()),
-            }
-        }
-        Ok(data)
-    }
-
     pub(crate) fn read_node(
         &self,
         context: ContextId,
@@ -140,7 +79,7 @@ impl<'a> ReadCore<'a> {
     ) -> Result<OpenedNode> {
         let graph = self.graph(context)?;
         let n = graph.live_node(node, time)?;
-        let contents = self.cached_contents(context, n, time)?;
+        let contents = n.contents_at(time)?;
         let link_pts = canonical_attachments(graph, node, time)?
             .into_iter()
             .map(|(_, _, pt)| pt)
@@ -248,8 +187,8 @@ impl<'a> ReadCore<'a> {
     ) -> Result<Vec<Difference>> {
         let graph = self.graph(context)?;
         let n = graph.node(node)?;
-        let old = self.cached_contents(context, n, time1)?;
-        let new = self.cached_contents(context, n, time2)?;
+        let old = n.contents_at(time1)?;
+        let new = n.contents_at(time2)?;
         Ok(neptune_storage::diff::differences(&old, &new))
     }
 
@@ -370,10 +309,6 @@ impl<'a> ReadCore<'a> {
     ) -> Result<Vec<(Event, DemonSpec)>> {
         Ok(self.graph(context)?.node(node)?.demons.all_at(time))
     }
-
-    pub(crate) fn version_cache_stats(&self) -> CacheStats {
-        self.lock_vcache().stats()
-    }
 }
 
 /// An immutable snapshot of the committed HAM state, published at every
@@ -387,9 +322,6 @@ pub struct CommittedView {
     /// cross-shard readers can assemble a consistent cut (see
     /// [`crate::shard`]).
     commit_seq: u64,
-    /// Materialization-cache generation current at publish time; every
-    /// cache interaction through this view is pinned to it.
-    generation: u64,
     /// Shard identity `(index, count)` of the machine that published this
     /// view; `(0, 1)` for unsharded stores. Invariant checkers use it to
     /// skip fork-topology rules whose parent context lives on another
@@ -397,8 +329,6 @@ pub struct CommittedView {
     shard: (u32, u32),
     directory: PathBuf,
     threads: HashMap<ContextId, GraphThread>,
-    /// Shared with the live machine: view readers warm the same cache.
-    vcache: Arc<Mutex<MaterializationCache>>,
     published_at: Instant,
 }
 
@@ -406,7 +336,6 @@ impl std::fmt::Debug for CommittedView {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CommittedView")
             .field("epoch", &self.epoch)
-            .field("generation", &self.generation)
             .field("contexts", &self.threads.len())
             .finish()
     }
@@ -418,24 +347,17 @@ impl CommittedView {
         commit_seq: u64,
         shard: (u32, u32),
         threads: &HashMap<ContextId, GraphThread>,
-        vcache: Arc<Mutex<MaterializationCache>>,
         directory: PathBuf,
     ) -> CommittedView {
-        let generation = vcache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .generation();
         CommittedView {
             epoch,
             commit_seq,
-            generation,
             shard,
             directory,
             // O(changes), not O(graph): HamGraph's node/link maps are
             // persistent tries, so this clone is Arc bumps plus the small
             // per-graph scalar state.
             threads: threads.clone(),
-            vcache,
             published_at: Instant::now(),
         }
     }
@@ -443,8 +365,6 @@ impl CommittedView {
     fn core(&self) -> ReadCore<'_> {
         ReadCore {
             threads: &self.threads,
-            vcache: &self.vcache,
-            generation: Some(self.generation),
         }
     }
 
@@ -475,11 +395,6 @@ impl CommittedView {
     /// The logical clock of `context` as of this snapshot.
     pub fn context_now(&self, context: ContextId) -> Result<Time> {
         Ok(self.graph(context)?.now())
-    }
-
-    /// The materialization-cache generation this view is pinned to.
-    pub fn cache_generation(&self) -> u64 {
-        self.generation
     }
 
     /// How long ago this view was published — the staleness a reader still
@@ -689,10 +604,5 @@ impl CommittedView {
         time: Time,
     ) -> Result<Vec<(Event, DemonSpec)>> {
         self.core().get_node_demons(context, node, time)
-    }
-
-    /// Hit/miss counters and occupancy of the shared materialization cache.
-    pub fn version_cache_stats(&self) -> CacheStats {
-        self.core().version_cache_stats()
     }
 }

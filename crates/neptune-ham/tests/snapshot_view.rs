@@ -6,8 +6,8 @@
 //! property test drives context forks, merges, and destroys from the
 //! writer while lock-free readers continuously load and read views,
 //! checking that every observed value is one the writer actually
-//! committed (the version-materialization cache must never serve bytes
-//! from a different world).
+//! committed (an archive's anchor cache must never serve bytes from a
+//! different world).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,8 +38,9 @@ fn view_contents(view: &neptune_ham::CommittedView, node: NodeIndex) -> Vec<u8> 
 }
 
 /// A reader holding an old view across commit + checkpoint + rollback must
-/// read consistent stale-but-valid state; each publication step must bump
-/// the epoch.
+/// read consistent stale-but-valid state; each commit must bump the epoch,
+/// and a rollback — which leaves the last committed state — publishes
+/// nothing.
 #[test]
 fn old_view_is_stable_across_commit_checkpoint_and_rollback() {
     let (mut ham, _, _) = Ham::create_graph(tmpdir("stable"), Protections::DEFAULT).unwrap();
@@ -68,9 +69,9 @@ fn old_view_is_stable_across_commit_checkpoint_and_rollback() {
     assert_eq!(view_contents(&old, node), b"v1");
     assert_eq!(view_contents(&newer, node), b"v2");
 
-    // A rolled-back transaction truncates in-txn history and republishes;
-    // both retained views are unaffected, and the fresh view shows the
-    // last committed state.
+    // A rolled-back transaction truncates in-txn history on the machine's
+    // own copies; both retained views are unaffected, and the published
+    // view is still the last committed state.
     ham.begin_transaction().unwrap();
     let t2 = ham.get_node_time_stamp(MAIN_CONTEXT, node).unwrap();
     ham.modify_node(MAIN_CONTEXT, node, t2, &b"doomed"[..], &[])
@@ -79,7 +80,7 @@ fn old_view_is_stable_across_commit_checkpoint_and_rollback() {
     ham.abort_transaction().unwrap();
 
     let after_abort = ham.committed_view();
-    assert!(after_abort.epoch() > newer.epoch());
+    assert_eq!(after_abort.epoch(), newer.epoch());
     assert_eq!(view_contents(&old, node), b"v1");
     assert_eq!(view_contents(&newer, node), b"v2");
     assert_eq!(view_contents(&after_abort, node), b"v2");
@@ -94,6 +95,65 @@ fn old_view_is_stable_across_commit_checkpoint_and_rollback() {
 
     assert!(neptune_ham::invariants::view_violations(&old).is_empty());
     assert!(neptune_ham::invariants::view_violations(&after_abort).is_empty());
+}
+
+/// An abort rewinds the version clock, so a later edit re-binds the same
+/// `(node, time)` to different bytes. The aborted bytes were read — and so
+/// kept as an anchor — inside the transaction; nothing may serve them
+/// afterwards, and a view published before the abort must keep answering
+/// from its own world. The anchors sit inside the archives they describe:
+/// `truncate_after` drops the machine's, and the views' archives are never
+/// touched.
+#[test]
+fn rebinding_a_version_time_after_abort_keeps_every_world_apart() {
+    let (mut ham, _, _) = Ham::create_graph(tmpdir("rebind"), Protections::DEFAULT).unwrap();
+    let (node, t0) = ham.add_node(MAIN_CONTEXT, true).unwrap();
+    let t1 = ham
+        .modify_node(MAIN_CONTEXT, node, t0, &b"v1"[..], &[])
+        .unwrap();
+    let t2 = ham
+        .modify_node(MAIN_CONTEXT, node, t1, &b"v2"[..], &[])
+        .unwrap();
+    let read = |ham: &Ham, time| {
+        ham.read_node(MAIN_CONTEXT, node, time, &[])
+            .unwrap()
+            .contents
+    };
+    let view_read = |view: &neptune_ham::CommittedView, time| {
+        view.read_node(MAIN_CONTEXT, node, time, &[])
+            .unwrap()
+            .contents
+    };
+    let before = ham.committed_view();
+    assert_eq!(&view_read(&before, t1)[..], b"v1");
+
+    // The doomed transaction versions the node twice, so its first version
+    // is historical, and reads it back twice: a replay, then an anchor hit.
+    ham.begin_transaction().unwrap();
+    let doomed = ham
+        .modify_node(MAIN_CONTEXT, node, t2, &b"doomed"[..], &[])
+        .unwrap();
+    ham.modify_node(MAIN_CONTEXT, node, doomed, &b"doomed too"[..], &[])
+        .unwrap();
+    assert_eq!(&read(&ham, doomed)[..], b"doomed");
+    assert_eq!(&read(&ham, doomed)[..], b"doomed");
+    ham.abort_transaction().unwrap();
+
+    // The same times are handed out again, bound to different bytes.
+    let kept = ham
+        .modify_node(MAIN_CONTEXT, node, t2, &b"kept"[..], &[])
+        .unwrap();
+    assert_eq!(kept, doomed, "the abort must have rewound the clock");
+    ham.modify_node(MAIN_CONTEXT, node, kept, &b"kept too"[..], &[])
+        .unwrap();
+
+    assert_eq!(&read(&ham, kept)[..], b"kept");
+    assert_eq!(&view_read(&ham.committed_view(), kept)[..], b"kept");
+    // The old view never had a version at that time: it resolves down to
+    // the head it was published with.
+    assert_eq!(&view_read(&before, kept)[..], b"v2");
+    assert_eq!(&view_read(&before, t1)[..], b"v1");
+    assert_eq!(&read(&ham, t1)[..], b"v1");
 }
 
 /// Property test: fork/merge/destroy contexts and roll back transactions
@@ -154,9 +214,8 @@ fn forked_and_merged_contexts_under_concurrent_lockfree_readers() {
                         view.epoch(),
                     );
                     // A historical read of the current version must agree
-                    // byte-for-byte with the head read — this is the path
-                    // that exercises the materialization cache, so a stale
-                    // generation would surface here.
+                    // byte-for-byte with the head read — a stale anchor
+                    // surviving a rollback or a merge would surface here.
                     let again = view.read_node(ctx, node, opened.current_time, &[]).unwrap();
                     assert_eq!(again.contents, opened.contents);
                     reads += 2;

@@ -600,8 +600,9 @@ impl Client {
         expect!(self, Request::Metrics, Response::Metrics(text) => text, "Metrics")
     }
 
-    /// Read the server's version-materialization cache counters as
-    /// `(hits, misses, entries, bytes)`.
+    /// Read the server's anchor-cache counters as `(hits, misses, entries,
+    /// bytes)`: exact-anchor checkouts, checkouts that replayed deltas, and
+    /// anchor occupancy.
     pub fn cache_stats(&mut self) -> Result<(u64, u64, u64, u64)> {
         expect!(self, Request::CacheStats,
             Response::CacheStats { hits, misses, entries, bytes } =>

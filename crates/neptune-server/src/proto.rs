@@ -450,7 +450,8 @@ pub enum Request {
     /// Run the integrity verifier (`neptune-check`) over the server's
     /// store: file scan plus every in-memory invariant.
     Verify,
-    /// Read the version-materialization cache's counters.
+    /// Read the version cache's counters — since the archives' anchor
+    /// caches became the only version cache, theirs.
     ///
     /// Compatibility alias: everything it reports (and much more) is in
     /// [`Request::Metrics`].
@@ -719,15 +720,15 @@ pub enum Response {
     Error(String),
     /// Integrity-verifier results (empty = clean store).
     Findings(Vec<Finding>),
-    /// Version-materialization cache counters.
+    /// Anchor-cache counters, summed over every archive in the process.
     CacheStats {
-        /// Lookups served from the cache.
+        /// Historical checkouts served by an exact anchor (zero deltas).
         hits: u64,
-        /// Lookups that had to materialize.
+        /// Historical checkouts that applied at least one delta.
         misses: u64,
-        /// Versions currently cached.
+        /// Anchors currently held.
         entries: u64,
-        /// Total payload bytes currently cached.
+        /// Total bytes of the anchors currently held.
         bytes: u64,
     },
     /// The metrics registry in Prometheus text exposition format.
@@ -1828,6 +1829,10 @@ mod tests {
             bytes: 4096,
         };
         assert_eq!(Response::from_bytes(&resp.to_bytes()).unwrap(), resp);
+        // Golden bytes: the benchmark and old clients speak exactly this,
+        // whichever cache the numbers come from.
+        assert_eq!(Request::CacheStats.to_bytes(), [40]);
+        assert_eq!(resp.to_bytes(), [21, 10, 3, 7, 0x80, 0x20]);
     }
 
     #[test]

@@ -744,20 +744,6 @@ fn result_to_response(r: neptune_ham::Result<Response>) -> Response {
     }
 }
 
-/// Sum the per-shard version-cache counters of a consistent snapshot —
-/// the lock-free way to serve `CacheStats`/`Metrics` from the read path.
-fn multi_cache_stats(mv: &MultiView) -> neptune_storage::vcache::CacheStats {
-    let mut total = neptune_storage::vcache::CacheStats::default();
-    for k in 0..mv.shard_count() {
-        let s = mv.view(k).version_cache_stats();
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.entries += s.entries;
-        total.bytes += s.bytes;
-    }
-    total
-}
-
 /// Age of the freshest shard snapshot — "time since the last commit
 /// anywhere", which is what the staleness gauge means on a sharded store.
 fn multi_view_age(mv: &MultiView) -> Duration {
@@ -780,8 +766,8 @@ fn global_read(shared: &Shared, mv: &MultiView, request: Request) -> Response {
         // files — verify_sharded takes each shard's lock (one at a time)
         // for its scan phase, the one "read" here that is not lock-free.
         Q::Verify => A::Findings(neptune_check::verify_sharded(&shared.ham)),
-        Q::CacheStats => cache_stats_response(multi_cache_stats(mv)),
-        Q::Metrics => metrics_response(multi_cache_stats(mv), multi_view_age(mv)),
+        Q::CacheStats => cache_stats_response(),
+        Q::Metrics => metrics_response(multi_view_age(mv)),
         Q::Ping => A::Ok,
         Q::FlightDump => flight_dump_response(),
         Q::Trace { trace_id } => trace_response(trace_id),
@@ -810,11 +796,8 @@ fn dispatch_exclusive(shared: &Shared, request: Request) -> Response {
         Q::Checkpoint => result_to_response(shared.ham.checkpoint().map(|_| A::Ok)),
         Q::ListContexts => A::Contexts(shared.ham.live_contexts()),
         Q::Verify => A::Findings(neptune_check::verify_sharded(&shared.ham)),
-        Q::CacheStats => cache_stats_response(shared.ham.version_cache_stats()),
-        Q::Metrics => {
-            let mv = shared.ham.multi_view();
-            metrics_response(shared.ham.version_cache_stats(), multi_view_age(&mv))
-        }
+        Q::CacheStats => cache_stats_response(),
+        Q::Metrics => metrics_response(multi_view_age(&shared.ham.multi_view())),
         Q::Ping => A::Ok,
         Q::FlightDump => flight_dump_response(),
         Q::Trace { trace_id } => trace_response(trace_id),
@@ -974,8 +957,8 @@ fn dispatch_read(view: &CommittedView, request: Request) -> std::result::Result<
             Q::ListContexts => A::Contexts(view.contexts()),
             Q::Ping => A::Ok,
             Q::Verify => A::Findings(neptune_check::verify_view(view)),
-            Q::CacheStats => cache_stats_response(view.version_cache_stats()),
-            Q::Metrics => metrics_response(view.version_cache_stats(), view.age()),
+            Q::CacheStats => cache_stats_response(),
+            Q::Metrics => metrics_response(view.age()),
             Q::FlightDump => flight_dump_response(),
             Q::Trace { trace_id } => trace_response(trace_id),
             Q::ObsControl { setting } => obs_control_response(setting),
@@ -1011,7 +994,10 @@ fn dispatch_read(view: &CommittedView, request: Request) -> std::result::Result<
     Ok(result_to_response(result))
 }
 
-fn cache_stats_response(s: neptune_storage::vcache::CacheStats) -> Response {
+/// The anchor caches' process-wide counters: they live inside the archives,
+/// so no view, shard or lock is involved in reading them.
+fn cache_stats_response() -> Response {
+    let s = neptune_storage::archive::anchor_stats();
     Response::CacheStats {
         hits: s.hits,
         misses: s.misses,
@@ -1020,17 +1006,11 @@ fn cache_stats_response(s: neptune_storage::vcache::CacheStats) -> Response {
     }
 }
 
-/// Snapshot the metrics registry as Prometheus text. Cache occupancy and
-/// snapshot age are derived state, so their gauges are refreshed here at
-/// scrape time rather than on every insert/evict/publish.
-fn metrics_response(s: neptune_storage::vcache::CacheStats, snapshot_age: Duration) -> Response {
+/// Snapshot the metrics registry as Prometheus text. Snapshot age is
+/// derived state, so its gauge is refreshed here at scrape time rather
+/// than on every publish.
+fn metrics_response(snapshot_age: Duration) -> Response {
     let registry = neptune_obs::registry();
-    registry
-        .gauge("neptune_storage_vcache_entries")
-        .set(s.entries as i64);
-    registry
-        .gauge("neptune_storage_vcache_bytes")
-        .set(s.bytes.min(i64::MAX as u64) as i64);
     registry
         .gauge("neptune_ham_snapshot_age_ns")
         .set(snapshot_age.as_nanos().min(i64::MAX as u128) as i64);

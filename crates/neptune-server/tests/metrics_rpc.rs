@@ -48,7 +48,7 @@ fn per_rpc_histogram_counts_match_scripted_workload() {
 
     // The script: 2 pings, 3 node creations, 2 check-ins, then 5 opens of
     // the same node — 4 current plus 1 historical (the historical read is
-    // what consults the version-materialization cache).
+    // what descends the archive's temporal index).
     c.ping().unwrap();
     c.ping().unwrap();
     let (node, t0) = c.add_node(MAIN_CONTEXT, true).unwrap();
@@ -104,14 +104,14 @@ fn per_rpc_histogram_counts_match_scripted_workload() {
     );
 
     // Storage layer: the writes above must have appended and fsynced WAL
-    // records, and the opens consulted the version cache.
+    // records, and the historical open went through the archive's index.
     let wal_appends = sample(&text, "neptune_storage_op_ns_count{op=\"wal_append\"}");
     assert!(wal_appends.unwrap_or(0.0) > 0.0, "{text}");
     let wal_fsyncs = sample(&text, "neptune_storage_op_ns_count{op=\"wal_fsync\"}");
     assert!(wal_fsyncs.unwrap_or(0.0) > 0.0, "{text}");
-    let cache_lookups = sample(&text, "neptune_storage_vcache_hits_total").unwrap_or(0.0)
-        + sample(&text, "neptune_storage_vcache_misses_total").unwrap_or(0.0);
-    assert!(cache_lookups > 0.0, "{text}");
+    let checkouts = sample(&text, "neptune_storage_index_exact_hits_total").unwrap_or(0.0)
+        + sample(&text, "neptune_storage_index_replays_total").unwrap_or(0.0);
+    assert!(checkouts > 0.0, "{text}");
 
     // A second scrape sees the first Metrics request, and the gauge for
     // this live connection.
@@ -126,6 +126,55 @@ fn per_rpc_histogram_counts_match_scripted_workload() {
         sample(&text2, "neptune_server_gate_wait_ns_count").unwrap_or(0.0),
         0.0,
         "{text2}"
+    );
+    server.stop();
+}
+
+/// The archive keeps the version a checkout just rebuilt, whatever its
+/// size: over the wire, every `openNode` of one historical version after
+/// the first applies zero deltas — at 1 MiB too, four times the anchor
+/// budget.
+#[test]
+fn repeated_historical_open_applies_no_deltas_at_any_size() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    if !neptune_obs::enabled() {
+        return;
+    }
+    neptune_obs::registry().reset();
+
+    let server = start("repeat-hist");
+    let mut c = Client::connect(server.addr()).unwrap();
+    let depth = neptune_obs::registry().histogram("neptune_storage_delta_replay_depth");
+    for size in [1024usize, 64 * 1024, 1024 * 1024] {
+        let (node, mut t) = c.add_node(MAIN_CONTEXT, true).unwrap();
+        let mut times = Vec::new();
+        for v in 0..4u8 {
+            let mut body = vec![b'a' + v; size];
+            body[size / 2] = b'\n';
+            t = c.modify_node(MAIN_CONTEXT, node, t, body, vec![]).unwrap();
+            times.push(t);
+        }
+        let cold = depth.sum();
+        let first = c.open_node(MAIN_CONTEXT, node, times[1], vec![]).unwrap();
+        assert_eq!(first.contents.len(), size);
+        let (count, sum) = (depth.count(), depth.sum());
+        assert!(sum > cold, "the first read of {size} bytes replays deltas");
+        for _ in 0..5 {
+            let again = c.open_node(MAIN_CONTEXT, node, times[1], vec![]).unwrap();
+            assert_eq!(again.contents, first.contents);
+        }
+        assert_eq!(
+            depth.count(),
+            count + 5,
+            "{size} bytes: one sample per read"
+        );
+        assert_eq!(depth.sum(), sum, "{size} bytes: only 0-depth samples");
+    }
+    let (hits, misses, entries, bytes) = c.cache_stats().unwrap();
+    assert!(hits >= 15 && misses >= 3, "{hits} hits, {misses} misses");
+    assert!(
+        entries >= 3 && bytes >= 1024 * 1024,
+        "{entries} anchors, {bytes} bytes"
     );
     server.stop();
 }

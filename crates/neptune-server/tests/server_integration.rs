@@ -476,7 +476,7 @@ fn concurrent_readers_never_see_torn_state() {
     assert!(generations > 0, "writer made no progress");
     assert!(total_reads > 0, "readers made no progress");
 
-    // Historical reads replayed through the cache agree with themselves.
+    // Historical reads replayed through the archive agree with themselves.
     let versions = setup.get_node_versions(MAIN_CONTEXT, node).unwrap().0;
     for v in versions.iter().rev().take(50) {
         let opened = setup.open_node(MAIN_CONTEXT, node, v.time, vec![]).unwrap();
@@ -485,7 +485,7 @@ fn concurrent_readers_never_see_torn_state() {
         assert_eq!(left, right, "torn historical read at {:?}", v.time);
     }
     let (hits, misses, _, _) = setup.cache_stats().unwrap();
-    assert!(hits + misses > 0, "version cache was never consulted");
+    assert!(hits + misses > 0, "no historical checkout was counted");
     server.stop();
 }
 

@@ -125,7 +125,7 @@ pub(crate) fn dispatch(shell: &mut Shell, command: &str, rest: &str) -> Result<S
             Ok("checkpointed\n".to_string())
         }
         "check" => cmd_check(shell),
-        "stats" | "cachestats" => cmd_stats(shell),
+        "stats" | "cachestats" => cmd_stats(),
         "trace" => cmd_trace(rest),
         "obs" => cmd_obs(rest),
         other => Err(ShellError::Usage(format!(
@@ -197,9 +197,9 @@ fn cmd_cat(shell: &mut Shell, rest: &str) -> Result<String> {
 }
 
 /// Bench-adjacent: drive the same read path the server's `openNode` RPC
-/// uses, `N` times, and report throughput — on a cache-hit workload every
-/// read after the first is a refcount bump on the shared contents buffer,
-/// which this makes visible interactively.
+/// uses, `N` times, and report throughput — every read of a version after
+/// the first is an exact anchor hit, a refcount bump on the shared contents
+/// buffer, which this makes visible interactively.
 fn cmd_read(shell: &mut Shell, rest: &str) -> Result<String> {
     let node = shell.current_node()?;
     let mut time = Time::CURRENT;
@@ -216,7 +216,7 @@ fn cmd_read(shell: &mut Shell, rest: &str) -> Result<String> {
             time = shell.parse_time(word)?;
         }
     }
-    let before = shell.ham.version_cache_stats();
+    let before = neptune_storage::archive::anchor_stats();
     let start = std::time::Instant::now();
     let mut bytes = 0u64;
     for _ in 0..batch {
@@ -224,7 +224,7 @@ fn cmd_read(shell: &mut Shell, rest: &str) -> Result<String> {
         bytes += opened.contents.len() as u64;
     }
     let elapsed = start.elapsed();
-    let after = shell.ham.version_cache_stats();
+    let after = neptune_storage::archive::anchor_stats();
     let per_read = elapsed.as_nanos() as u64 / batch.max(1) as u64;
     let rate = if elapsed.as_secs_f64() > 0.0 {
         batch as f64 / elapsed.as_secs_f64()
@@ -525,20 +525,14 @@ fn cmd_check(shell: &mut Shell) -> Result<String> {
     Ok(out)
 }
 
-fn cmd_stats(shell: &mut Shell) -> Result<String> {
-    let s = shell.ham.version_cache_stats();
+fn cmd_stats() -> Result<String> {
+    let s = neptune_storage::archive::anchor_stats();
     let mut out = format!(
         "version cache: {} hits, {} misses, {} entries, {} bytes\n",
         s.hits, s.misses, s.entries, s.bytes
     );
     if neptune_obs::enabled() {
         let registry = neptune_obs::registry();
-        registry
-            .gauge("neptune_storage_vcache_entries")
-            .set(s.entries as i64);
-        registry
-            .gauge("neptune_storage_vcache_bytes")
-            .set(s.bytes.min(i64::MAX as u64) as i64);
         out.push_str(&format!(
             "server wire traffic: {} bytes in, {} bytes out\n",
             registry.counter("neptune_server_bytes_in_total").get(),

@@ -22,16 +22,20 @@
 //! every skip application is checksummed, and a corrupt or stale skip is
 //! dropped on the spot with replay falling back to finer steps.
 //!
-//! Alongside the ladder, a byte-bounded **anchor cache** (the successor of
-//! the old unbounded keyframe map) retains full materializations captured
-//! at every [`KEYFRAME_INTERVAL`]-th version during replay, with LRU
-//! eviction under [`DEFAULT_ANCHOR_BUDGET`]. Anchors are in-memory only.
+//! Alongside the ladder, a byte-bounded **anchor cache** retains full
+//! materializations — the version each checkout just rebuilt, plus every
+//! [`KEYFRAME_INTERVAL`]-th version the replay passed — with LRU eviction
+//! under [`DEFAULT_ANCHOR_BUDGET`]. It is the system's only version cache:
+//! a repeated read of one version is an exact anchor hit (zero deltas, one
+//! refcount bump), and because the anchors live inside the archive they
+//! describe, [`Archive::truncate_after`] is the only invalidation they ever
+//! need. Anchors are in-memory only; [`anchor_stats`] reports them.
 //! [`Archive::checkout_uncached`] performs the original full replay for
 //! benchmarks and cross-checking; [`Archive::verify_index`] audits every
 //! persisted skip against the canonical delta chain.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::checksum::crc32;
 use crate::codec::{Decode, Encode, Reader, Writer};
@@ -84,12 +88,53 @@ fn observe_index_usage(hit: bool, max_level: usize) {
         .observe(max_level as u64);
 }
 
-/// Process-wide occupancy of every live anchor cache, in bytes. Kept
-/// balanced across insert/evict/clone/drop rather than gated on the obs
-/// kill-switch, so the gauge never drifts when tracing is toggled mid-run.
-fn anchor_bytes_gauge() -> &'static Arc<neptune_obs::Gauge> {
-    static GAUGE: std::sync::OnceLock<Arc<neptune_obs::Gauge>> = std::sync::OnceLock::new();
-    GAUGE.get_or_init(|| neptune_obs::registry().gauge("neptune_storage_index_anchor_bytes"))
+/// Process-wide totals over every live anchor cache. Kept balanced across
+/// insert/evict/clone/drop rather than gated on the obs kill-switch, so
+/// the occupancy gauges never drift when tracing is toggled mid-run and
+/// [`anchor_stats`] answers either way.
+struct AnchorMetrics {
+    exact_hits: Arc<neptune_obs::Counter>,
+    replays: Arc<neptune_obs::Counter>,
+    entries: Arc<neptune_obs::Gauge>,
+    bytes: Arc<neptune_obs::Gauge>,
+}
+
+fn anchor_metrics() -> &'static AnchorMetrics {
+    static METRICS: OnceLock<AnchorMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let registry = neptune_obs::registry();
+        AnchorMetrics {
+            exact_hits: registry.counter("neptune_storage_index_exact_hits_total"),
+            replays: registry.counter("neptune_storage_index_replays_total"),
+            entries: registry.gauge("neptune_storage_index_anchor_entries"),
+            bytes: registry.gauge("neptune_storage_index_anchor_bytes"),
+        }
+    })
+}
+
+/// Counters and occupancy of the anchor caches, as reported over the wire
+/// by the server's `CacheStats` request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Checkouts served by an exact anchor: zero deltas applied.
+    pub hits: u64,
+    /// Checkouts that applied at least one delta.
+    pub misses: u64,
+    /// Anchors currently held.
+    pub entries: u64,
+    /// Total bytes of the anchors currently held.
+    pub bytes: u64,
+}
+
+/// Process-wide [`CacheStats`], summed over every live archive.
+pub fn anchor_stats() -> CacheStats {
+    let m = anchor_metrics();
+    CacheStats {
+        hits: m.exact_hits.get(),
+        misses: m.replays.get(),
+        entries: m.entries.get().max(0) as u64,
+        bytes: m.bytes.get().max(0) as u64,
+    }
 }
 
 /// One historical version's metadata plus the backward delta to reach it
@@ -120,7 +165,7 @@ struct SkipDelta {
 /// Byte-bounded LRU cache of full materializations keyed by entry index.
 #[derive(Debug)]
 struct AnchorCache {
-    frames: HashMap<usize, (Arc<[u8]>, u64)>,
+    frames: BTreeMap<usize, (Arc<[u8]>, u64)>,
     tick: u64,
     held: usize,
     budget: usize,
@@ -129,7 +174,7 @@ struct AnchorCache {
 impl AnchorCache {
     fn new(budget: usize) -> Self {
         AnchorCache {
-            frames: HashMap::new(),
+            frames: BTreeMap::new(),
             tick: 0,
             held: 0,
             budget,
@@ -141,87 +186,80 @@ impl AnchorCache {
         self.tick
     }
 
-    fn get(&mut self, idx: usize) -> Option<Arc<[u8]>> {
+    /// Nearest anchor at or newer than `idx` and no newer than `max`,
+    /// touched for LRU purposes. An anchor at `idx` itself is an exact hit.
+    fn nearest_from(&mut self, idx: usize, max: usize) -> Option<(usize, Arc<[u8]>)> {
         let tick = self.next_tick();
-        self.frames.get_mut(&idx).map(|(bytes, used)| {
-            *used = tick;
-            bytes.clone()
-        })
+        let (&key, (bytes, used)) = self.frames.range_mut(idx..=max).next()?;
+        *used = tick;
+        Some((key, bytes.clone()))
     }
 
-    /// Nearest anchor strictly newer than `idx` and no newer than `max`,
-    /// touched for LRU purposes.
-    fn nearest_above(&mut self, idx: usize, max: usize) -> Option<(usize, Arc<[u8]>)> {
-        let key = self
-            .frames
-            .keys()
-            .copied()
-            .filter(|&k| k > idx && k <= max)
-            .min()?;
-        self.get(key).map(|bytes| (key, bytes))
-    }
-
+    /// Retain `bytes` as the anchor for `idx`. The frame just inserted
+    /// always stays, even when it alone exceeds the budget — it then evicts
+    /// everything else, so occupancy is bounded by max(budget, one version)
+    /// and a repeated read of any version, however large, is an exact hit.
     fn insert(&mut self, idx: usize, bytes: Arc<[u8]>) {
-        if bytes.len() > self.budget {
-            return; // would evict everything and still bust the budget
-        }
         let tick = self.next_tick();
-        if let Some((old, _)) = self.frames.insert(idx, (bytes.clone(), tick)) {
-            self.held -= old.len();
-            anchor_bytes_gauge().add(-(old.len() as i64));
-        }
         self.held += bytes.len();
-        anchor_bytes_gauge().add(bytes.len() as i64);
+        let m = anchor_metrics();
+        m.entries.inc();
+        m.bytes.add(bytes.len() as i64);
+        if let Some((old, _)) = self.frames.insert(idx, (bytes, tick)) {
+            self.released(&old);
+        }
         if self.held > self.budget {
             // Evict past the budget down to a low-water mark: the O(n log n)
             // age sort is then paid once per budget/8 bytes of churn rather
             // than once per insert, which matters when a deep checkout
-            // inserts dozens of boundary anchors back to back. The
-            // just-inserted entry has the newest tick, so it goes last.
+            // inserts dozens of boundary anchors back to back.
             self.evict_to(self.budget - self.budget / 8);
         }
     }
 
     /// Evict least-recently-used frames until at most `target` bytes are
-    /// held.
+    /// held or only the most recently used frame is left.
     fn evict_to(&mut self, target: usize) {
-        if self.held <= target {
-            return;
-        }
         let mut by_age: Vec<(u64, usize)> = self
             .frames
             .iter()
             .map(|(&idx, &(_, used))| (used, idx))
             .collect();
         by_age.sort_unstable();
+        by_age.pop(); // the newest frame always stays
         for (_, idx) in by_age {
             if self.held <= target {
                 break;
             }
-            self.remove(idx);
+            if let Some((old, _)) = self.frames.remove(&idx) {
+                self.released(&old);
+            }
         }
     }
 
-    fn remove(&mut self, idx: usize) {
-        if let Some((old, _)) = self.frames.remove(&idx) {
-            self.held -= old.len();
-            anchor_bytes_gauge().add(-(old.len() as i64));
-        }
+    /// Account for one frame that just left `frames`.
+    fn released(&mut self, old: &[u8]) {
+        self.held -= old.len();
+        let m = anchor_metrics();
+        m.entries.dec();
+        m.bytes.add(-(old.len() as i64));
     }
 
     fn retain_below(&mut self, cut: usize) {
-        let dropped: Vec<usize> = self.frames.keys().copied().filter(|&k| k >= cut).collect();
-        for k in dropped {
-            self.remove(k);
+        for (old, _) in self.frames.split_off(&cut).into_values() {
+            self.released(&old);
         }
     }
 
     fn clear(&mut self) {
-        anchor_bytes_gauge().add(-(self.held as i64));
+        let m = anchor_metrics();
+        m.entries.add(-(self.frames.len() as i64));
+        m.bytes.add(-(self.held as i64));
         self.frames.clear();
         self.held = 0;
     }
 
+    #[cfg(test)]
     fn set_budget(&mut self, budget: usize) {
         self.budget = budget;
         self.evict_to(budget);
@@ -230,9 +268,11 @@ impl AnchorCache {
 
 impl Clone for AnchorCache {
     fn clone(&self) -> Self {
-        // Frames are Arc'd so cloning is refcount bumps; the gauge counts
-        // bytes held per cache instance, so a clone adds its share.
-        anchor_bytes_gauge().add(self.held as i64);
+        // Frames are Arc'd so cloning is refcount bumps; the gauges count
+        // what each cache instance holds, so a clone adds its share.
+        let m = anchor_metrics();
+        m.entries.add(self.frames.len() as i64);
+        m.bytes.add(self.held as i64);
         AnchorCache {
             frames: self.frames.clone(),
             tick: self.tick,
@@ -244,7 +284,7 @@ impl Clone for AnchorCache {
 
 impl Drop for AnchorCache {
     fn drop(&mut self) {
-        anchor_bytes_gauge().add(-(self.held as i64));
+        self.clear();
     }
 }
 
@@ -469,10 +509,11 @@ impl Archive {
     /// Starts from the nearest anchor at or above the target version (the
     /// head if none is warm) and descends the skip ladder greedily —
     /// coarsest rung first, unit deltas for the remainder — so both cold
-    /// and warm checkouts apply O(log n) deltas. Anchors are captured at
-    /// every [`KEYFRAME_INTERVAL`]-th version passed, and missing ladder
-    /// rungs (e.g. after migrating a v1 store) are backfilled from the
-    /// materializations the walk produces anyway.
+    /// and warm checkouts apply O(log n) deltas. The version rebuilt and
+    /// every [`KEYFRAME_INTERVAL`]-th version passed are kept as anchors,
+    /// so checking the same version out again applies no delta at all, and
+    /// missing ladder rungs (e.g. after migrating a v1 store) are
+    /// backfilled from the materializations the walk produces anyway.
     pub fn checkout(&self, t: u64) -> Result<Arc<[u8]>> {
         let resolved = self.resolve_time(t)?;
         if resolved == self.head_time {
@@ -490,6 +531,13 @@ impl Archive {
         let (bytes, depth, used_index, max_level) = self.materialize_stats(idx)?;
         observe_replay_depth(depth);
         observe_index_usage(used_index, max_level);
+        let m = anchor_metrics();
+        let outcome = if depth == 0 {
+            &m.exact_hits
+        } else {
+            &m.replays
+        };
+        outcome.inc();
         Ok(bytes)
     }
 
@@ -502,12 +550,10 @@ impl Archive {
         if idx == len {
             return Ok((self.head.clone(), 0, false, 0));
         }
-        // Exact anchor hit: zero deltas applied.
-        if let Some(bytes) = self.lock_index().anchors.get(idx) {
-            return Ok((bytes, 0, true, 0));
-        }
         let (start_bytes, start_pos, from_anchor) =
-            match self.lock_index().anchors.nearest_above(idx, len) {
+            match self.lock_index().anchors.nearest_from(idx, len) {
+                // Exact anchor hit: zero deltas applied.
+                Some((k, bytes)) if k == idx => return Ok((bytes, 0, true, 0)),
                 Some((k, bytes)) => (bytes, k, true),
                 None => (self.head.clone(), len, false),
             };
@@ -552,18 +598,18 @@ impl Archive {
             }
             pos -= stepped;
             depth += 1;
-            if pos % KEYFRAME_INTERVAL == 0 {
+            if pos > idx && pos % KEYFRAME_INTERVAL == 0 {
                 let shared: Arc<[u8]> = Arc::from(&current[..]);
                 self.note_boundary(&mut pending, pos, &shared);
                 self.lock_index().anchors.insert(pos, shared);
             }
         }
-        Ok((
-            current.into(),
-            depth,
-            from_anchor || max_level > 0,
-            max_level,
-        ))
+        // Keep the version just rebuilt, on the grid or not: the next read
+        // of it is an exact hit, and the caller shares this allocation.
+        let target: Arc<[u8]> = current.into();
+        self.note_boundary(&mut pending, idx, &target);
+        self.lock_index().anchors.insert(idx, target.clone());
+        Ok((target, depth, from_anchor || max_level > 0, max_level))
     }
 
     /// Record that this walk holds the contents of version index `pos`, and
@@ -638,8 +684,8 @@ impl Archive {
         Ok(())
     }
 
-    /// Per-archive anchor-cache byte budget, for benchmarks and tests.
-    pub fn set_anchor_budget(&self, budget: usize) {
+    #[cfg(test)]
+    fn set_anchor_budget(&self, budget: usize) {
         self.lock_index().anchors.set_budget(budget);
     }
 
@@ -1245,12 +1291,48 @@ mod tests {
         // Shrinking the budget evicts down to the new bound immediately.
         a.set_anchor_budget(1024);
         assert!(a.anchor_bytes() <= 1024);
-        // Oversized contents are simply not cached.
-        a.set_anchor_budget(16);
-        a.clear_anchors();
-        a.checkout(1).unwrap();
-        assert_eq!(a.anchor_bytes(), 0);
-        assert_eq!(&a.checkout(1).unwrap()[..], version(0));
+    }
+
+    #[test]
+    fn repeated_checkout_is_an_exact_hit_below_and_above_the_budget() {
+        // Version 37 is off every span grid: only target retention can make
+        // its second read free.
+        for budget in [DEFAULT_ANCHOR_BUDGET, 16] {
+            let a = build(100);
+            a.set_anchor_budget(budget);
+            let one_version = version(37).len();
+            let (first, depth, ..) = a.materialize_stats(37).unwrap();
+            assert_eq!(&first[..], version(37));
+            assert!(depth > 0, "the first read replays");
+            let (again, depth, used_index, _) = a.materialize_stats(37).unwrap();
+            assert_eq!(depth, 0, "budget {budget}: second read must apply no delta");
+            assert!(used_index);
+            assert!(Arc::ptr_eq(&first, &again), "a hit is a refcount bump");
+            assert!(a.anchor_bytes() <= budget.max(one_version));
+            // Other reads in between stay inside the bound too, and an
+            // oversized version displaces everything but itself.
+            for i in (0..100).step_by(9) {
+                a.checkout((i + 1) as u64).unwrap();
+                assert!(
+                    a.anchor_bytes() <= budget.max(version(i).len()),
+                    "budget {budget}: {} bytes held after reading version {i}",
+                    a.anchor_bytes()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn anchor_stats_count_exact_hits_apart_from_replays() {
+        // Process-wide counters: other tests move them too, so only lower
+        // bounds on this test's own contribution are sound.
+        let a = build(40);
+        let before = anchor_stats();
+        a.checkout(6).unwrap();
+        let mid = anchor_stats();
+        assert!(mid.misses > before.misses, "the first read replays deltas");
+        a.checkout(6).unwrap();
+        assert!(anchor_stats().hits > mid.hits, "the second is an exact hit");
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! * [`delta`] — copy/add deltas between byte buffers;
 //! * [`archive`] — backward-delta version archives (paper §A.2 "archives"),
 //!   with a persisted hierarchical skip ladder and a byte-bounded anchor
-//!   cache making any checkout O(log n) deltas;
-//! * [`vcache`] — a bounded LRU cache of fully materialized node versions;
+//!   cache making any checkout O(log n) deltas and a repeated one free;
 //! * [`wal`] — a write-ahead log giving transaction durability and
 //!   crash recovery (paper §2.2);
 //! * [`snapshot`] — atomic checksummed state snapshots for checkpointing;
@@ -46,17 +45,15 @@ pub mod fault;
 pub mod snapshot;
 pub mod testutil;
 pub mod varint;
-pub mod vcache;
 pub mod vfs;
 pub mod wal;
 
-pub use archive::Archive;
+pub use archive::{Archive, CacheStats};
 pub use blobstore::{BlobStore, Protections};
 pub use codec::{Decode, Encode, Reader, Writer};
 pub use delta::{Delta, DeltaOp};
 pub use diff::{differences, Difference};
 pub use error::{Result, StorageError};
 pub use fault::{FaultKind, FaultVfs};
-pub use vcache::{CacheStats, MaterializationCache};
 pub use vfs::{StdVfs, Vfs, VfsFile};
 pub use wal::{CommittedTxn, RecordKind, Recovery, Wal, WalRecord};

@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut c = Client::connect(server.addr())?;
 
     // Scripted workload touching every layer: node/link edits (WAL traffic,
-    // transaction commits), a historical read (version cache), a query, and
-    // an explicit transaction.
+    // transaction commits), historical reads (delta replay, then the anchor
+    // it leaves behind), a query, and an explicit transaction.
     c.ping()?;
     let (a, t0) = c.add_node(MAIN_CONTEXT, true)?;
     let t1 = c.modify_node(MAIN_CONTEXT, a, t0, b"first draft\n".to_vec(), vec![])?;
@@ -52,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..3 {
         c.open_node(MAIN_CONTEXT, a, Time::CURRENT, vec![])?;
     }
-    c.open_node(MAIN_CONTEXT, a, t1, vec![])?; // historical: hits (writes warm the cache)
-    c.open_node(MAIN_CONTEXT, a, t0, vec![])?; // the initial version is never warm-inserted: a miss
+    c.open_node(MAIN_CONTEXT, a, t1, vec![])?; // historical: replays one delta, keeps the result
+    c.open_node(MAIN_CONTEXT, a, t1, vec![])?; // the same version again: an exact anchor hit
     c.get_graph_query(MAIN_CONTEXT, Time::CURRENT, "true", "true", vec![], vec![])?;
     c.begin_transaction()?;
     c.add_node(MAIN_CONTEXT, true)?;
@@ -74,9 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     c.open_node(MAIN_CONTEXT, d, t_first, vec![])?;
 
     // Cold restart: checkpoint persists the skip ladder, then a fresh Ham
-    // (empty version cache, empty anchor cache) serves a mid-history read
-    // by descending the *persisted* ladder — which caches a non-empty
-    // boundary anchor, so the occupancy gauge is live at scrape time.
+    // (empty anchor caches) serves a mid-history read by descending the
+    // *persisted* ladder — which keeps non-empty anchors, so the occupancy
+    // gauges are live at scrape time.
     // Three checkpoints show all of a checkpoint's cost accounting: the
     // first writes every blob, the second (one node edited) writes one and
     // skips the rest, and the one `stop` issues finds nothing to do.
@@ -114,9 +114,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "neptune_ham_checkpoint_blobs_skipped_total",
         "neptune_ham_checkpoint_bytes_total",
         "neptune_ham_checkpoint_skipped_total",
-        "neptune_storage_vcache_misses_total",
+        "neptune_storage_index_replays_total",
+        "neptune_storage_index_exact_hits_total",
         "neptune_storage_index_hits_total",
         "neptune_storage_index_levels_depth",
+        "neptune_storage_index_anchor_entries",
         "neptune_storage_index_anchor_bytes",
         "neptune_obs_traces_recorded_total",
         "neptune_obs_trace_ns",
