@@ -22,14 +22,21 @@ cargo build --release
 cargo test --workspace
 
 # The commit-path invariant hooks only exist under this feature; run the
-# neptune-ham suite with them armed so a violated invariant fails CI.
+# neptune-ham suite with them armed so a violated invariant fails CI, and
+# the root test of what a commit shares with the view before it: the
+# shared history must also be history the invariant rules accept.
 cargo test -p neptune-ham --features strict-invariants --lib
+cargo test --features neptune-ham/strict-invariants --test history_sharing
 
 # Fault-injection sweep, second seed. The workspace run above already
 # sweeps every fault kind across every I/O step of a 220-op workload at
 # the default seed; this pass rotates the seed over the same 220 ops, so
 # CI covers two full workloads per run (checkpoints mirror only what
-# changed, so the node population no longer multiplies the fault points).
+# changed, so the node population no longer multiplies the fault points;
+# and a commit is one append and one sync, so it has 2 fault points where
+# Begin + op + Commit + sync had 4 — the cuts *inside* that one append
+# are swept byte by byte in wal.rs and frame by frame in
+# neptune-ham/tests/failure_injection.rs).
 # Every failure message prints the seed — reproduce any cell locally with:
 #   NEPTUNE_FAULT_SEED=<seed> NEPTUNE_FAULT_OPS=<n> \
 #       cargo test -p neptune-check --test crash_consistency <test_name>
@@ -80,7 +87,11 @@ NEPTUNE_BENCH_SMOKE=1 NEPTUNE_BENCH_GUARD=1 \
 # 0.6x no-regression sanity floor on single-core ones, where there is no
 # parallelism to win and the guard only checks that per-shard bookkeeping
 # costs noise), and neptune_ham_multiview_torn_total must stay 0 — no
-# assembled cross-shard view may expose half of a two-phase commit.
+# assembled cross-shard view may expose half of a two-phase commit. Its
+# commit_cost group floors what a save may depend on: one commit, less
+# the fsync inside it, to a node with 10^3 or 10^4 versions, in a graph of
+# 10^5 nodes, or beside 63 more contexts must cost <= 2x the same commit
+# at 10 versions, 10^3 nodes, 1 context.
 NEPTUNE_BENCH_SMOKE=1 NEPTUNE_BENCH_GUARD=1 \
     NEPTUNE_BENCH_OUT="$PWD/BENCH_write_scaling.json" \
     cargo bench -p neptune-bench --bench write_scaling

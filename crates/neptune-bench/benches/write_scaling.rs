@@ -20,20 +20,28 @@
 //!    number) measured per round trip, with the cross-shard counters
 //!    recorded alongside.
 //!
+//! 4. **Commit cost against what it should not depend on.** One commit of
+//!    a two-line edit through a `Ham` (so a published view always holds
+//!    the state being replaced), with the WAL fsync inside it taken out,
+//!    on a node with 10, 10³ and 10⁴ versions, in a graph of 10³ and 10⁵
+//!    nodes, and with 1 and 64 contexts on the machine. A save adds one
+//!    delta to one node: each pair should cost the same.
+//!
 //! With `NEPTUNE_BENCH_GUARD` set (ci.sh smoke runs), the disjoint-vs-
 //! single-shard ratio at 8 writers doubles as a regression guard: on a
 //! multi-core runner it must stay ≥ 2x (the acceptance floor for the
-//! sharding work), and `neptune_ham_multiview_torn_total` must not move.
+//! sharding work), `neptune_ham_multiview_torn_total` must not move, and
+//! every large commit-cost cell must stay within 2x of its small one.
 
 use std::hint::black_box;
 use std::io::Write;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use neptune_bench::harness::{BenchResult, BenchmarkId, Criterion, Throughput};
-use neptune_bench::{bench_dir, edit_lines, text};
+use neptune_bench::{bench_dir, edit_lines, fresh_ham, text};
 use neptune_ham::context::ConflictPolicy;
-use neptune_ham::types::{ContextId, NodeIndex, Protections, MAIN_CONTEXT};
-use neptune_ham::ShardedHam;
+use neptune_ham::types::{ContextId, NodeIndex, Protections, Time, MAIN_CONTEXT};
+use neptune_ham::{Ham, ShardedHam};
 
 const SHARDS: usize = 8;
 const WRITER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -153,6 +161,136 @@ fn bench_cross_shard(c: &mut Criterion) {
     group.finish();
 }
 
+/// Nodes in the graph of every commit-cost cell that does not vary it.
+const COST_GRAPH_NODES: usize = 256;
+/// Commits timed per commit-cost cell.
+const COST_SAMPLES: usize = 200;
+/// The commit-cost grid: each axis with its cells, the small one first.
+const COST_AXES: [(&str, &[usize]); 3] = [
+    ("depth", &[10, 1_000, 10_000]),
+    ("nodes", &[1_000, 100_000]),
+    ("contexts", &[1, 64]),
+];
+
+/// One node the commit-cost cells write to, with what the next
+/// `modifyNode` must quote.
+struct Slot {
+    node: NodeIndex,
+    time: Time,
+    body: Vec<u8>,
+}
+
+/// A graph of `nodes` versioned nodes in MAIN, created in one transaction
+/// so the build costs one commit, and `slots` of them (spread over the id
+/// range) brought to `depth` versions of a 2 KiB body.
+fn cost_graph(tag: &str, nodes: usize, slots: usize, depth: usize) -> (Ham, Vec<Slot>) {
+    let mut ham = fresh_ham(tag);
+    ham.begin_transaction().expect("begin");
+    let created: Vec<(NodeIndex, Time)> = (0..nodes)
+        .map(|_| ham.add_node(MAIN_CONTEXT, true).expect("node"))
+        .collect();
+    ham.commit_transaction().expect("commit");
+    let stride = nodes / slots;
+    let mut slots: Vec<Slot> = (0..slots)
+        .map(|i| {
+            let (node, time) = created[i * stride];
+            let body = text(2 * BODY_BYTES, i as u64);
+            Slot { node, time, body }
+        })
+        .collect();
+    for slot in &mut slots {
+        for _ in 1..depth {
+            let body = slot.edited();
+            slot.commit(&mut ham, body);
+        }
+    }
+    (ham, slots)
+}
+
+impl Slot {
+    /// The node's body with two lines edited.
+    fn edited(&self) -> Vec<u8> {
+        edit_lines(&self.body, 2, self.time.0)
+    }
+
+    /// Commit `body` as the node's next version.
+    fn commit(&mut self, ham: &mut Ham, body: Vec<u8>) {
+        self.time = ham
+            .modify_node(MAIN_CONTEXT, self.node, self.time, &body[..], &[])
+            .expect("commit");
+        self.body = body;
+    }
+}
+
+/// Median nanoseconds of one commit over [`COST_SAMPLES`] commits dealt
+/// round-robin to `slots`, each less the WAL fsync the registry timed
+/// inside it: what the machine does for a commit, not what the disk does.
+fn commit_ns(ham: &mut Ham, slots: &mut [Slot]) -> f64 {
+    let fsync =
+        neptune_obs::registry().histogram(&neptune_obs::trace::histogram_key("storage.wal_fsync"));
+    let mut samples: Vec<u64> = (0..COST_SAMPLES)
+        .map(|i| {
+            let slot = &mut slots[i % slots.len()];
+            let body = slot.edited();
+            let synced = fsync.sum();
+            let start = Instant::now();
+            slot.commit(ham, body);
+            let took = start.elapsed().as_nanos() as u64;
+            took.saturating_sub(fsync.sum() - synced)
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2] as f64
+}
+
+/// Measure the commit-cost grid: `(label, ns per commit)` per cell, in
+/// [`COST_AXES`] order.
+fn bench_commit_cost() -> Vec<(String, f64)> {
+    let mut cells = Vec::new();
+    for (axis, sizes) in COST_AXES {
+        for &size in sizes {
+            let tag = format!("ws-cost-{axis}-{size}");
+            let (mut ham, mut slots) = match axis {
+                // Few enough commits per node that its depth stays within
+                // a tenth of the cell's.
+                "depth" => {
+                    let slots = (10 * COST_SAMPLES / size).clamp(1, COST_GRAPH_NODES);
+                    cost_graph(&tag, COST_GRAPH_NODES, slots, size)
+                }
+                "nodes" => cost_graph(&tag, size, COST_SAMPLES, 2),
+                _ => {
+                    let (mut ham, slots) = cost_graph(&tag, COST_GRAPH_NODES, COST_SAMPLES, 2);
+                    for _ in 1..size {
+                        ham.create_context(MAIN_CONTEXT).expect("fork");
+                    }
+                    (ham, slots)
+                }
+            };
+            let ns = commit_ns(&mut ham, &mut slots);
+            println!(
+                "{:<52} {:>9.2} µs /commit",
+                format!("commit_cost/{axis}/{size}"),
+                ns / 1e3
+            );
+            cells.push((format!("{axis}/{size}"), ns));
+        }
+    }
+    cells
+}
+
+/// Per commit-cost axis, its dearest larger cell over its small cell.
+fn cost_ratios(cells: &[(String, f64)]) -> Vec<(&'static str, f64)> {
+    let mut cells = cells.iter().map(|&(_, ns)| ns);
+    COST_AXES
+        .iter()
+        .map(|&(axis, sizes)| {
+            let small = cells.next().unwrap_or(f64::NAN);
+            let large = cells.by_ref().take(sizes.len() - 1).fold(0.0, f64::max);
+            (axis, large / small)
+        })
+        .collect()
+}
+
 fn find<'a>(results: &'a [BenchResult], needle: &str) -> Option<&'a BenchResult> {
     results.iter().find(|r| r.label.contains(needle))
 }
@@ -169,7 +307,7 @@ fn rate(results: &[BenchResult], variant: &str, writers: usize) -> f64 {
         .unwrap_or(0.0)
 }
 
-fn write_report(c: &Criterion) -> f64 {
+fn write_report(c: &Criterion, cost: &[(String, f64)]) -> f64 {
     let results = c.results();
     let mut out = String::from("{\n  \"bench\": \"write_scaling\",\n");
     out.push_str(&format!(
@@ -225,6 +363,16 @@ fn write_report(c: &Criterion) -> f64 {
     out.push_str(&format!(
         "    \"cross_shard_round_trip_ns\": {cross_ns:.0},\n"
     ));
+    // Commit cost less fsync per grid cell, and large over small per axis.
+    out.push_str("    \"commit_cost_ns\": {\n");
+    for (label, ns) in cost {
+        out.push_str(&format!("      \"{label}\": {ns:.0},\n"));
+    }
+    let ratios: Vec<String> = cost_ratios(cost)
+        .iter()
+        .map(|(axis, ratio)| format!("      \"{axis}_large_vs_small\": {ratio:.2}"))
+        .collect();
+    out.push_str(&format!("{}\n    }},\n", ratios.join(",\n")));
     // Cross-shard and consistency counters over the whole run: the torn
     // counter is the defensive one that must never move.
     let snapshot = neptune_obs::registry().flat_snapshot();
@@ -284,7 +432,13 @@ fn write_report(c: &Criterion) -> f64 {
 /// Core-count independent: `neptune_ham_multiview_torn_total` must be
 /// zero — no assembled cross-shard view may ever expose half of a
 /// two-phase commit.
-fn guard(ratio: f64) {
+///
+/// Also core-count independent: a commit adds one delta to one node, so a
+/// commit to a node 1000x deeper, in a graph 100x larger, or beside 63
+/// more contexts must cost at most 2x the small cell. A commit that
+/// copies the node's history, or a publish that copies every context's
+/// tables, shows up here as 2x to 100x.
+fn guard(ratio: f64, cost: &[(String, f64)]) {
     if std::env::var("NEPTUNE_BENCH_GUARD").map_or(true, |v| v.is_empty()) {
         return;
     }
@@ -303,6 +457,15 @@ fn guard(ratio: f64) {
              ({cores} cores); disjoint-shard commits are serializing again"
         );
         failed = true;
+    }
+    for (axis, cost_ratio) in cost_ratios(cost) {
+        if cost_ratio > 2.0 {
+            eprintln!(
+                "GUARD FAIL: commit_cost {axis} large/small = {cost_ratio:.2} > 2.0; \
+                 a commit is paying for {axis} again"
+            );
+            failed = true;
+        }
     }
     let torn = neptune_obs::registry()
         .counter("neptune_ham_multiview_torn_total")
@@ -333,6 +496,7 @@ fn main() {
         .sample_size(10);
     bench_writer_scaling(&mut criterion);
     bench_cross_shard(&mut criterion);
-    let ratio = write_report(&criterion);
-    guard(ratio);
+    let cost = bench_commit_cost();
+    let ratio = write_report(&criterion, &cost);
+    guard(ratio, &cost);
 }

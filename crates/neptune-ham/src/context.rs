@@ -321,8 +321,8 @@ fn node_changed_after(node: &crate::node::Node, fork_time: Time) -> bool {
 }
 
 fn content_changed_after(node: &crate::node::Node, fork_time: Time) -> bool {
-    let (major, _) = node.versions();
-    major.last().is_some_and(|v| v.time > fork_time)
+    // The newest major version is the current contents' check-in.
+    node.current_time() > fork_time
 }
 
 fn copy_current_attrs_node(

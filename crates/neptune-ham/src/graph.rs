@@ -6,6 +6,8 @@
 //! facade layers transactions, durability, demon firing, and the appendix
 //! operation signatures on top.
 
+use std::sync::Arc;
+
 use neptune_storage::codec::{decode_seq, encode_seq, Decode, Encode, Reader, Writer};
 use neptune_storage::error::Result as StorageResult;
 
@@ -20,6 +22,14 @@ use crate::types::{AttributeIndex, LinkIndex, LinkPt, NodeIndex, ProjectId, Time
 use crate::value::Value;
 
 /// The complete versioned state of a hyperdata graph.
+///
+/// Cloning one — which every commit does, once, to the context it touches,
+/// because the published view holds the old graph — is a handful of
+/// refcount bumps whatever the graph's size: the object maps and the value
+/// index are persistent tries, and the tables below that only change when
+/// the graph's *shape* does (a node or link is created, a name interned, a
+/// graph version or demon recorded) sit behind `Arc`s and are copied by
+/// the operation that changes them, not by the one that edits a node.
 #[derive(Debug, Clone)]
 pub struct HamGraph {
     /// Unique identification of this graph.
@@ -37,12 +47,12 @@ pub struct HamGraph {
     /// `nodes`.
     links: Pam<Link>,
     /// Graph-wide attribute name registry.
-    pub attr_table: AttributeTable,
+    pub attr_table: Arc<AttributeTable>,
     /// Graph-level demons.
-    pub graph_demons: DemonTable,
-    graph_versions: Vec<Version>,
+    pub graph_demons: Arc<DemonTable>,
+    graph_versions: Arc<Vec<Version>>,
     value_index: ValueIndex,
-    temporal_index: TemporalIndex,
+    temporal_index: Arc<TemporalIndex>,
 }
 
 impl PartialEq for HamGraph {
@@ -73,11 +83,11 @@ impl HamGraph {
             next_link: 1,
             nodes: Pam::new(),
             links: Pam::new(),
-            attr_table: AttributeTable::new(),
-            graph_demons: DemonTable::new(),
-            graph_versions: vec![Version::new(Time(1), "graph created")],
+            attr_table: Arc::default(),
+            graph_demons: Arc::default(),
+            graph_versions: Arc::new(vec![Version::new(Time(1), "graph created")]),
             value_index: ValueIndex::new(),
-            temporal_index: TemporalIndex::new(),
+            temporal_index: Arc::default(),
         }
     }
 
@@ -180,7 +190,7 @@ impl HamGraph {
         let id = NodeIndex(self.next_node);
         self.next_node += 1;
         self.nodes.insert(id.0, Node::new(id, now, keep_history));
-        self.temporal_index.record_node(now, id.0);
+        Arc::make_mut(&mut self.temporal_index).record_node(now, id.0);
         (id, now)
     }
 
@@ -189,7 +199,7 @@ impl HamGraph {
         self.set_clock(now);
         self.next_node = self.next_node.max(id.0 + 1);
         self.nodes.insert(id.0, Node::new(id, now, keep_history));
-        self.temporal_index.record_node(now, id.0);
+        Arc::make_mut(&mut self.temporal_index).record_node(now, id.0);
     }
 
     /// Delete a node: records its death and that of every incident link
@@ -252,7 +262,7 @@ impl HamGraph {
         let from_node = link.from.node;
         let to_node = link.to.node;
         self.links.insert(id.0, link);
-        self.temporal_index.record_link(now, id.0);
+        Arc::make_mut(&mut self.temporal_index).record_link(now, id.0);
         if let Some(n) = self.nodes.get_mut(from_node.0) {
             n.attach_link(id);
             n.record_minor(now, "link added");
@@ -321,7 +331,7 @@ impl HamGraph {
             return idx;
         }
         let now = self.tick();
-        self.attr_table.intern(name, now)
+        Arc::make_mut(&mut self.attr_table).intern(name, now)
     }
 
     /// Set a node attribute, maintaining the value index and minor history.
@@ -476,7 +486,7 @@ impl HamGraph {
 
     /// Record a graph-level version entry.
     pub fn record_graph_version(&mut self, time: Time, explanation: &str) {
-        self.graph_versions.push(Version::new(time, explanation));
+        Arc::make_mut(&mut self.graph_versions).push(Version::new(time, explanation));
     }
 
     /// The graph's version history.
@@ -496,13 +506,13 @@ impl HamGraph {
         self.nodes.for_each_mut(|_, n| {
             n.incident_links.retain(|l| live_links.contains(l));
         });
-        self.attr_table.truncate_after(time);
-        self.graph_demons.truncate_after(time);
-        self.graph_versions.retain(|v| v.time <= time);
+        Arc::make_mut(&mut self.attr_table).truncate_after(time);
+        Arc::make_mut(&mut self.graph_demons).truncate_after(time);
+        Arc::make_mut(&mut self.graph_versions).retain(|v| v.time <= time);
         self.clock = time.0;
         self.next_node = self.nodes.keys().map(|n| n + 1).max().unwrap_or(1);
         self.next_link = self.links.keys().map(|l| l + 1).max().unwrap_or(1);
-        self.temporal_index.truncate_after(time);
+        Arc::make_mut(&mut self.temporal_index).truncate_after(time);
         self.rebuild_value_index();
     }
 
@@ -530,7 +540,7 @@ impl HamGraph {
     pub fn rebuild_temporal_index(&mut self) {
         let nodes = self.nodes.values().map(|n| (n.created, n.id.0)).collect();
         let links = self.links.values().map(|l| (l.created, l.id.0)).collect();
-        self.temporal_index = TemporalIndex::from_records(nodes, links);
+        self.temporal_index = Arc::new(TemporalIndex::from_records(nodes, links));
     }
 
     /// The temporal-index accelerator (query planner hook).
@@ -621,11 +631,11 @@ impl Decode for HamGraph {
             next_link,
             nodes,
             links,
-            attr_table: AttributeTable::decode(r)?,
-            graph_demons: DemonTable::decode(r)?,
-            graph_versions: decode_seq(r)?,
+            attr_table: Arc::new(AttributeTable::decode(r)?),
+            graph_demons: Arc::new(DemonTable::decode(r)?),
+            graph_versions: Arc::new(decode_seq(r)?),
             value_index: ValueIndex::new(),
-            temporal_index: TemporalIndex::new(),
+            temporal_index: Arc::default(),
         };
         graph.rebuild_value_index();
         graph.rebuild_temporal_index();

@@ -16,14 +16,14 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use neptune_storage::blobstore::BlobStore;
 use neptune_storage::codec::{Decode, Encode, Reader, Writer};
 use neptune_storage::diff::Difference;
 use neptune_storage::snapshot::{read_snapshot_with, write_snapshot_with};
 use neptune_storage::vfs::{StdVfs, Vfs};
-use neptune_storage::wal::{RecordKind, Wal};
+use neptune_storage::wal::Wal;
 
 use crate::context::{merge_context, ConflictPolicy, MergeReport};
 use crate::demons::{DemonAction, DemonFireInfo, DemonRegistry, DemonSpec, Event, FireRecord};
@@ -46,6 +46,17 @@ pub(crate) struct GraphThread {
     pub(crate) graph: HamGraph,
     /// `(parent context, parent clock at fork)`; `None` for the main thread.
     pub(crate) forked_from: Option<(ContextId, Time)>,
+}
+
+/// The machine's contexts. Each sits behind an `Arc` the published view
+/// shares: a commit copies the thread it writes to (cheaply — see
+/// [`HamGraph`]) and publishing bumps one refcount per context.
+pub(crate) type Threads = HashMap<ContextId, Arc<GraphThread>>;
+
+impl GraphThread {
+    fn shared(graph: HamGraph, forked_from: Option<(ContextId, Time)>) -> Arc<GraphThread> {
+        Arc::new(GraphThread { graph, forked_from })
+    }
 }
 
 /// Result of `openNode`: `Contents × LinkPt* × Value^m × Time₂`.
@@ -88,7 +99,7 @@ pub struct Ham {
     protections: Protections,
     wal: Wal,
     blobs: BlobStore,
-    threads: HashMap<ContextId, GraphThread>,
+    threads: Threads,
     next_context: u64,
     txn: Option<ActiveTxn>,
     next_txn: u64,
@@ -167,13 +178,7 @@ impl Ham {
         let graph = HamGraph::new(project_id);
         let created = graph.created;
         let mut threads = HashMap::new();
-        threads.insert(
-            MAIN_CONTEXT,
-            GraphThread {
-                graph,
-                forked_from: None,
-            },
-        );
+        threads.insert(MAIN_CONTEXT, GraphThread::shared(graph, None));
         let wal = Wal::open_with(vfs.as_ref(), directory.join(WAL_FILE))?;
         let blobs = BlobStore::open_with(Arc::clone(&vfs), directory.join(NODES_DIR), protections)?;
         let view = CommittedView::new(1, 0, (0, 1), &threads, directory.clone());
@@ -938,9 +943,11 @@ impl Ham {
                 ham.get_attribute_index(context, &attr)?;
             }
             let time = ham.graph_mut(context)?.tick();
-            ham.graph_mut(context)?
-                .graph_demons
-                .set(event, demon.clone(), time);
+            Arc::make_mut(&mut ham.graph_mut(context)?.graph_demons).set(
+                event,
+                demon.clone(),
+                time,
+            );
             ham.push_redo(RedoOp::SetGraphDemon {
                 context,
                 event,
@@ -1096,21 +1103,18 @@ impl Ham {
         }
     }
 
-    /// Append a transaction's records and force the commit to disk. The
-    /// commit record is stamped with the next global commit sequence (or a
-    /// coordinator-forced one for cross-shard transactions); the sequence
-    /// becomes `last_seq` — and visible to readers — only once durable.
+    /// Append a transaction's records — one write — and force the commit to
+    /// disk — one sync. The commit record is stamped with the next global
+    /// commit sequence (or a coordinator-forced one for cross-shard
+    /// transactions); the sequence becomes `last_seq` — and visible to
+    /// readers — only once durable.
     fn log_txn(&mut self, txn: &ActiveTxn) -> neptune_storage::Result<()> {
-        self.wal.append(txn.id, RecordKind::Begin, Vec::new())?;
-        for op in &txn.redo {
-            self.wal.append(txn.id, RecordKind::Op, op.to_bytes())?;
-        }
         let seq = match self.forced_seq.take() {
             Some(seq) => seq,
             None => self.commit_seq.fetch_add(1, atomic::Ordering::Relaxed) + 1,
         };
         self.wal
-            .append_commit_with(txn.id, seq.to_le_bytes().to_vec())?;
+            .append_transaction(txn.id, &txn.redo, &seq.to_le_bytes())?;
         self.last_seq = seq;
         Ok(())
     }
@@ -1153,7 +1157,8 @@ impl Ham {
         // Contexts destroyed/overwritten during the txn come back first.
         for (id, graph) in txn.saved_contexts.into_iter().rev() {
             let forked_from = self.threads.get(&id).and_then(|t| t.forked_from);
-            self.threads.insert(id, GraphThread { graph, forked_from });
+            self.threads
+                .insert(id, GraphThread::shared(graph, forked_from));
         }
         for id in txn.created_contexts {
             self.threads.remove(&id);
@@ -1163,12 +1168,12 @@ impl Ham {
         // wins when one context was re-forked twice.
         for (id, forked_from) in txn.saved_forks.into_iter().rev() {
             if let Some(thread) = self.threads.get_mut(&id) {
-                thread.forked_from = forked_from;
+                Arc::make_mut(thread).forked_from = forked_from;
             }
         }
         for (context, start) in txn.start_times {
             if let Some(thread) = self.threads.get_mut(&context) {
-                thread.graph.truncate_after(start);
+                Arc::make_mut(thread).graph.truncate_after(start);
             }
         }
         // Nor are protections; nodes created inside the transaction are
@@ -1177,7 +1182,7 @@ impl Ham {
             if let Some(n) = self
                 .threads
                 .get_mut(&context)
-                .and_then(|t| t.graph.node_mut(node).ok())
+                .and_then(|t| Arc::make_mut(t).graph.node_mut(node).ok())
             {
                 n.protections = protections;
             }
@@ -1324,13 +1329,8 @@ impl Ham {
             let fork_time = parent.graph.now();
             let graph = parent.graph.clone();
             ham.next_context = ham.next_context.max(id.0 + 1);
-            ham.threads.insert(
-                id,
-                GraphThread {
-                    graph,
-                    forked_from: Some((from, fork_time)),
-                },
-            );
+            ham.threads
+                .insert(id, GraphThread::shared(graph, Some((from, fork_time))));
             if let Some(txn) = &mut ham.txn {
                 txn.created_contexts.push(id);
             }
@@ -1374,7 +1374,7 @@ impl Ham {
                 // an abort restores it (truncating the parent alone would
                 // leave the child forked beyond the parent's clock).
                 let old = thread.forked_from;
-                thread.forked_from = Some((parent_id, new_fork));
+                Arc::make_mut(thread).forked_from = Some((parent_id, new_fork));
                 if let Some(txn) = &mut ham.txn {
                     txn.saved_forks.push((child, old));
                 }
@@ -1452,13 +1452,8 @@ impl Ham {
             graph.encode(&mut gw);
             let encoded = gw.into_bytes();
             ham.next_context = ham.next_context.max(id.0 + 1);
-            ham.threads.insert(
-                id,
-                GraphThread {
-                    graph,
-                    forked_from: Some((from, time)),
-                },
-            );
+            ham.threads
+                .insert(id, GraphThread::shared(graph, Some((from, time))));
             if let Some(txn) = &mut ham.txn {
                 txn.created_contexts.push(id);
             }
@@ -1519,7 +1514,7 @@ impl Ham {
                 .get_mut(&child)
                 .ok_or(HamError::NoSuchContext(child))?;
             let old = thread.forked_from;
-            thread.forked_from = Some((into, time));
+            Arc::make_mut(thread).forked_from = Some((into, time));
             if let Some(txn) = &mut ham.txn {
                 txn.saved_forks.push((child, old));
             }
@@ -1619,7 +1614,7 @@ impl Ham {
     }
 
     /// Invariant checkers (same crate) walk the raw threads.
-    pub(crate) fn threads(&self) -> &HashMap<ContextId, GraphThread> {
+    pub(crate) fn threads(&self) -> &Threads {
         &self.threads
     }
 
@@ -1637,9 +1632,12 @@ impl Ham {
 
     /// Build a snapshot of the current committed state and install it as
     /// the published view. Called after every durable commit and at the
-    /// end of recovery. O(changes): the graph's internal maps are
-    /// persistent, so the clone is Arc bumps plus per-graph scalar state.
+    /// end of recovery. Costs one refcount bump per context, whatever the
+    /// contexts hold and whatever the commit changed: the copying a commit
+    /// pays for happened when it wrote (DESIGN.md §9).
     fn publish_view(&mut self) {
+        static PUBLISH_NS: OnceLock<Arc<neptune_obs::Histogram>> = OnceLock::new();
+        static EPOCH: OnceLock<Arc<neptune_obs::Gauge>> = OnceLock::new();
         let start = std::time::Instant::now();
         self.view_epoch += 1;
         let view = CommittedView::new(
@@ -1652,11 +1650,11 @@ impl Ham {
         self.published.publish(view);
         if neptune_obs::enabled() {
             let registry = neptune_obs::registry();
-            registry
-                .histogram("neptune_ham_snapshot_publish_ns")
+            PUBLISH_NS
+                .get_or_init(|| registry.histogram("neptune_ham_snapshot_publish_ns"))
                 .observe_duration(start.elapsed());
-            registry
-                .gauge("neptune_ham_snapshot_epoch")
+            EPOCH
+                .get_or_init(|| registry.gauge("neptune_ham_snapshot_epoch"))
                 .set(self.view_epoch.min(i64::MAX as u64) as i64);
         }
     }
@@ -1678,13 +1676,14 @@ impl Ham {
     fn thread(&self, context: ContextId) -> Result<&GraphThread> {
         self.threads
             .get(&context)
+            .map(|t| &**t)
             .ok_or(HamError::NoSuchContext(context))
     }
 
     fn graph_mut(&mut self, context: ContextId) -> Result<&mut HamGraph> {
         self.threads
             .get_mut(&context)
-            .map(|t| &mut t.graph)
+            .map(|t| &mut Arc::make_mut(t).graph)
             .ok_or(HamError::NoSuchContext(context))
     }
 
@@ -1948,7 +1947,7 @@ impl Ham {
             } => {
                 let g = self.graph_mut(context)?;
                 g.set_clock(time);
-                g.graph_demons.set(event, demon, time);
+                Arc::make_mut(&mut g.graph_demons).set(event, demon, time);
             }
             RedoOp::SetNodeDemon {
                 context,
@@ -1976,13 +1975,8 @@ impl Ham {
                 let parent = self.thread(from)?;
                 let graph = parent.graph.clone();
                 self.next_context = self.next_context.max(id.0 + 1);
-                self.threads.insert(
-                    id,
-                    GraphThread {
-                        graph,
-                        forked_from: Some((from, time)),
-                    },
-                );
+                self.threads
+                    .insert(id, GraphThread::shared(graph, Some((from, time))));
             }
             RedoOp::MergeContext {
                 child,
@@ -1999,7 +1993,7 @@ impl Ham {
                 merge_context(parent, &child_graph, fork_time, policy_from_tag(policy))?;
                 let new_fork = self.graph(into)?.now();
                 if let Some(thread) = self.threads.get_mut(&child) {
-                    thread.forked_from = Some((into, new_fork));
+                    Arc::make_mut(thread).forked_from = Some((into, new_fork));
                 }
             }
             RedoOp::DestroyContext { id } => {
@@ -2016,13 +2010,8 @@ impl Ham {
                 let mut r = Reader::new(&graph);
                 let graph = HamGraph::decode(&mut r)?;
                 self.next_context = self.next_context.max(id.0 + 1);
-                self.threads.insert(
-                    id,
-                    GraphThread {
-                        graph,
-                        forked_from: Some((from, time)),
-                    },
-                );
+                self.threads
+                    .insert(id, GraphThread::shared(graph, Some((from, time))));
             }
             RedoOp::MergeForeign {
                 into,
@@ -2040,7 +2029,7 @@ impl Ham {
                     .threads
                     .get_mut(&child)
                     .ok_or(HamError::NoSuchContext(child))?;
-                thread.forked_from = Some((into, time));
+                Arc::make_mut(thread).forked_from = Some((into, time));
             }
         }
         Ok(())
@@ -2109,7 +2098,7 @@ struct StoreState {
     /// Whether the snapshot is in the format checkpoints write today; a
     /// legacy one migrates at the next checkpoint.
     current_format: bool,
-    threads: HashMap<ContextId, GraphThread>,
+    threads: Threads,
 }
 
 /// v2 snapshots open with this sentinel where v1 stored `boundary_lsn`.
@@ -2123,7 +2112,7 @@ fn encode_store_state(
     next_context: u64,
     next_txn: u64,
     last_seq: u64,
-    threads: &HashMap<ContextId, GraphThread>,
+    threads: &Threads,
 ) -> Vec<u8> {
     let mut ids: Vec<ContextId> = threads.keys().copied().collect();
     ids.sort_unstable();
@@ -2176,7 +2165,7 @@ fn decode_store_state(bytes: &[u8]) -> Result<StoreState> {
         let id = ContextId::decode(&mut r)?;
         let forked_from = Option::<(ContextId, Time)>::decode(&mut r)?;
         let graph = HamGraph::decode(&mut r)?;
-        threads.insert(id, GraphThread { graph, forked_from });
+        threads.insert(id, GraphThread::shared(graph, forked_from));
     }
     Ok(StoreState {
         boundary_lsn,

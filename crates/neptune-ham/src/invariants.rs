@@ -266,7 +266,7 @@ pub fn view_violations(view: &crate::view::CommittedView) -> Vec<Violation> {
 /// context-partition rules skip them — [`crate::shard::ShardedHam`] runs
 /// the full cross-shard topology check over the merged map with `(0, 1)`.
 pub(crate) fn thread_violations(
-    threads: &std::collections::HashMap<ContextId, crate::ham::GraphThread>,
+    threads: &crate::ham::Threads,
     shard: (u32, u32),
 ) -> Vec<Violation> {
     let (shard_index, shard_count) = (shard.0 as u64, shard.1.max(1) as u64);

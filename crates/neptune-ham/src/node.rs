@@ -9,9 +9,12 @@
 //! to the node but do not change its contents, for example adding a link or
 //! defining an attribute value") — `getNodeVersions` returns both.
 
+use std::sync::Arc;
+
 use neptune_storage::archive::Archive;
 use neptune_storage::codec::{decode_seq, encode_seq, Decode, Encode, Reader, Writer};
 use neptune_storage::error::Result as StorageResult;
+use neptune_storage::sharedvec::SharedVec;
 
 use crate::attributes::AttrMap;
 use crate::demons::DemonTable;
@@ -29,10 +32,65 @@ pub enum NodeContents {
     File {
         /// The current contents, shared: readers get a refcount bump and
         /// modification replaces the `Arc` rather than mutating through it.
-        data: std::sync::Arc<[u8]>,
+        data: Arc<[u8]>,
         /// Time of the last modification.
         time: Time,
     },
+}
+
+/// A node's major or minor version history. Like the archive's deltas it
+/// is shared between the copies of a node — a commit copies the node it
+/// touches, never its history — and consecutive versions with the same
+/// explanation share one string.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct VersionList(SharedVec<Version>);
+
+/// A version explained by `explanation`, sharing `prev`'s string if that
+/// says the same.
+fn version_after(prev: Option<&Version>, time: Time, explanation: &str) -> Version {
+    let explanation = match prev {
+        Some(prev) if *prev.explanation == *explanation => Arc::clone(&prev.explanation),
+        _ => Arc::from(explanation),
+    };
+    Version { time, explanation }
+}
+
+impl VersionList {
+    fn push(&mut self, time: Time, explanation: &str) {
+        self.0.push(version_after(self.0.last(), time, explanation));
+    }
+
+    fn last_time(&self) -> Option<Time> {
+        self.0.last().map(|v| v.time)
+    }
+
+    fn to_vec(&self) -> Vec<Version> {
+        self.0.iter().cloned().collect()
+    }
+
+    fn truncate_after(&mut self, time: Time) {
+        self.0.truncate(self.0.partition_point(|v| v.time <= time));
+    }
+}
+
+impl Encode for VersionList {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u64(self.0.len() as u64);
+        for v in self.0.iter() {
+            v.encode(w);
+        }
+    }
+}
+
+impl Decode for VersionList {
+    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+        let mut versions: Vec<Version> = Vec::new();
+        for _ in 0..r.get_u64()? {
+            let time = Time::decode(r)?;
+            versions.push(version_after(versions.last(), time, r.get_str()?));
+        }
+        Ok(VersionList(versions.into()))
+    }
 }
 
 /// A hyperdata node.
@@ -55,8 +113,8 @@ pub struct Node {
     /// Every link that was ever attached to this node (either end). Whether
     /// an attachment is live at a given time is determined by the link.
     pub incident_links: Vec<LinkIndex>,
-    major_versions: Vec<Version>,
-    minor_versions: Vec<Version>,
+    major_versions: VersionList,
+    minor_versions: VersionList,
 }
 
 impl Node {
@@ -67,10 +125,12 @@ impl Node {
             NodeContents::Archive(Archive::new(Vec::new(), now.0))
         } else {
             NodeContents::File {
-                data: std::sync::Arc::from(&[][..]),
+                data: Arc::from(&[][..]),
                 time: now,
             }
         };
+        let mut major_versions = VersionList::default();
+        major_versions.push(now, "created");
         Node {
             id,
             created: now,
@@ -80,8 +140,8 @@ impl Node {
             demons: DemonTable::new(),
             protections: Protections::DEFAULT,
             incident_links: Vec::new(),
-            major_versions: vec![Version::new(now, "created")],
-            minor_versions: Vec::new(),
+            major_versions,
+            minor_versions: VersionList::default(),
         }
     }
 
@@ -106,7 +166,7 @@ impl Node {
 
     /// Contents at `time` (`CURRENT` = newest). File nodes only answer for
     /// the current version.
-    pub fn contents_at(&self, time: Time) -> Result<std::sync::Arc<[u8]>> {
+    pub fn contents_at(&self, time: Time) -> Result<Arc<[u8]>> {
         match &self.contents {
             NodeContents::Archive(a) => a.checkout(time.0).map_err(HamError::from),
             NodeContents::File { data, .. } => {
@@ -145,7 +205,7 @@ impl Node {
     /// Archives grow a new version; files overwrite.
     pub fn modify(
         &mut self,
-        contents: impl Into<std::sync::Arc<[u8]>>,
+        contents: impl Into<Arc<[u8]>>,
         now: Time,
         explanation: &str,
     ) -> Result<()> {
@@ -156,22 +216,22 @@ impl Node {
                 *time = now;
             }
         }
-        self.major_versions.push(Version::new(now, explanation));
+        self.major_versions.push(now, explanation);
         Ok(())
     }
 
     /// Record a minor version (link or attribute change).
     pub fn record_minor(&mut self, now: Time, explanation: &str) {
         // Coalesce several minor changes within one clock tick.
-        if self.minor_versions.last().map(|v| v.time) == Some(now) {
+        if self.minor_versions.last_time() == Some(now) {
             return;
         }
-        self.minor_versions.push(Version::new(now, explanation));
+        self.minor_versions.push(now, explanation);
     }
 
     /// `getNodeVersions`: (major, minor) version histories, oldest first.
     pub fn versions(&self) -> (Vec<Version>, Vec<Version>) {
-        (self.major_versions.clone(), self.minor_versions.clone())
+        (self.major_versions.to_vec(), self.minor_versions.to_vec())
     }
 
     /// Bytes of storage for contents (delta-compressed for archives).
@@ -206,8 +266,8 @@ impl Node {
         // retains whatever contents it had (single-writer transactions mean
         // the pre-transaction contents were never overwritten durably —
         // the Ham layer forbids file-node writes inside transactions).
-        self.major_versions.retain(|v| v.time <= time);
-        self.minor_versions.retain(|v| v.time <= time);
+        self.major_versions.truncate_after(time);
+        self.minor_versions.truncate_after(time);
         true
     }
 }
@@ -236,8 +296,8 @@ impl Encode for Node {
         self.demons.encode(w);
         self.protections.encode(w);
         encode_seq(&self.incident_links, w);
-        encode_seq(&self.major_versions, w);
-        encode_seq(&self.minor_versions, w);
+        self.major_versions.encode(w);
+        self.minor_versions.encode(w);
     }
 }
 
@@ -269,8 +329,8 @@ impl Decode for Node {
             demons: DemonTable::decode(r)?,
             protections: decode_protections(r)?,
             incident_links: decode_seq(r)?,
-            major_versions: decode_seq(r)?,
-            minor_versions: decode_seq(r)?,
+            major_versions: VersionList::decode(r)?,
+            minor_versions: VersionList::decode(r)?,
         })
     }
 }
@@ -315,7 +375,7 @@ mod tests {
         let (major, minor) = n.versions();
         assert_eq!(major.len(), 2); // created + edit
         assert_eq!(minor.len(), 2); // t3 coalesced, t4
-        assert_eq!(major[1].explanation, "content edit");
+        assert_eq!(&*major[1].explanation, "content edit");
     }
 
     #[test]
@@ -404,8 +464,8 @@ mod tests {
         n.demons.encode(&mut w);
         n.protections.encode(&mut w);
         encode_seq(&n.incident_links, &mut w);
-        encode_seq(&n.major_versions, &mut w);
-        encode_seq(&n.minor_versions, &mut w);
+        n.major_versions.encode(&mut w);
+        n.minor_versions.encode(&mut w);
         let decoded = Node::from_bytes(&w.into_bytes()).unwrap();
         assert_eq!(decoded, n, "v1 nodes must decode identically");
         assert_eq!(decoded.archive().unwrap().skip_count(), 0);

@@ -114,13 +114,15 @@ impl LinkPt {
 pub struct Version {
     /// When the version was created.
     pub time: Time,
-    /// Explanatory text supplied with (or derived from) the change.
-    pub explanation: String,
+    /// Explanatory text supplied with (or derived from) the change. Shared:
+    /// copying a version list copies no text, and a node's list keeps one
+    /// string for a run of versions explained alike.
+    pub explanation: std::sync::Arc<str>,
 }
 
 impl Version {
     /// Construct a version record.
-    pub fn new(time: Time, explanation: impl Into<String>) -> Version {
+    pub fn new(time: Time, explanation: impl Into<std::sync::Arc<str>>) -> Version {
         Version {
             time,
             explanation: explanation.into(),
@@ -198,7 +200,7 @@ impl Decode for Version {
     fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
         Ok(Version {
             time: Time::decode(r)?,
-            explanation: r.get_str()?.to_owned(),
+            explanation: r.get_str()?.into(),
         })
     }
 }

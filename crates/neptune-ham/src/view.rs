@@ -1,10 +1,11 @@
 //! Immutable committed snapshots of the HAM, and the shared read core.
 //!
 //! [`CommittedView`] is the artifact the lock-free read path serves from:
-//! at every commit (and rollback) the writer clones the machine's context
-//! threads — cheap, because [`crate::graph::HamGraph`]'s node and link maps
-//! are persistent tries ([`crate::pmap::Pam`]) that share structure by
-//! `Arc` — and publishes the clone through
+//! at every commit the writer hands the machine's context threads to a new
+//! view — one refcount bump per context, because each thread sits behind an
+//! `Arc` the view shares until the next commit to that context copies it
+//! (cheaply: [`crate::graph::HamGraph`]'s maps are persistent tries and a
+//! node's history is shared between its copies) — and publishes it through
 //! [`crate::epoch::Published`]. Readers grab the current view with one
 //! atomic load and keep reading it for as long as they like; the graph
 //! inside never changes. Reclamation is plain `Arc` refcounting: a
@@ -24,7 +25,6 @@
 //! (the tries are copy-on-write), so no read through either entry point can
 //! see bytes from another world (DESIGN.md §9).
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -34,7 +34,7 @@ use crate::demons::{DemonSpec, Event};
 use crate::error::{HamError, Result};
 use crate::graph::HamGraph;
 use crate::ham::{canonical_attachments, endpoint_version, resolve_attr_names};
-use crate::ham::{GraphThread, OpenedNode};
+use crate::ham::{OpenedNode, Threads};
 use crate::predicate::Predicate;
 use crate::query::{get_graph_query, get_graph_query_scan, linearize_graph, SubGraph};
 use crate::types::{AttributeIndex, ContextId, LinkIndex, NodeIndex, Time, Version};
@@ -43,7 +43,7 @@ use crate::value::Value;
 /// The read-only core shared by the live machine and published views: a
 /// borrowed set of context threads.
 pub(crate) struct ReadCore<'a> {
-    pub(crate) threads: &'a HashMap<ContextId, GraphThread>,
+    pub(crate) threads: &'a Threads,
 }
 
 impl<'a> ReadCore<'a> {
@@ -328,7 +328,7 @@ pub struct CommittedView {
     /// shard.
     shard: (u32, u32),
     directory: PathBuf,
-    threads: HashMap<ContextId, GraphThread>,
+    threads: Threads,
     published_at: Instant,
 }
 
@@ -346,7 +346,7 @@ impl CommittedView {
         epoch: u64,
         commit_seq: u64,
         shard: (u32, u32),
-        threads: &HashMap<ContextId, GraphThread>,
+        threads: &Threads,
         directory: PathBuf,
     ) -> CommittedView {
         CommittedView {
@@ -354,9 +354,8 @@ impl CommittedView {
             commit_seq,
             shard,
             directory,
-            // O(changes), not O(graph): HamGraph's node/link maps are
-            // persistent tries, so this clone is Arc bumps plus the small
-            // per-graph scalar state.
+            // One refcount bump per context: the view and the machine hold
+            // the same threads until a commit copies the one it writes.
             threads: threads.clone(),
             published_at: Instant::now(),
         }
@@ -369,8 +368,19 @@ impl CommittedView {
     }
 
     /// Invariant checkers (same crate) walk the raw threads.
-    pub(crate) fn threads(&self) -> &HashMap<ContextId, GraphThread> {
+    pub(crate) fn threads(&self) -> &Threads {
         &self.threads
+    }
+
+    /// Whether this view and `other` hold the very same copy of
+    /// `context`, as two views do when no commit between them touched it.
+    /// For tests of what a publish shares.
+    #[doc(hidden)]
+    pub fn shares_context_with(&self, other: &CommittedView, context: ContextId) -> bool {
+        match (self.threads.get(&context), other.threads.get(&context)) {
+            (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// The publication epoch this view was installed at (monotonic across

@@ -327,3 +327,127 @@ fn read_only_node_blob_still_checkpoints() {
         b"v2\n"[..]
     );
 }
+
+/// A store holding one durable version of one node, ready for a commit
+/// that is going to be cut down.
+fn store_with_a_durable_version(
+    vfs: Arc<dyn neptune_storage::Vfs>,
+    dir: &PathBuf,
+) -> (Ham, neptune_ham::NodeIndex, Time) {
+    let (mut ham, _, _) = Ham::create_graph_with(vfs, dir, Protections::DEFAULT).unwrap();
+    let (node, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
+    let t = ham
+        .modify_node(MAIN_CONTEXT, node, t, b"durable\n".to_vec(), &[])
+        .unwrap();
+    (ham, node, t)
+}
+
+fn current(ham: &mut Ham, node: neptune_ham::NodeIndex) -> Vec<u8> {
+    ham.open_node(MAIN_CONTEXT, node, Time::CURRENT, &[])
+        .unwrap()
+        .contents
+        .to_vec()
+}
+
+/// End offsets of the frames in a WAL image: each frame is a `u32` length,
+/// a `u32` checksum and that many bytes, after the 8-byte file header.
+fn frame_ends(wal: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut pos = 8;
+    while pos < wal.len() {
+        let len = u32::from_le_bytes(wal[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += 8 + len;
+        ends.push(pos);
+    }
+    ends
+}
+
+#[test]
+fn a_commit_write_cut_short_anywhere_loses_only_that_commit() {
+    // A commit is one append of three frames. Learn where they fall from
+    // an undisturbed twin: the same operations write the same bytes.
+    let twin_dir = tmpdir("torn-batch-twin");
+    let (mut twin, node, t) =
+        store_with_a_durable_version(neptune_storage::StdVfs::arc(), &twin_dir);
+    let before = fs::metadata(twin_dir.join("wal.log")).unwrap().len() as usize;
+    twin.modify_node(MAIN_CONTEXT, node, t, b"lost\n".to_vec(), &[])
+        .unwrap();
+    let wal = fs::read(twin_dir.join("wal.log")).unwrap();
+    let ends: Vec<usize> = frame_ends(&wal)
+        .into_iter()
+        .filter(|&end| end > before)
+        .map(|end| end - before)
+        .collect();
+    let &[begin, op, commit] = &ends[..] else {
+        panic!("a one-op commit is Begin, Op, Commit: {ends:?}");
+    };
+    assert_eq!(before + commit, wal.len());
+
+    let cuts = [
+        ("nothing written", 0),
+        ("inside the Begin frame", begin / 2),
+        ("on the Begin/Op boundary", begin),
+        ("inside the Op frame", begin + (op - begin) / 2),
+        ("on the Op/Commit boundary", op),
+        ("inside the Commit frame", op + (commit - op) / 2),
+        ("one byte short", commit - 1),
+    ];
+    for (what, keep) in cuts {
+        let dir = tmpdir("torn-batch");
+        let vfs = FaultVfs::new();
+        let (mut ham, node, t) = store_with_a_durable_version(Arc::new(vfs.clone()), &dir);
+        vfs.arm_short_write(0, keep);
+        assert!(
+            ham.modify_node(MAIN_CONTEXT, node, t, b"lost\n".to_vec(), &[])
+                .is_err(),
+            "{what}"
+        );
+        assert_eq!(vfs.injected(), 1, "{what}: the fault must hit the append");
+        // Rolled back and fail-stop, as for any failed log write.
+        assert_eq!(current(&mut ham, node), b"durable\n", "{what}");
+        assert!(matches!(
+            ham.add_node(MAIN_CONTEXT, true),
+            Err(HamError::Storage(StorageError::LogPoisoned))
+        ));
+        drop(ham);
+
+        // Reopen: the transaction is absent and the log takes new commits.
+        let (mut ham, _, _) = Ham::open_existing_with(Arc::new(vfs.clone()), &dir).unwrap();
+        assert_eq!(current(&mut ham, node), b"durable\n", "{what}");
+        assert_eq!(
+            ham.get_node_versions(MAIN_CONTEXT, node).unwrap().0.len(),
+            2
+        );
+        let t = ham.get_node_time_stamp(MAIN_CONTEXT, node).unwrap();
+        ham.modify_node(MAIN_CONTEXT, node, t, b"after\n".to_vec(), &[])
+            .unwrap();
+        drop(ham);
+        let (mut ham, _, _) = Ham::open_existing_with(Arc::new(vfs), &dir).unwrap();
+        assert_eq!(current(&mut ham, node), b"after\n", "{what}");
+    }
+}
+
+#[test]
+fn a_commit_write_that_fails_or_never_happens_rolls_back_and_poisons() {
+    for kind in [FaultKind::FailWrite, FaultKind::PowerCut] {
+        let dir = tmpdir("failed-batch");
+        let vfs = FaultVfs::new();
+        let (mut ham, node, t) = store_with_a_durable_version(Arc::new(vfs.clone()), &dir);
+        vfs.clear_op_log();
+        vfs.arm(kind, 0);
+        assert!(ham
+            .modify_node(MAIN_CONTEXT, node, t, b"lost\n".to_vec(), &[])
+            .is_err());
+        // The one append was the first and only step the commit reached.
+        assert_eq!(vfs.op_log(), vec!["append wal.log"], "{kind}");
+        assert_eq!(current(&mut ham, node), b"durable\n", "{kind}");
+        assert!(ham.add_node(MAIN_CONTEXT, true).is_err(), "{kind}");
+        drop(ham);
+        if kind == FaultKind::PowerCut {
+            vfs.materialize_durable(&dir).unwrap();
+        }
+        let (mut ham, _, _) = Ham::open_existing(&dir).unwrap();
+        assert_eq!(current(&mut ham, node), b"durable\n", "{kind}");
+        ham.add_node(MAIN_CONTEXT, true).unwrap();
+    }
+}

@@ -40,6 +40,8 @@
 //!    acquisition. The gate is released as soon as the shard lock is held,
 //!    which is what lets disjoint-shard writers run concurrently.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -428,14 +430,36 @@ fn observe_rpc(op: &'static str, elapsed: Duration, response: &Response) {
     if !neptune_obs::enabled() {
         return;
     }
-    let registry = neptune_obs::registry();
-    registry
-        .histogram(&neptune_obs::labeled("neptune_server_rpc_ns", "op", op))
-        .observe_duration(elapsed);
+    observe_rpc_ns(op, elapsed);
     if matches!(response, Response::Error(_)) {
-        registry.counter("neptune_server_rpc_errors_total").inc();
+        neptune_obs::registry()
+            .counter("neptune_server_rpc_errors_total")
+            .inc();
     }
     neptune_obs::trace::emit("server.rpc", op, elapsed);
+}
+
+/// Observe `elapsed` in the `neptune_server_rpc_ns{op=<name>}` histogram.
+/// Every request crosses this, lock-free reads included, so the handle is
+/// resolved — a key string built, the registry locked and searched — once
+/// per op name per connection thread and found in a thread-local table
+/// after that.
+fn observe_rpc_ns(op: &'static str, elapsed: Duration) {
+    thread_local! {
+        static BY_OP: RefCell<HashMap<&'static str, Arc<neptune_obs::Histogram>>> =
+            RefCell::default();
+    }
+    BY_OP.with(|by_op| {
+        let resolve = || {
+            let key = neptune_obs::labeled("neptune_server_rpc_ns", "op", op);
+            neptune_obs::registry().histogram(&key)
+        };
+        by_op
+            .borrow_mut()
+            .entry(op)
+            .or_insert_with(resolve)
+            .observe_duration(elapsed);
+    })
 }
 
 /// [`execute_inner`]/[`execute_batch`] plus instrumentation: one

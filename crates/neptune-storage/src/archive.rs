@@ -35,12 +35,14 @@
 //! persisted skip against the canonical delta chain.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::checksum::crc32;
 use crate::codec::{Decode, Encode, Reader, Writer};
 use crate::delta::Delta;
 use crate::error::{Result, StorageError};
+use crate::sharedvec::SharedVec;
 
 /// Every this-many versions along the backward chain, replay retains a full
 /// materialization in the anchor cache so later checkouts start nearby.
@@ -88,8 +90,8 @@ fn observe_index_usage(hit: bool, max_level: usize) {
         .observe(max_level as u64);
 }
 
-/// Process-wide totals over every live anchor cache. Kept balanced across
-/// insert/evict/clone/drop rather than gated on the obs kill-switch, so
+/// Process-wide totals over every live set of anchor frames. Kept balanced
+/// across insert/evict/copy/drop rather than gated on the obs kill-switch, so
 /// the occupancy gauges never drift when tracing is toggled mid-run and
 /// [`anchor_stats`] answers either way.
 struct AnchorMetrics {
@@ -151,32 +153,121 @@ struct BackEntry {
 /// descent materialized on each level's span grid.
 type PendingBoundaries = [Option<(usize, Arc<[u8]>)>; SKIP_LEVELS];
 
-/// One rung of the skip ladder: applied to the contents of version index
-/// `start + span(level)`, `delta` rebuilds version index `start` directly.
-/// `crc` is the checksum of the target bytes, verified on every application
-/// so a corrupt skip can never change what a checkout returns.
+/// One rung of the skip ladder. A rung lives in grid slot `start / span`
+/// of its level: applied to the contents of version index `start + span`,
+/// `delta` rebuilds version index `start` directly. `crc` is the checksum
+/// of the target bytes, verified on every application so a corrupt skip can
+/// never change what a checkout returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SkipDelta {
-    start: usize,
     crc: u32,
     delta: Delta,
 }
 
-/// Byte-bounded LRU cache of full materializations keyed by entry index.
-#[derive(Debug)]
-struct AnchorCache {
-    frames: BTreeMap<usize, (Arc<[u8]>, u64)>,
-    tick: u64,
+/// The rungs of one ladder level by grid slot, `None` where one is missing
+/// (a migrated v1 store, a rung dropped as corrupt). Shared between the
+/// copies of an archive like the history itself.
+type Rungs = SharedVec<Option<SkipDelta>>;
+
+/// The frames an anchor cache holds: full materializations by entry index,
+/// each stamped with the tick of its last use. Immutable once shared — an
+/// archive and its copies hold the same frames until one of them inserts or
+/// evicts, which copies the map — except for the stamps, which a hit from
+/// any holder refreshes in place. The occupancy gauges count each set of
+/// frames once, from its creation to its last holder's drop.
+#[derive(Debug, Default)]
+struct Frames {
+    map: BTreeMap<usize, (Arc<[u8]>, AtomicU64)>,
     held: usize,
+}
+
+impl Frames {
+    fn insert(&mut self, idx: usize, bytes: Arc<[u8]>, tick: u64) {
+        self.held += bytes.len();
+        let m = anchor_metrics();
+        m.entries.inc();
+        m.bytes.add(bytes.len() as i64);
+        if let Some((old, _)) = self.map.insert(idx, (bytes, AtomicU64::new(tick))) {
+            self.released(&old);
+        }
+    }
+
+    /// Evict least-recently-used frames until at most `target` bytes are
+    /// held or only the most recently used frame is left.
+    fn evict_to(&mut self, target: usize) {
+        let mut by_age: Vec<(u64, usize)> = self
+            .map
+            .iter()
+            .map(|(&idx, (_, used))| (used.load(Ordering::Relaxed), idx))
+            .collect();
+        by_age.sort_unstable();
+        by_age.pop(); // the newest frame always stays
+        for (_, idx) in by_age {
+            if self.held <= target {
+                break;
+            }
+            if let Some((old, _)) = self.map.remove(&idx) {
+                self.released(&old);
+            }
+        }
+    }
+
+    fn retain_below(&mut self, cut: usize) {
+        for (old, _) in self.map.split_off(&cut).into_values() {
+            self.released(&old);
+        }
+    }
+
+    /// Account for one frame that just left `map`.
+    fn released(&mut self, old: &[u8]) {
+        self.held -= old.len();
+        let m = anchor_metrics();
+        m.entries.dec();
+        m.bytes.add(-(old.len() as i64));
+    }
+}
+
+impl Clone for Frames {
+    fn clone(&self) -> Self {
+        // The bytes stay shared; the copy is a set of frames of its own.
+        let m = anchor_metrics();
+        m.entries.add(self.map.len() as i64);
+        m.bytes.add(self.held as i64);
+        let stamped = |(&idx, (bytes, used)): (&usize, &(Arc<[u8]>, AtomicU64))| {
+            let used = AtomicU64::new(used.load(Ordering::Relaxed));
+            (idx, (Arc::clone(bytes), used))
+        };
+        Frames {
+            map: self.map.iter().map(stamped).collect(),
+            held: self.held,
+        }
+    }
+}
+
+impl Drop for Frames {
+    fn drop(&mut self) {
+        let m = anchor_metrics();
+        m.entries.add(-(self.map.len() as i64));
+        m.bytes.add(-(self.held as i64));
+    }
+}
+
+/// Byte-bounded LRU cache of full materializations keyed by entry index.
+/// Cloning one — every commit clones the archive it checks in to — shares
+/// the frames instead of copying them; one that never held a frame, as in
+/// most archives, owns nothing.
+#[derive(Debug, Clone)]
+struct AnchorCache {
+    frames: Option<Arc<Frames>>,
+    tick: u64,
     budget: usize,
 }
 
 impl AnchorCache {
     fn new(budget: usize) -> Self {
         AnchorCache {
-            frames: BTreeMap::new(),
+            frames: None,
             tick: 0,
-            held: 0,
             budget,
         }
     }
@@ -190,8 +281,9 @@ impl AnchorCache {
     /// touched for LRU purposes. An anchor at `idx` itself is an exact hit.
     fn nearest_from(&mut self, idx: usize, max: usize) -> Option<(usize, Arc<[u8]>)> {
         let tick = self.next_tick();
-        let (&key, (bytes, used)) = self.frames.range_mut(idx..=max).next()?;
-        *used = tick;
+        let (&key, (bytes, used)) = self.frames.as_ref()?.map.range(idx..=max).next()?;
+        // A statistic, under the archive's index lock: no ordering needed.
+        used.store(tick, Ordering::Relaxed);
         Some((key, bytes.clone()))
     }
 
@@ -201,90 +293,39 @@ impl AnchorCache {
     /// and a repeated read of any version, however large, is an exact hit.
     fn insert(&mut self, idx: usize, bytes: Arc<[u8]>) {
         let tick = self.next_tick();
-        self.held += bytes.len();
-        let m = anchor_metrics();
-        m.entries.inc();
-        m.bytes.add(bytes.len() as i64);
-        if let Some((old, _)) = self.frames.insert(idx, (bytes, tick)) {
-            self.released(&old);
-        }
-        if self.held > self.budget {
+        let frames = Arc::make_mut(self.frames.get_or_insert_with(Arc::default));
+        frames.insert(idx, bytes, tick);
+        if frames.held > self.budget {
             // Evict past the budget down to a low-water mark: the O(n log n)
             // age sort is then paid once per budget/8 bytes of churn rather
             // than once per insert, which matters when a deep checkout
             // inserts dozens of boundary anchors back to back.
-            self.evict_to(self.budget - self.budget / 8);
+            frames.evict_to(self.budget - self.budget / 8);
         }
-    }
-
-    /// Evict least-recently-used frames until at most `target` bytes are
-    /// held or only the most recently used frame is left.
-    fn evict_to(&mut self, target: usize) {
-        let mut by_age: Vec<(u64, usize)> = self
-            .frames
-            .iter()
-            .map(|(&idx, &(_, used))| (used, idx))
-            .collect();
-        by_age.sort_unstable();
-        by_age.pop(); // the newest frame always stays
-        for (_, idx) in by_age {
-            if self.held <= target {
-                break;
-            }
-            if let Some((old, _)) = self.frames.remove(&idx) {
-                self.released(&old);
-            }
-        }
-    }
-
-    /// Account for one frame that just left `frames`.
-    fn released(&mut self, old: &[u8]) {
-        self.held -= old.len();
-        let m = anchor_metrics();
-        m.entries.dec();
-        m.bytes.add(-(old.len() as i64));
     }
 
     fn retain_below(&mut self, cut: usize) {
-        for (old, _) in self.frames.split_off(&cut).into_values() {
-            self.released(&old);
+        if let Some(frames) = &mut self.frames {
+            if frames.map.range(cut..).next().is_some() {
+                Arc::make_mut(frames).retain_below(cut);
+            }
         }
     }
 
     fn clear(&mut self) {
-        let m = anchor_metrics();
-        m.entries.add(-(self.frames.len() as i64));
-        m.bytes.add(-(self.held as i64));
-        self.frames.clear();
-        self.held = 0;
+        self.frames = None;
+    }
+
+    fn held(&self) -> usize {
+        self.frames.as_ref().map_or(0, |frames| frames.held)
     }
 
     #[cfg(test)]
     fn set_budget(&mut self, budget: usize) {
         self.budget = budget;
-        self.evict_to(budget);
-    }
-}
-
-impl Clone for AnchorCache {
-    fn clone(&self) -> Self {
-        // Frames are Arc'd so cloning is refcount bumps; the gauges count
-        // what each cache instance holds, so a clone adds its share.
-        let m = anchor_metrics();
-        m.entries.add(self.frames.len() as i64);
-        m.bytes.add(self.held as i64);
-        AnchorCache {
-            frames: self.frames.clone(),
-            tick: self.tick,
-            held: self.held,
-            budget: self.budget,
+        if let Some(frames) = &mut self.frames {
+            Arc::make_mut(frames).evict_to(budget);
         }
-    }
-}
-
-impl Drop for AnchorCache {
-    fn drop(&mut self) {
-        self.clear();
     }
 }
 
@@ -293,8 +334,7 @@ impl Drop for AnchorCache {
 /// canonical chain; nothing here may change what a checkout returns.
 #[derive(Debug, Clone)]
 struct ArchiveIndex {
-    /// Skip deltas per level, each sorted by `start`.
-    levels: [Vec<SkipDelta>; SKIP_LEVELS],
+    levels: [Rungs; SKIP_LEVELS],
     anchors: AnchorCache,
 }
 
@@ -307,38 +347,52 @@ impl ArchiveIndex {
     }
 
     fn find_skip(&self, level: usize, start: usize) -> Option<&SkipDelta> {
-        let skips = &self.levels[level];
-        skips
-            .binary_search_by_key(&start, |s| s.start)
-            .ok()
-            .map(|i| &skips[i])
+        self.levels[level].get(start / SKIP_SPANS[level])?.as_ref()
     }
 
-    fn insert_skip(&mut self, level: usize, skip: SkipDelta) {
-        let skips = &mut self.levels[level];
-        if let Err(pos) = skips.binary_search_by_key(&skip.start, |s| s.start) {
-            skips.insert(pos, skip);
+    /// Lay `skip` as the rung rebuilding version index `start`, unless one
+    /// is there already.
+    fn insert_skip(&mut self, level: usize, start: usize, skip: SkipDelta) {
+        let slot = start / SKIP_SPANS[level];
+        let rungs = &mut self.levels[level];
+        while rungs.len() < slot {
+            rungs.push(None);
+        }
+        if slot == rungs.len() {
+            rungs.push(Some(skip));
+        } else if rungs.get(slot).is_some_and(Option::is_none) {
+            rungs.set(slot, Some(skip));
         }
     }
 
     fn remove_skip(&mut self, level: usize, start: usize) {
-        let skips = &mut self.levels[level];
-        if let Ok(pos) = skips.binary_search_by_key(&start, |s| s.start) {
-            skips.remove(pos);
+        let slot = start / SKIP_SPANS[level];
+        if slot < self.levels[level].len() {
+            self.levels[level].set(slot, None);
         }
     }
 
+    /// Every rung of `level` with the version index it rebuilds, in order.
+    fn skips(&self, level: usize) -> impl Iterator<Item = (usize, &SkipDelta)> {
+        let span = SKIP_SPANS[level];
+        self.levels[level]
+            .iter()
+            .enumerate()
+            .filter_map(move |(slot, rung)| Some((slot * span, rung.as_ref()?)))
+    }
+
     fn skip_count(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        (0..SKIP_LEVELS)
+            .map(|level| self.skips(level).count())
+            .sum()
     }
 
     /// Drop skips whose source version no longer exists after the history
     /// was truncated to `len` entries. Surviving skips reference only
     /// versions `0..=len`, which truncation never rewrites.
     fn retain_skips_for_len(&mut self, len: usize) {
-        for (level, skips) in self.levels.iter_mut().enumerate() {
-            let span = SKIP_SPANS[level];
-            skips.retain(|s| s.start + span <= len);
+        for (level, rungs) in self.levels.iter_mut().enumerate() {
+            rungs.truncate(len / SKIP_SPANS[level]);
         }
     }
 }
@@ -353,9 +407,11 @@ pub struct Archive {
     head: Arc<[u8]>,
     /// Check-in time of the head.
     head_time: u64,
-    /// Older versions, most recent last; `entries[i].back_delta` applied to
+    /// Older versions, most recent last; entry `i`'s `back_delta` applied to
     /// version `i+1` (or to the head for the last entry) yields version `i`.
-    entries: Vec<BackEntry>,
+    /// Shared with every copy of this archive: a commit's copy-on-write of
+    /// the node copies no delta.
+    entries: SharedVec<BackEntry>,
     /// Skip ladder plus anchor cache. Derived state — see the module docs.
     /// Interior mutability lets `checkout(&self)` warm anchors and backfill
     /// skips; the mutex keeps `Archive: Sync` so whole graphs can sit
@@ -365,8 +421,8 @@ pub struct Archive {
 
 impl Clone for Archive {
     fn clone(&self) -> Self {
-        // Skips and anchors are Arc'd/owned-small, so cloning the index
-        // keeps context forks warm.
+        // Rungs are shared and anchors are Arc'd, so cloning the index is
+        // cheap and keeps context forks and the writer's copy warm.
         let index = self.lock_index().clone();
         Archive {
             head: self.head.clone(),
@@ -402,7 +458,7 @@ impl Archive {
         Archive {
             head: contents.into(),
             head_time: time,
-            entries: Vec::new(),
+            entries: SharedVec::new(),
             index: Mutex::new(ArchiveIndex::new(DEFAULT_ANCHOR_BUDGET)),
         }
     }
@@ -446,18 +502,13 @@ impl Archive {
                 continue;
             }
             let start = n - span;
-            if self.lock_index().find_skip(level, start).is_some() {
-                continue;
+            if self.lock_index().find_skip(level, start).is_none() {
+                // The head is a boundary of this level, so a walk from it
+                // lays the missing rung on reaching `start` (see
+                // `note_boundary`). Nobody asked to read that version:
+                // leave the anchors to the readers.
+                let _ = self.descend(start, false);
             }
-            let Ok(target) = self.materialize_idx(start) else {
-                continue;
-            };
-            let skip = SkipDelta {
-                start,
-                crc: crc32(&target),
-                delta: Delta::compute(&self.head, &target),
-            };
-            self.lock_index().insert_skip(level, skip);
         }
     }
 
@@ -497,11 +548,18 @@ impl Archive {
         if t == 0 || t >= self.head_time {
             return Ok(self.head_time);
         }
-        match self.entries.binary_search_by_key(&t, |e| e.time) {
-            Ok(_) => Ok(t),
-            Err(0) => Err(StorageError::NoSuchVersion { time: t }),
-            Err(pos) => Ok(self.entries[pos - 1].time),
-        }
+        self.entry_at(t)
+            .map(|idx| self.entry(idx).time)
+            .ok_or(StorageError::NoSuchVersion { time: t })
+    }
+
+    /// Index of the newest entry checked in at or before `t`.
+    fn entry_at(&self, t: u64) -> Option<usize> {
+        self.entries.partition_point(|e| e.time <= t).checked_sub(1)
+    }
+
+    fn entry(&self, idx: usize) -> &BackEntry {
+        self.entries.get(idx).expect("entry index within history")
     }
 
     /// Contents as of logical time `t` (`0` = current).
@@ -515,20 +573,18 @@ impl Archive {
     /// missing ladder rungs (e.g. after migrating a v1 store) are
     /// backfilled from the materializations the walk produces anyway.
     pub fn checkout(&self, t: u64) -> Result<Arc<[u8]>> {
-        let resolved = self.resolve_time(t)?;
-        if resolved == self.head_time {
+        if t == 0 || t >= self.head_time {
             return Ok(self.head.clone());
         }
         let idx = self
-            .entries
-            .binary_search_by_key(&resolved, |e| e.time)
-            .map_err(|_| StorageError::NoSuchVersion { time: t })?;
+            .entry_at(t)
+            .ok_or(StorageError::NoSuchVersion { time: t })?;
         self.materialize_idx(idx)
     }
 
     /// Rebuild the contents of entry index `idx` (`entries.len()` = head).
     fn materialize_idx(&self, idx: usize) -> Result<Arc<[u8]>> {
-        let (bytes, depth, used_index, max_level) = self.materialize_stats(idx)?;
+        let (bytes, depth, used_index, max_level) = self.descend(idx, true)?;
         observe_replay_depth(depth);
         observe_index_usage(used_index, max_level);
         let m = anchor_metrics();
@@ -543,20 +599,26 @@ impl Archive {
 
     /// The hierarchical descent itself, reporting (contents, deltas
     /// applied, whether any anchor or skip served the walk, coarsest ladder
-    /// level used) so callers and tests can observe replay cost.
-    fn materialize_stats(&self, idx: usize) -> Result<(Arc<[u8]>, usize, bool, usize)> {
+    /// level used) so callers and tests can observe replay cost. A `warm`
+    /// walk is a read: it starts from the nearest anchor and leaves anchors
+    /// behind. A walk that is not starts from the head and touches none.
+    fn descend(&self, idx: usize, warm: bool) -> Result<(Arc<[u8]>, usize, bool, usize)> {
         let len = self.entries.len();
         debug_assert!(idx <= len);
         if idx == len {
             return Ok((self.head.clone(), 0, false, 0));
         }
-        let (start_bytes, start_pos, from_anchor) =
-            match self.lock_index().anchors.nearest_from(idx, len) {
-                // Exact anchor hit: zero deltas applied.
-                Some((k, bytes)) if k == idx => return Ok((bytes, 0, true, 0)),
-                Some((k, bytes)) => (bytes, k, true),
-                None => (self.head.clone(), len, false),
-            };
+        let nearest = if warm {
+            self.lock_index().anchors.nearest_from(idx, len)
+        } else {
+            None
+        };
+        let (start_bytes, start_pos, from_anchor) = match nearest {
+            // Exact anchor hit: zero deltas applied.
+            Some((k, bytes)) if k == idx => return Ok((bytes, 0, true, 0)),
+            Some((k, bytes)) => (bytes, k, true),
+            None => (self.head.clone(), len, false),
+        };
         // Per-level source buffers for lazy ladder backfill: the newest
         // materialization this walk produced at a span boundary.
         let mut pending: PendingBoundaries = [None, None, None, None];
@@ -593,7 +655,7 @@ impl Archive {
                 }
             }
             if stepped == 0 {
-                current = self.entries[pos - 1].back_delta.apply(&current)?;
+                current = self.entry(pos - 1).back_delta.apply(&current)?;
                 stepped = 1;
             }
             pos -= stepped;
@@ -601,14 +663,18 @@ impl Archive {
             if pos > idx && pos % KEYFRAME_INTERVAL == 0 {
                 let shared: Arc<[u8]> = Arc::from(&current[..]);
                 self.note_boundary(&mut pending, pos, &shared);
-                self.lock_index().anchors.insert(pos, shared);
+                if warm {
+                    self.lock_index().anchors.insert(pos, shared);
+                }
             }
         }
-        // Keep the version just rebuilt, on the grid or not: the next read
-        // of it is an exact hit, and the caller shares this allocation.
+        // Keep the version just read, on the grid or not: the next read of
+        // it is an exact hit, and the caller shares this allocation.
         let target: Arc<[u8]> = current.into();
         self.note_boundary(&mut pending, idx, &target);
-        self.lock_index().anchors.insert(idx, target.clone());
+        if warm {
+            self.lock_index().anchors.insert(idx, target.clone());
+        }
         Ok((target, depth, from_anchor || max_level > 0, max_level))
     }
 
@@ -625,11 +691,10 @@ impl Archive {
             if let Some((source_pos, source_bytes)) = pending[level].take() {
                 if source_pos == pos + span && self.lock_index().find_skip(level, pos).is_none() {
                     let skip = SkipDelta {
-                        start: pos,
                         crc: crc32(bytes),
                         delta: Delta::compute(&source_bytes, bytes),
                     };
-                    self.lock_index().insert_skip(level, skip);
+                    self.lock_index().insert_skip(level, pos, skip);
                 }
             }
             pending[level] = Some((pos, bytes.clone()));
@@ -641,17 +706,16 @@ impl Archive {
     /// the reference implementation [`Archive::checkout`] must agree with,
     /// and what "cache disabled" means in the scaling benchmarks.
     pub fn checkout_uncached(&self, t: u64) -> Result<Arc<[u8]>> {
-        let resolved = self.resolve_time(t)?;
-        if resolved == self.head_time {
+        if t == 0 || t >= self.head_time {
             return Ok(self.head.clone());
         }
         let idx = self
-            .entries
-            .binary_search_by_key(&resolved, |e| e.time)
-            .map_err(|_| StorageError::NoSuchVersion { time: t })?;
-        observe_replay_depth(self.entries.len() - idx);
+            .entry_at(t)
+            .ok_or(StorageError::NoSuchVersion { time: t })?;
+        let depth = self.entries.len() - idx;
+        observe_replay_depth(depth);
         let mut current = self.head.to_vec();
-        for entry in self.entries[idx..].iter().rev() {
+        for entry in self.entries.iter().rev().take(depth) {
             current = entry.back_delta.apply(&current)?;
         }
         Ok(current.into())
@@ -666,12 +730,12 @@ impl Archive {
         if self.head_time <= t {
             return Ok(());
         }
-        let resolved = self.resolve_time(t)?; // newest surviving version
-        let new_head = self.checkout(resolved)?;
+        // The newest surviving version becomes the head.
         let idx = self
-            .entries
-            .binary_search_by_key(&resolved, |e| e.time)
-            .map_err(|_| StorageError::NoSuchVersion { time: t })?;
+            .entry_at(t)
+            .ok_or(StorageError::NoSuchVersion { time: t })?;
+        let resolved = self.entry(idx).time;
+        let new_head = self.materialize_idx(idx)?;
         self.entries.truncate(idx);
         self.head = new_head;
         self.head_time = resolved;
@@ -684,6 +748,14 @@ impl Archive {
         Ok(())
     }
 
+    /// How many full chunks of this archive's history are the very same
+    /// allocations as `other`'s, out of how many it has. For tests proving
+    /// that a commit's copy of a node shares its history with the view.
+    #[doc(hidden)]
+    pub fn shared_history_chunks(&self, other: &Archive) -> (usize, usize) {
+        self.entries.shared_chunks(&other.entries)
+    }
+
     #[cfg(test)]
     fn set_anchor_budget(&self, budget: usize) {
         self.lock_index().anchors.set_budget(budget);
@@ -691,7 +763,7 @@ impl Archive {
 
     /// Bytes currently held by this archive's anchor cache.
     pub fn anchor_bytes(&self) -> usize {
-        self.lock_index().anchors.held
+        self.lock_index().anchors.held()
     }
 
     /// Drop every cached anchor, forcing the next checkout to be cold.
@@ -740,34 +812,24 @@ impl Archive {
     }
 
     /// Audit the persisted skip ladder against the canonical delta chain:
-    /// every skip must sit on its level's span grid inside the live history,
-    /// apply cleanly to its true source version, match its own checksum, and
-    /// reproduce the exact bytes the unit chain yields at its target. One
-    /// head-to-oldest walk; at most one outstanding buffer per level.
-    /// Returns a description of the first problem.
+    /// every skip must lie inside the live history (the rung grid keeps it
+    /// on its level's span by construction), apply cleanly to its true
+    /// source version, match its own checksum, and reproduce the exact
+    /// bytes the unit chain yields at its target. One head-to-oldest walk;
+    /// at most one outstanding buffer per level. Returns a description of
+    /// the first problem.
     pub fn verify_index(&self) -> std::result::Result<(), String> {
         let ix = self.lock_index();
         let len = self.entries.len();
-        for (level, skips) in ix.levels.iter().enumerate() {
-            let span = SKIP_SPANS[level];
-            let mut prev: Option<usize> = None;
-            for s in skips {
-                if s.start % span != 0 || s.start + span > len {
+        for (level, &span) in SKIP_SPANS.iter().enumerate() {
+            if let Some((start, _)) = ix.skips(level).last() {
+                if start + span > len {
                     return Err(format!(
-                        "level-{} skip at version index {} is off-grid or out of range \
+                        "level-{} skip at version index {start} is out of range \
                          (history has {len} entries)",
-                        level + 1,
-                        s.start
+                        level + 1
                     ));
                 }
-                if prev.is_some_and(|p| p >= s.start) {
-                    return Err(format!(
-                        "level-{} skips unsorted or duplicated at version index {}",
-                        level + 1,
-                        s.start
-                    ));
-                }
-                prev = Some(s.start);
             }
         }
         // (level, target index, bytes the skip produced) — compared when the
@@ -776,14 +838,12 @@ impl Archive {
         let mut current = self.head.to_vec();
         let mut pos = len;
         loop {
-            for (level, skips) in ix.levels.iter().enumerate() {
-                let span = SKIP_SPANS[level];
+            for (level, &span) in SKIP_SPANS.iter().enumerate() {
                 if pos < span || !pos.is_multiple_of(span) {
                     continue;
                 }
                 let start = pos - span;
-                if let Ok(i) = skips.binary_search_by_key(&start, |s| s.start) {
-                    let skip = &skips[i];
+                if let Some(skip) = ix.find_skip(level, start) {
                     let applied = skip.delta.apply(&current).map_err(|e| {
                         format!(
                             "level-{} skip for version index {start} fails to apply: {e}",
@@ -811,15 +871,13 @@ impl Archive {
             if pos == 0 {
                 break;
             }
-            current = self.entries[pos - 1]
-                .back_delta
-                .apply(&current)
-                .map_err(|e| {
-                    format!(
-                        "delta for version at time {} fails to apply: {e}",
-                        self.entries[pos - 1].time
-                    )
-                })?;
+            let entry = self.entry(pos - 1);
+            current = entry.back_delta.apply(&current).map_err(|e| {
+                format!(
+                    "delta for version at time {} fails to apply: {e}",
+                    entry.time
+                )
+            })?;
             pos -= 1;
         }
         Ok(())
@@ -842,10 +900,9 @@ impl Archive {
     /// sublinear cold checkout, reported by the history-depth benchmark.
     pub fn index_bytes(&self) -> u64 {
         let ix = self.lock_index();
-        ix.levels
-            .iter()
-            .flatten()
-            .map(|s| 12 + s.delta.storage_size())
+        (0..SKIP_LEVELS)
+            .flat_map(|level| ix.skips(level))
+            .map(|(_, s)| 12 + s.delta.storage_size())
             .sum()
     }
 
@@ -871,10 +928,10 @@ impl Archive {
         let mut iw = Writer::new();
         let ix = self.lock_index();
         iw.put_u64(SKIP_LEVELS as u64);
-        for skips in ix.levels.iter() {
-            iw.put_u64(skips.len() as u64);
-            for s in skips {
-                iw.put_u64(s.start as u64);
+        for level in 0..SKIP_LEVELS {
+            iw.put_u64(ix.skips(level).count() as u64);
+            for (start, s) in ix.skips(level) {
+                iw.put_u64(start as u64);
                 iw.put_u64(s.crc as u64);
                 s.delta.encode(&mut iw);
             }
@@ -891,8 +948,8 @@ impl Archive {
     pub fn decode_with_index(r: &mut Reader<'_>) -> Result<Self> {
         let archive = Archive::decode(r)?;
         let blob = r.get_bytes()?;
-        if let Some(levels) = decode_index_blob(blob, archive.entries.len()) {
-            archive.lock_index().levels = levels;
+        if let Some(index) = decode_index_blob(blob, archive.entries.len()) {
+            *archive.lock_index() = index;
         }
         Ok(archive)
     }
@@ -900,17 +957,16 @@ impl Archive {
 
 /// Parse a skip-ladder blob, returning `None` — an empty ladder — on any
 /// structural problem: truncated data, trailing garbage, unknown level
-/// layout, off-grid or out-of-range starts, or unsorted entries.
-fn decode_index_blob(blob: &[u8], len: usize) -> Option<[Vec<SkipDelta>; SKIP_LEVELS]> {
+/// layout, off-grid or out-of-range starts, or unsorted entries. The range
+/// check is also what bounds the rung grid built from the blob.
+fn decode_index_blob(blob: &[u8], len: usize) -> Option<ArchiveIndex> {
     let mut r = Reader::new(blob);
     if r.get_u64().ok()? as usize != SKIP_LEVELS {
         return None;
     }
-    let mut levels: [Vec<SkipDelta>; SKIP_LEVELS] = Default::default();
-    for (level, slot) in levels.iter_mut().enumerate() {
-        let span = SKIP_SPANS[level];
+    let mut index = ArchiveIndex::new(DEFAULT_ANCHOR_BUDGET);
+    for (level, &span) in SKIP_SPANS.iter().enumerate() {
         let count = r.get_u64().ok()? as usize;
-        let mut skips = Vec::with_capacity(count.min(r.remaining()));
         let mut prev: Option<usize> = None;
         for _ in 0..count {
             let start = r.get_u64().ok()? as usize;
@@ -923,14 +979,13 @@ fn decode_index_blob(blob: &[u8], len: usize) -> Option<[Vec<SkipDelta>; SKIP_LE
                 return None;
             }
             prev = Some(start);
-            skips.push(SkipDelta { start, crc, delta });
+            index.insert_skip(level, start, SkipDelta { crc, delta });
         }
-        *slot = skips;
     }
     if !r.is_at_end() {
         return None;
     }
-    Some(levels)
+    Some(index)
 }
 
 impl Encode for Archive {
@@ -938,7 +993,7 @@ impl Encode for Archive {
         w.put_bytes(&self.head);
         w.put_u64(self.head_time);
         w.put_u64(self.entries.len() as u64);
-        for e in &self.entries {
+        for e in self.entries.iter() {
             w.put_u64(e.time);
             e.back_delta.encode(w);
         }
@@ -959,7 +1014,7 @@ impl Decode for Archive {
         Ok(Archive {
             head,
             head_time,
-            entries,
+            entries: entries.into(),
             index: Mutex::new(ArchiveIndex::new(DEFAULT_ANCHOR_BUDGET)),
         })
     }
@@ -1131,7 +1186,8 @@ mod tests {
         let mut a = build(64);
         a.checkout(1).unwrap(); // warm anchors along the whole chain
         a.truncate_after(40).unwrap();
-        assert!(a.lock_index().anchors.frames.keys().all(|&k| k < 39));
+        let left = a.lock_index().anchors.frames.clone();
+        assert!(left.is_some_and(|f| f.map.keys().all(|&k| k < 39)));
         // Regrow the history past the cut; the reused entry indices must not
         // resurrect pre-truncation contents.
         for i in 40..64 {
@@ -1181,7 +1237,7 @@ mod tests {
         // 16-grid, ≤15 level-1 rungs to the 256-grid, ≤4 level-2 rungs to
         // zero — logarithmic, nowhere near the 1199 of linear replay.
         a.clear_anchors();
-        let (bytes, depth, used_index, max_level) = a.materialize_stats(0).unwrap();
+        let (bytes, depth, used_index, max_level) = a.descend(0, true).unwrap();
         assert_eq!(&bytes[..], version(0));
         assert!(depth <= 40, "cold replay depth {depth} is not logarithmic");
         assert!(used_index);
@@ -1212,7 +1268,9 @@ mod tests {
         // Sabotage the level-2 rung (spans entries 0..256).
         {
             let mut ix = a.lock_index();
-            ix.levels[1][0].crc ^= 0xDEAD_BEEF;
+            let mut rung = ix.find_skip(1, 0).cloned().unwrap();
+            rung.crc ^= 0xDEAD_BEEF;
+            ix.levels[1].set(0, Some(rung));
         }
         assert!(
             a.verify_index().unwrap_err().contains("checksum"),
@@ -1301,10 +1359,10 @@ mod tests {
             let a = build(100);
             a.set_anchor_budget(budget);
             let one_version = version(37).len();
-            let (first, depth, ..) = a.materialize_stats(37).unwrap();
+            let (first, depth, ..) = a.descend(37, true).unwrap();
             assert_eq!(&first[..], version(37));
             assert!(depth > 0, "the first read replays");
-            let (again, depth, used_index, _) = a.materialize_stats(37).unwrap();
+            let (again, depth, used_index, _) = a.descend(37, true).unwrap();
             assert_eq!(depth, 0, "budget {budget}: second read must apply no delta");
             assert!(used_index);
             assert!(Arc::ptr_eq(&first, &again), "a hit is a refcount bump");

@@ -8,8 +8,10 @@
 //! archive stores the *current* version in full and one backward delta per
 //! older version.
 
+use std::sync::Arc;
+
 use crate::codec::{Decode, Encode, Reader, Writer};
-use crate::diff::{diff_lines, split_lines, HunkKind};
+use crate::diff::{common_line_affixes, diff_lines, split_lines, HunkKind};
 use crate::error::{Result, StorageError};
 
 /// One delta instruction.
@@ -26,70 +28,98 @@ pub enum DeltaOp {
     Add(Vec<u8>),
 }
 
-/// A program that reconstructs a target buffer from a base buffer.
+/// A program that reconstructs a target buffer from a base buffer. The
+/// instruction stream is immutable and shared, so cloning a delta — as a
+/// version history does whenever a commit copies the node it belongs to —
+/// is a refcount bump.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Delta {
-    ops: Vec<DeltaOp>,
+    ops: Arc<[DeltaOp]>,
     target_len: u64,
+}
+
+/// Byte offset of each line start in `data`, plus its total length.
+fn line_offsets(data: &[u8]) -> Vec<usize> {
+    let mut offsets = vec![0];
+    offsets.extend(split_lines(data).iter().scan(0, |end, line| {
+        *end += line.len();
+        Some(*end)
+    }));
+    offsets
+}
+
+/// Append a copy of `base[start..end]`, extending a preceding copy that
+/// ends where this one starts.
+fn push_copy(ops: &mut Vec<DeltaOp>, start: usize, end: usize) {
+    if end == start {
+        return;
+    }
+    let (start, end) = (start as u64, end as u64);
+    if let Some(DeltaOp::Copy { offset, len }) = ops.last_mut() {
+        if *offset + *len == start {
+            *len = end - *offset;
+            return;
+        }
+    }
+    ops.push(DeltaOp::Copy {
+        offset: start,
+        len: end - start,
+    });
 }
 
 impl Delta {
     /// Compute a delta such that `delta.apply(base) == target`.
     ///
-    /// Uses the line-level Myers diff to find shared regions; byte-identical
-    /// runs of lines become `Copy` instructions, novel bytes become `Add`s.
+    /// The whole lines the two buffers share at either end are found by
+    /// comparing bytes and become `Copy` instructions directly; only the
+    /// middle they differ in goes through the line-level Myers diff, where
+    /// byte-identical runs of lines become `Copy`s and novel bytes `Add`s.
+    /// The result is the one a diff over the whole buffers gives, for the
+    /// cost of the part that changed.
     pub fn compute(base: &[u8], target: &[u8]) -> Delta {
-        let hunks = diff_lines(base, target);
-        let base_lines = split_lines(base);
-        let target_lines = split_lines(target);
+        let (prefix, suffix) = common_line_affixes(base, target);
+        Self::compute_between(base, target, prefix, suffix)
+    }
 
-        // Byte offset of each line start, plus total length sentinel.
-        let mut base_offsets = Vec::with_capacity(base_lines.len() + 1);
-        let mut acc = 0u64;
-        for l in &base_lines {
-            base_offsets.push(acc);
-            acc += l.len() as u64;
-        }
-        base_offsets.push(acc);
+    /// The reference [`Delta::compute`] is checked against: Myers over
+    /// every line of both buffers.
+    #[cfg(test)]
+    fn compute_untrimmed(base: &[u8], target: &[u8]) -> Delta {
+        Self::compute_between(base, target, 0, 0)
+    }
+
+    /// Diff the buffers given that their first `prefix` and last `suffix`
+    /// bytes are equal whole lines.
+    fn compute_between(base: &[u8], target: &[u8], prefix: usize, suffix: usize) -> Delta {
+        let mid_base = &base[prefix..base.len() - suffix];
+        let mid_target = &target[prefix..target.len() - suffix];
+        let base_offsets = line_offsets(mid_base);
+        let target_offsets = line_offsets(mid_target);
 
         let mut ops: Vec<DeltaOp> = Vec::new();
-        for h in &hunks {
+        push_copy(&mut ops, 0, prefix);
+        for h in diff_lines(mid_base, mid_target) {
             match h.kind {
-                HunkKind::Equal => {
-                    let start = base_offsets[h.a_range.0];
-                    let end = base_offsets[h.a_range.1];
-                    if end > start {
-                        // Coalesce with a preceding contiguous copy.
-                        if let Some(DeltaOp::Copy { offset, len }) = ops.last_mut() {
-                            if *offset + *len == start {
-                                *len = end - *offset;
-                                continue;
-                            }
-                        }
-                        ops.push(DeltaOp::Copy {
-                            offset: start,
-                            len: end - start,
-                        });
-                    }
-                }
+                HunkKind::Equal => push_copy(
+                    &mut ops,
+                    prefix + base_offsets[h.a_range.0],
+                    prefix + base_offsets[h.a_range.1],
+                ),
                 HunkKind::Insert => {
-                    let mut bytes = Vec::new();
-                    for l in &target_lines[h.b_range.0..h.b_range.1] {
-                        bytes.extend_from_slice(l);
-                    }
-                    if !bytes.is_empty() {
-                        if let Some(DeltaOp::Add(prev)) = ops.last_mut() {
-                            prev.extend_from_slice(&bytes);
-                        } else {
-                            ops.push(DeltaOp::Add(bytes));
-                        }
+                    let bytes =
+                        &mid_target[target_offsets[h.b_range.0]..target_offsets[h.b_range.1]];
+                    if let Some(DeltaOp::Add(prev)) = ops.last_mut() {
+                        prev.extend_from_slice(bytes);
+                    } else if !bytes.is_empty() {
+                        ops.push(DeltaOp::Add(bytes.to_vec()));
                     }
                 }
                 HunkKind::Delete => {}
             }
         }
+        push_copy(&mut ops, base.len() - suffix, base.len());
         Delta {
-            ops,
+            ops: ops.into(),
             target_len: target.len() as u64,
         }
     }
@@ -97,7 +127,7 @@ impl Delta {
     /// Rebuild the target buffer from `base`.
     pub fn apply(&self, base: &[u8]) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(self.target_len as usize);
-        for op in &self.ops {
+        for op in self.ops.iter() {
             match op {
                 DeltaOp::Copy { offset, len } => {
                     let start = *offset as usize;
@@ -157,7 +187,7 @@ impl Encode for Delta {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.target_len);
         w.put_u64(self.ops.len() as u64);
-        for op in &self.ops {
+        for op in self.ops.iter() {
             match op {
                 DeltaOp::Copy { offset, len } => {
                     w.put_u8(0);
@@ -173,27 +203,49 @@ impl Encode for Delta {
     }
 }
 
+impl Decode for DeltaOp {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(match r.get_u8()? {
+            0 => DeltaOp::Copy {
+                offset: r.get_u64()?,
+                len: r.get_u64()?,
+            },
+            1 => DeltaOp::Add(r.get_bytes()?.to_vec()),
+            tag => {
+                return Err(StorageError::InvalidTag {
+                    context: "DeltaOp",
+                    tag: tag as u64,
+                })
+            }
+        })
+    }
+}
+
 impl Decode for Delta {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let target_len = r.get_u64()?;
-        let count = r.get_u64()? as usize;
-        let mut ops = Vec::with_capacity(count.min(r.remaining()));
-        for _ in 0..count {
-            ops.push(match r.get_u8()? {
-                0 => DeltaOp::Copy {
-                    offset: r.get_u64()?,
-                    len: r.get_u64()?,
-                },
-                1 => DeltaOp::Add(r.get_bytes()?.to_vec()),
-                tag => {
-                    return Err(StorageError::InvalidTag {
-                        context: "DeltaOp",
-                        tag: tag as u64,
-                    })
+        // An op takes at least a byte, so a count past the input's end fails
+        // below however far it is clamped; clamping bounds the allocation.
+        let count = (r.get_u64()? as usize).min(r.remaining() + 1);
+        // Straight into the shared slice: a range of known length collects
+        // with one allocation, which a `Result` in the way would hide. The
+        // first error parks here and fills the rest with placeholders.
+        let mut failed = None;
+        let ops: Arc<[DeltaOp]> = (0..count)
+            .map(|_| {
+                if failed.is_none() {
+                    match DeltaOp::decode(r) {
+                        Ok(op) => return op,
+                        Err(e) => failed = Some(e),
+                    }
                 }
-            });
+                DeltaOp::Add(Vec::new())
+            })
+            .collect();
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(Delta { ops, target_len }),
         }
-        Ok(Delta { ops, target_len })
     }
 }
 
@@ -262,7 +314,7 @@ mod tests {
     #[test]
     fn apply_rejects_out_of_range_copy() {
         let d = Delta {
-            ops: vec![DeltaOp::Copy { offset: 10, len: 5 }],
+            ops: vec![DeltaOp::Copy { offset: 10, len: 5 }].into(),
             target_len: 5,
         };
         assert!(matches!(
@@ -277,7 +329,8 @@ mod tests {
             ops: vec![DeltaOp::Copy {
                 offset: u64::MAX,
                 len: u64::MAX,
-            }],
+            }]
+            .into(),
             target_len: 1,
         };
         assert!(d.apply(b"x").is_err());
@@ -292,6 +345,85 @@ mod tests {
             decoded.apply(b"one\ntwo\nthree\n").unwrap(),
             b"one\n2\nthree\nfour\n".to_vec()
         );
+    }
+
+    /// Trimming must change neither what a delta rebuilds nor what it
+    /// costs to store: over every edit shape the result is the delta the
+    /// full-body diff computes.
+    #[test]
+    fn property_trimmed_delta_equals_the_full_body_reference() {
+        use crate::testutil::XorShift;
+
+        fn agree(base: &[u8], target: &[u8], what: &str) {
+            let d = check(base, target);
+            let reference = Delta::compute_untrimmed(base, target);
+            assert!(
+                d.storage_size() <= reference.storage_size(),
+                "{what}: {} bytes trimmed, {} untrimmed",
+                d.storage_size(),
+                reference.storage_size()
+            );
+            assert_eq!(d, reference, "{what}");
+        }
+
+        for seed in 1..=12u64 {
+            let mut rng = XorShift::new(seed);
+            // Line ending per document: LF, CRLF, or none at all (binary).
+            let ending: &[u8] = [&b"\n"[..], b"\r\n", b""][(seed % 3) as usize];
+            let line = |rng: &mut XorShift| {
+                let len = 1 + rng.index(24);
+                let mut l = rng.bytes(len);
+                l.retain(|&c| c != b'\n');
+                l.extend_from_slice(ending);
+                l
+            };
+            let lines: Vec<Vec<u8>> = (0..rng.index(40)).map(|_| line(&mut rng)).collect();
+            let base = lines.concat();
+            agree(&base, &base, "identical");
+            agree(&base, b"", "target empty");
+            agree(b"", &base, "base empty");
+            for round in 0..40 {
+                let mut edited = lines.clone();
+                let at = match round % 4 {
+                    0 => 0,
+                    1 => edited.len() / 2,
+                    2 => edited.len(),
+                    _ => rng.index(edited.len() + 1),
+                };
+                let what = match rng.below(4) {
+                    0 => {
+                        // Pure insert: at the head, middle or tail.
+                        for _ in 0..1 + rng.index(3) {
+                            edited.insert(at, line(&mut rng));
+                        }
+                        "insert"
+                    }
+                    1 if at < edited.len() => {
+                        edited.remove(at);
+                        "delete"
+                    }
+                    2 if at < edited.len() => {
+                        edited[at] = line(&mut rng);
+                        "replace"
+                    }
+                    _ => {
+                        // Several scattered edits, so the middle has
+                        // equal runs of its own.
+                        for _ in 0..3 {
+                            let i = rng.index(edited.len() + 1);
+                            edited.insert(i, line(&mut rng));
+                        }
+                        "scatter"
+                    }
+                };
+                let mut target = edited.concat();
+                if rng.chance(1, 4) && target.ends_with(b"\n") {
+                    target.pop(); // no trailing newline
+                }
+                agree(&base, &target, what);
+                agree(&target, &base, what);
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ mod lines;
 mod myers;
 mod script;
 
+pub(crate) use lines::common_line_affixes;
 pub use lines::{split_lines, Interner};
 pub use myers::diff_tokens;
 pub use script::{differences, hunks, Difference, Hunk, HunkKind};

@@ -151,6 +151,8 @@ impl DirOp {
 struct Plan {
     kind: FaultKind,
     remaining: u64,
+    /// Bytes a `ShortWrite` lets through; half the write when `None`.
+    keep: Option<usize>,
 }
 
 #[derive(Debug, Default)]
@@ -272,6 +274,18 @@ impl FaultVfs {
         self.lock().plan = Some(Plan {
             kind,
             remaining: at,
+            keep: None,
+        });
+    }
+
+    /// Arm a [`FaultKind::ShortWrite`] on the `at`-th append that lets
+    /// exactly `keep` bytes (at most the whole write) reach the file, so a
+    /// test can tear a multi-frame write at a byte of its choosing.
+    pub fn arm_short_write(&self, at: u64, keep: usize) {
+        self.lock().plan = Some(Plan {
+            kind: FaultKind::ShortWrite,
+            remaining: at,
+            keep: Some(keep),
         });
     }
 
@@ -353,13 +367,17 @@ impl FaultVfsFile {
 impl VfsFile for FaultVfsFile {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
         let mut st = self.state.lock().expect("fault vfs poisoned");
+        // Read before `step` consumes the plan it fires.
+        let keep = st.plan.as_ref().and_then(|plan| plan.keep);
         match st.step(OpClass::Append, &self.path)? {
             Step::Go => {}
             Step::Fault(FaultKind::ShortWrite) => {
-                // Half the data reaches the working tree; none of it is
-                // durable until a (never-coming) successful sync.
+                // Part of the data (half, unless the plan says how much)
+                // reaches the working tree; none of it is durable until a
+                // (never-coming) successful sync.
+                let keep = keep.unwrap_or(data.len() / 2);
                 drop(st);
-                self.write_at_end(&data[..data.len() / 2])?;
+                self.write_at_end(&data[..keep.min(data.len())])?;
                 return Err(FaultState::fault_err(
                     FaultKind::ShortWrite,
                     OpClass::Append,

@@ -18,6 +18,8 @@
 //! * [`archive`] — backward-delta version archives (paper §A.2 "archives"),
 //!   with a persisted hierarchical skip ladder and a byte-bounded anchor
 //!   cache making any checkout O(log n) deltas and a repeated one free;
+//! * [`sharedvec`] — the chunked, clone-sharing vector version histories
+//!   are kept in, so copying a node copies no history;
 //! * [`wal`] — a write-ahead log giving transaction durability and
 //!   crash recovery (paper §2.2);
 //! * [`snapshot`] — atomic checksummed state snapshots for checkpointing;
@@ -42,6 +44,7 @@ pub mod delta;
 pub mod diff;
 pub mod error;
 pub mod fault;
+pub mod sharedvec;
 pub mod snapshot;
 pub mod testutil;
 pub mod varint;

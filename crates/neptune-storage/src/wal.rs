@@ -34,6 +34,15 @@
 //! ```text
 //! [ payload_len: u32 LE ][ crc32(payload): u32 LE ][ payload ]
 //! ```
+//!
+//! A transaction reaches the file as **one** write: [`Wal::append_transaction`]
+//! frames its `Begin`, `Op` and `Commit` records back to back in one buffer
+//! and appends that, then syncs once. The write can still be cut short, at
+//! any byte. Recovery needs no new rule for that: a cut inside a frame
+//! leaves a torn final frame, which the scan truncates; a cut on a frame
+//! boundary leaves intact records of a transaction with no `Commit`, which
+//! replay ignores. Either way the transaction is absent and the log is
+//! usable, exactly as when the records were written one at a time.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -41,6 +50,7 @@ use std::path::{Path, PathBuf};
 use crate::checksum::crc32;
 use crate::codec::{read_u32_at, Decode, Encode, Reader, Writer};
 use crate::error::{Result, StorageError};
+use crate::varint;
 use crate::vfs::{StdVfs, Vfs, VfsFile};
 
 /// Magic bytes identifying a Neptune WAL file, version 1.
@@ -158,6 +168,39 @@ pub struct Wal {
     /// a log that has none).
     unfolded: u64,
     poisoned: bool,
+    /// The frames of the write being assembled; kept between appends so a
+    /// commit allocates nothing once the buffer has grown to size.
+    frames: Vec<u8>,
+    /// One `Op` payload being encoded, likewise kept.
+    payload: Writer,
+}
+
+/// Largest write buffer a [`Wal`] keeps for the next commit. A transaction
+/// that needed more (one carrying a whole encoded graph, say) gives its
+/// buffers back instead of pinning them for the life of the log.
+const KEPT_BUFFER_BYTES: usize = 16 * 1024;
+
+/// Frame one record at the end of `frames`: the bytes [`WalRecord`]'s
+/// encoding gives, behind their length and checksum. `write_payload` must
+/// append exactly `payload_len` bytes.
+fn push_frame(
+    frames: &mut Vec<u8>,
+    record: (u64, u64, RecordKind),
+    payload_len: usize,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let (lsn, txn_id, kind) = record;
+    let header = frames.len();
+    frames.extend_from_slice(&[0; 8]);
+    varint::write_u64(frames, lsn);
+    varint::write_u64(frames, txn_id);
+    frames.push(kind.to_tag());
+    varint::write_u64(frames, payload_len as u64);
+    write_payload(frames);
+    let body = &frames[header + 8..];
+    let (len, crc) = (body.len() as u32, crc32(body));
+    frames[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    frames[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 impl Wal {
@@ -186,6 +229,8 @@ impl Wal {
                 next_lsn: 1,
                 unfolded: 0,
                 poisoned: false,
+                frames: Vec::new(),
+                payload: Writer::new(),
             });
         }
 
@@ -211,6 +256,8 @@ impl Wal {
             next_lsn,
             unfolded,
             poisoned: false,
+            frames: Vec::new(),
+            payload: Writer::new(),
         })
     }
 
@@ -309,27 +356,84 @@ impl Wal {
     pub fn append(&mut self, txn_id: u64, kind: RecordKind, payload: Vec<u8>) -> Result<u64> {
         let _span = neptune_obs::span!("storage.wal_append");
         self.guard()?;
+        self.frames.clear();
+        let lsn = self.next_record();
+        push_frame(&mut self.frames, (lsn, txn_id, kind), payload.len(), |f| {
+            f.extend_from_slice(&payload)
+        });
+        self.write_frames()?;
+        Ok(lsn)
+    }
+
+    /// Claim the next LSN for a record about to be framed.
+    fn next_record(&mut self) -> u64 {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         self.unfolded += 1;
-        let record = WalRecord {
-            lsn,
-            txn_id,
-            kind,
-            payload,
-        };
-        let body = record.to_bytes();
-        let mut frame = Vec::with_capacity(body.len() + 8);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        if let Err(e) = self.file.append(&frame) {
-            // The frame may be torn on disk; no further appends until a
+        lsn
+    }
+
+    /// Append the assembled frames to the file in one write.
+    fn write_frames(&mut self) -> Result<()> {
+        if let Err(e) = self.file.append(&self.frames) {
+            // A frame may be torn on disk; no further appends until a
             // reopen rescans and truncates.
             self.poison();
             return Err(e.into());
         }
-        Ok(lsn)
+        Ok(())
+    }
+
+    /// Log a whole transaction and force it to disk: a `Begin` record, one
+    /// `Op` record per item of `ops` (its encoding is the payload) and a
+    /// `Commit` record carrying `commit_payload`, written with a single
+    /// append and made durable by the one sync that follows. Returns the
+    /// commit record's LSN. The bytes are those of the same records
+    /// appended one by one.
+    pub fn append_transaction<T: Encode>(
+        &mut self,
+        txn_id: u64,
+        ops: &[T],
+        commit_payload: &[u8],
+    ) -> Result<u64> {
+        self.guard()?;
+        let commit_lsn = {
+            let _span = neptune_obs::span!("storage.wal_append");
+            self.frames.clear();
+            let lsn = self.next_record();
+            push_frame(
+                &mut self.frames,
+                (lsn, txn_id, RecordKind::Begin),
+                0,
+                |_| {},
+            );
+            for op in ops {
+                self.payload.clear();
+                op.encode(&mut self.payload);
+                let (lsn, payload) = (self.next_record(), &self.payload);
+                push_frame(
+                    &mut self.frames,
+                    (lsn, txn_id, RecordKind::Op),
+                    payload.len(),
+                    |f| payload.for_each_chunk(|chunk| f.extend_from_slice(chunk)),
+                );
+            }
+            let lsn = self.next_record();
+            push_frame(
+                &mut self.frames,
+                (lsn, txn_id, RecordKind::Commit),
+                commit_payload.len(),
+                |f| f.extend_from_slice(commit_payload),
+            );
+            self.write_frames()?;
+            lsn
+        };
+        if self.frames.len() > KEPT_BUFFER_BYTES {
+            self.frames = Vec::new();
+            self.payload = Writer::new();
+        }
+        self.sync()?;
+        Ok(commit_lsn)
     }
 
     /// Append a commit record and force everything to disk.
@@ -743,6 +847,93 @@ mod tests {
         assert_eq!((committed[0].txn_id, committed[0].seq), (1, 0));
         assert_eq!((committed[1].txn_id, committed[1].seq), (2, 42));
         assert_eq!(committed[1].ops, vec![b"new".to_vec()]);
+    }
+
+    /// An op whose encoding is its bytes, part of them spliced by reference
+    /// the way `modifyNode` contents are.
+    struct RawOp(Vec<u8>);
+
+    impl Encode for RawOp {
+        fn encode(&self, w: &mut Writer) {
+            let (inline, shared) = self.0.split_at(self.0.len() / 2);
+            w.put_raw(inline);
+            w.put_bytes_shared(shared.into());
+        }
+    }
+
+    #[test]
+    fn a_transaction_in_one_write_has_the_bytes_of_its_records_written_singly() {
+        use crate::fault::FaultVfs;
+        let dir = tmpdir("txn-bytes");
+        let ops = [RawOp(b"first op".to_vec()), RawOp(vec![7; 300])];
+        let seq = 42u64.to_le_bytes();
+
+        let mut singly = Wal::open(dir.join("singly")).unwrap();
+        singly.append(9, RecordKind::Begin, vec![]).unwrap();
+        for op in &ops {
+            singly.append(9, RecordKind::Op, op.to_bytes()).unwrap();
+        }
+        let lsn = singly.append_commit_with(9, seq.to_vec()).unwrap();
+
+        let vfs = FaultVfs::new();
+        let mut at_once = Wal::open_with(&vfs, dir.join("at-once")).unwrap();
+        vfs.clear_op_log();
+        assert_eq!(at_once.append_transaction(9, &ops, &seq).unwrap(), lsn);
+        assert_eq!(vfs.op_log(), vec!["append at-once", "sync at-once"]);
+        assert_eq!(at_once.next_lsn(), singly.next_lsn());
+        assert!(!at_once.is_folded());
+
+        assert_eq!(
+            std::fs::read(dir.join("at-once")).unwrap(),
+            std::fs::read(dir.join("singly")).unwrap()
+        );
+        let committed = at_once.recover_committed_after(0).unwrap().committed;
+        assert_eq!(committed.len(), 1);
+        assert_eq!((committed[0].txn_id, committed[0].seq), (9, 42));
+        assert_eq!(committed[0].ops, vec![ops[0].to_bytes(), ops[1].to_bytes()]);
+    }
+
+    #[test]
+    fn a_transaction_write_cut_at_any_byte_leaves_no_transaction_and_a_usable_log() {
+        use crate::fault::{FaultKind, FaultVfs};
+        let dir = tmpdir("txn-torn");
+        let ops = [RawOp(b"an op".to_vec()), RawOp(vec![3; 40])];
+        // Measure the write once, then cut a fresh log's at every byte:
+        // inside each frame and exactly on each frame boundary.
+        let whole = {
+            let mut wal = Wal::open(dir.join("whole")).unwrap();
+            wal.append_transaction(1, &ops, &[]).unwrap();
+            std::fs::metadata(dir.join("whole")).unwrap().len() as usize - WAL_MAGIC.len()
+        };
+        for keep in 0..whole {
+            let path = dir.join(format!("cut-{keep}"));
+            let vfs = FaultVfs::new();
+            let mut wal = Wal::open_with(&vfs, &path).unwrap();
+            wal.append_transaction(1, &ops[..1], &[]).unwrap();
+            vfs.arm_short_write(0, keep);
+            assert!(wal.append_transaction(2, &ops, &[]).is_err());
+            assert!(wal.is_poisoned(), "cut at {keep}");
+            assert!(matches!(
+                wal.append_transaction(3, &ops, &[]),
+                Err(StorageError::LogPoisoned)
+            ));
+            drop(wal);
+            let mut wal = Wal::open(&path).unwrap();
+            let committed = wal.recover().unwrap();
+            assert_eq!(committed.len(), 1, "cut at {keep}");
+            assert_eq!(committed[0].0, 1);
+            wal.append_transaction(3, &ops, &[]).unwrap();
+            let ids: Vec<u64> = wal.recover().unwrap().iter().map(|t| t.0).collect();
+            assert_eq!(ids, vec![1, 3], "cut at {keep}");
+        }
+        // A write that fails outright, or never happens, poisons too.
+        for kind in [FaultKind::FailWrite, FaultKind::PowerCut] {
+            let vfs = FaultVfs::new();
+            let mut wal = Wal::open_with(&vfs, dir.join(format!("{kind}"))).unwrap();
+            vfs.arm(kind, 0);
+            assert!(wal.append_transaction(1, &ops, &[]).is_err());
+            assert!(wal.is_poisoned(), "{kind}");
+        }
     }
 
     #[test]
