@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
 
 use crate::metrics::{registry, Counter, Histogram};
 use crate::trace::slow_threshold_ns;
-use crate::trace_tree::{render_trace_json, TraceRecord};
+use crate::trace_tree::{render_trace_json, SpanRecord, TraceRecord};
 
 /// How many most-recent traces are retained regardless of outcome.
 pub const RECENT_CAPACITY: usize = 32;
@@ -72,7 +72,14 @@ impl FlightRecorder {
     }
 
     /// Record a completed trace (called by the trace assembly layer).
-    pub(crate) fn record(&self, mut t: TraceRecord) {
+    ///
+    /// Once the recent ring is full, each new trace evicts the oldest. When
+    /// the recorder holds the only reference to the evicted record (it is
+    /// not also retained as notable, nor held by a dump in progress), the
+    /// new trace moves into that record's allocation instead of a fresh
+    /// `Arc`, and the evicted record's span buffer is returned, emptied,
+    /// for the caller to assemble its next trace in.
+    pub(crate) fn record(&self, mut t: TraceRecord) -> Option<Vec<SpanRecord>> {
         t.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let m = metrics();
         m.recorded.inc();
@@ -80,14 +87,17 @@ impl FlightRecorder {
         m.trace_ns.observe(t.total_ns);
         let threshold = slow_threshold_ns();
         let is_notable = t.error || (threshold != u64::MAX && t.total_ns >= threshold);
-        let t = Arc::new(t);
-        {
+        let (t, evicted) = {
             let mut recent = self.recent.lock().unwrap_or_else(PoisonError::into_inner);
-            if recent.len() >= RECENT_CAPACITY {
-                recent.pop_front();
-            }
+            let oldest = if recent.len() >= RECENT_CAPACITY {
+                recent.pop_front()
+            } else {
+                None
+            };
+            let (t, evicted) = reuse(oldest, t);
             recent.push_back(t.clone());
-        }
+            (t, evicted)
+        };
         if is_notable {
             m.notable.inc();
             let mut notable = self.notable.lock().unwrap_or_else(PoisonError::into_inner);
@@ -96,6 +106,11 @@ impl FlightRecorder {
             }
             notable.push_back(t);
         }
+        evicted.map(|record| {
+            let mut spans = record.spans;
+            spans.clear();
+            spans
+        })
     }
 
     /// Snapshot every retained trace (recent ∪ notable, deduplicated),
@@ -174,6 +189,21 @@ impl FlightRecorder {
     }
 }
 
+/// Wrap `t` for the ring, in `oldest`'s allocation when nothing else holds
+/// it; returns the wrapped trace and the record it displaced, if any.
+fn reuse(
+    oldest: Option<Arc<TraceRecord>>,
+    t: TraceRecord,
+) -> (Arc<TraceRecord>, Option<TraceRecord>) {
+    if let Some(mut slot) = oldest {
+        if let Some(record) = Arc::get_mut(&mut slot) {
+            let evicted = std::mem::replace(record, t);
+            return (slot, Some(evicted));
+        }
+    }
+    (Arc::new(t), None)
+}
+
 /// Serialize the recorder's full contents as one JSON array (the CI dump
 /// artifact format; also what `trace --json` prints without an id).
 pub fn dump_json() -> String {
@@ -228,13 +258,12 @@ pub fn install_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace_tree::SpanRecord;
 
     fn mk(trace_id: u64, total_ns: u64, error: bool) -> TraceRecord {
         TraceRecord {
             trace_id,
             root_name: "test.rec".into(),
-            root_detail: String::new(),
+            root_detail: String::new().into(),
             total_ns,
             error,
             dropped_spans: 0,
@@ -243,7 +272,7 @@ mod tests {
                 span_id: trace_id,
                 parent: None,
                 name: "test.rec".into(),
-                detail: String::new(),
+                detail: String::new().into(),
                 start_ns: 0,
                 duration_ns: total_ns,
             }],
@@ -272,6 +301,33 @@ mod tests {
                 assert!(a.seq < b.seq);
             }
         }
+    }
+
+    #[test]
+    fn eviction_recycles_only_records_nothing_else_holds() {
+        let r = FlightRecorder::new();
+        r.record(mk(0x30, 100, true)); // an error: the notable ring holds it too
+        for i in 1..RECENT_CAPACITY as u64 {
+            assert!(
+                r.record(mk(0x30 + i, 50, false)).is_none(),
+                "ring not full yet"
+            );
+        }
+        // Evicting the error trace from the recent ring leaves it notable.
+        assert!(r.record(mk(0x100, 50, false)).is_none());
+        assert_eq!(r.find(0x30).map(|t| t.error), Some(true));
+        // A trace a dump still holds is not reused either.
+        let held = r.dump();
+        assert!(r.record(mk(0x101, 50, false)).is_none());
+        assert!(held.iter().any(|t| t.trace_id == 0x31));
+        drop(held);
+        // A fast trace nothing else holds: its span buffer comes back empty.
+        let spans = r
+            .record(mk(0x102, 50, false))
+            .expect("evicted record recycled");
+        assert!(spans.is_empty() && spans.capacity() >= 1);
+        assert_eq!(r.find(0x102).map(|t| t.trace_id), Some(0x102));
+        assert!(r.find(0x32).is_none());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! log is armed.
 
 use crate::metrics::{enabled, labeled, registry, Histogram};
+use std::borrow::Cow;
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
@@ -184,7 +185,7 @@ struct SpanInner {
     // the Arc in the static lives forever, and skipping the clone saves
     // two atomic ref-count updates per span on hot paths.
     hist: &'static Histogram,
-    detail: Option<String>,
+    detail: Option<Cow<'static, str>>,
     start: Instant,
     // Present when a trace is active on this thread: the span's slot in
     // the causal tree (see `trace_tree`).
@@ -208,8 +209,13 @@ impl Span {
         let trace = crate::trace_tree::enter_traced_span();
         // Trace records keep the detail too, so an active trace forces the
         // formatting that a subscriber or the slow-op log otherwise would.
+        // A detail without arguments is a static string and is kept by
+        // reference.
         let detail = if trace.is_some() || detail_wanted() {
-            Some(detail.to_string())
+            Some(match detail.as_str() {
+                Some(s) => Cow::Borrowed(s),
+                None => Cow::Owned(detail.to_string()),
+            })
         } else {
             None
         };

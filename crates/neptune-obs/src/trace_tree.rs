@@ -30,6 +30,7 @@
 //! is flushed before the response frame is written, so the client's
 //! finalize always sees it.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -66,9 +67,12 @@ pub struct SpanRecord {
     /// root.
     pub parent: Option<u64>,
     /// Span name (`layer.operation`), or `"note"` for annotations.
-    pub name: String,
-    /// Formatted detail message (may be empty).
-    pub detail: String,
+    /// Borrowed for every span recorded in this process; owned only when
+    /// decoded off the wire.
+    pub name: Cow<'static, str>,
+    /// Formatted detail message (may be empty); borrowed when the detail
+    /// is a static string, such as a request's op name.
+    pub detail: Cow<'static, str>,
     /// Offset of span open relative to the trace's start, in nanoseconds.
     pub start_ns: u64,
     /// How long the span was open (0 for annotations).
@@ -81,9 +85,9 @@ pub struct TraceRecord {
     /// The trace id.
     pub trace_id: u64,
     /// Name of the root span (e.g. `server.rpc`, `shell.command`).
-    pub root_name: String,
+    pub root_name: Cow<'static, str>,
     /// Detail of the root span (e.g. the RPC op name).
-    pub root_detail: String,
+    pub root_detail: Cow<'static, str>,
     /// Wall-clock duration of the root span in nanoseconds.
     pub total_ns: u64,
     /// Whether any participant tagged the trace as failed.
@@ -128,16 +132,19 @@ struct Pending {
 }
 
 impl Pending {
+    /// A pending entry whose span buffer is this thread's spare (see
+    /// [`Spare`]): the thread that creates an entry also finalizes it, and
+    /// finalizing hands a buffer back.
     fn new(base: Instant) -> Pending {
         Pending {
             base,
-            spans: Vec::new(),
+            spans: with_spare(|s| std::mem::take(&mut s.spans)).unwrap_or_default(),
             error: false,
             dropped: 0,
         }
     }
 
-    fn absorb(&mut self, spans: Vec<SpanRecord>, error: bool, dropped: u64) {
+    fn absorb(&mut self, spans: impl IntoIterator<Item = SpanRecord>, error: bool, dropped: u64) {
         for s in spans {
             if self.spans.len() < MAX_SPANS_PER_TRACE {
                 self.spans.push(s);
@@ -178,8 +185,33 @@ struct ThreadTrace {
     dropped: u64,
 }
 
+/// Emptied buffers from this thread's last finished trace, reused by its
+/// next one so a steady stream of requests allocates no trace bookkeeping:
+/// the span stack and closed-span segment of a [`ThreadTrace`], and the
+/// span list of a pending entry this thread created (handed back by the
+/// flight recorder when it recycles an evicted record).
+struct Spare {
+    stack: Vec<u64>,
+    closed: Vec<SpanRecord>,
+    spans: Vec<SpanRecord>,
+}
+
 thread_local! {
     static CURRENT: RefCell<Option<ThreadTrace>> = const { RefCell::new(None) };
+    static SPARE: RefCell<Spare> = const {
+        RefCell::new(Spare {
+            stack: Vec::new(),
+            closed: Vec::new(),
+            spans: Vec::new(),
+        })
+    };
+}
+
+/// Run `f` on this thread's spare buffers; `None` during thread teardown,
+/// once the thread-local is gone (a guard dropped that late simply does
+/// not recycle).
+fn with_spare<R>(f: impl FnOnce(&mut Spare) -> R) -> Option<R> {
+    SPARE.try_with(|s| f(&mut s.borrow_mut())).ok()
 }
 
 fn elapsed_ns(base: Instant) -> u64 {
@@ -214,9 +246,14 @@ pub(crate) fn enter_traced_span() -> Option<SpanHandle> {
 
 /// Close a span opened by [`enter_traced_span`], buffering its record.
 /// Takes the detail by value: the caller already owns the formatted
-/// string, and re-allocating it here showed up in the read-path overhead
-/// budget.
-pub(crate) fn exit_traced_span(h: SpanHandle, name: &str, detail: String, duration: Duration) {
+/// string (or borrows a static one), and re-allocating it here showed up
+/// in the read-path overhead budget.
+pub(crate) fn exit_traced_span(
+    h: SpanHandle,
+    name: &'static str,
+    detail: Cow<'static, str>,
+    duration: Duration,
+) {
     CURRENT.with(|c| {
         let mut cur = c.borrow_mut();
         let Some(t) = cur.as_mut() else { return };
@@ -232,13 +269,17 @@ pub(crate) fn exit_traced_span(h: SpanHandle, name: &str, detail: String, durati
             SpanRecord {
                 span_id: h.span_id,
                 parent: h.parent,
-                name: name.to_string(),
+                name: Cow::Borrowed(name),
                 detail,
                 start_ns: h.start_ns,
-                duration_ns: duration.as_nanos().min(u64::MAX as u128) as u64,
+                duration_ns: duration_ns(duration),
             },
         );
     });
+}
+
+fn duration_ns(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 fn push_closed(t: &mut ThreadTrace, record: SpanRecord) {
@@ -287,8 +328,8 @@ pub fn annotate(detail: impl std::fmt::Display) {
         let record = SpanRecord {
             span_id: next_id(),
             parent,
-            name: "note".to_string(),
-            detail: detail.to_string(),
+            name: Cow::Borrowed("note"),
+            detail: Cow::Owned(detail.to_string()),
             start_ns,
             duration_ns: 0,
         };
@@ -331,20 +372,11 @@ enum RootKind {
 pub struct LocalTrace {
     kind: Option<RootKind>,
     name: &'static str,
-    detail: String,
+    detail: Cow<'static, str>,
     start: Instant,
 }
 
 impl LocalTrace {
-    fn inert(name: &'static str) -> LocalTrace {
-        LocalTrace {
-            kind: None,
-            name,
-            detail: String::new(),
-            start: Instant::now(),
-        }
-    }
-
     /// The context of this root (for linking); `None` when tracing is
     /// disabled.
     pub fn context(&self) -> Option<TraceContext> {
@@ -364,9 +396,18 @@ impl LocalTrace {
     }
 }
 
-fn root_impl(ctx: Option<TraceContext>, name: &'static str, detail: &str) -> LocalTrace {
+fn root_impl(
+    ctx: Option<TraceContext>,
+    name: &'static str,
+    detail: Cow<'static, str>,
+) -> LocalTrace {
     if !enabled() {
-        return LocalTrace::inert(name);
+        return LocalTrace {
+            kind: None,
+            name,
+            detail,
+            start: Instant::now(),
+        };
     }
     let already_active = CURRENT.with(|c| c.borrow().is_some());
     if already_active {
@@ -374,7 +415,7 @@ fn root_impl(ctx: Option<TraceContext>, name: &'static str, detail: &str) -> Loc
         return LocalTrace {
             kind,
             name,
-            detail: detail.to_string(),
+            detail,
             start: Instant::now(),
         };
     }
@@ -408,13 +449,17 @@ fn root_impl(ctx: Option<TraceContext>, name: &'static str, detail: &str) -> Loc
     };
     let root_span = next_id();
     let root_start_ns = elapsed_ns(base);
+    let (mut stack, closed) =
+        with_spare(|s| (std::mem::take(&mut s.stack), std::mem::take(&mut s.closed)))
+            .unwrap_or_default();
+    stack.push(root_span);
     CURRENT.with(|c| {
         *c.borrow_mut() = Some(ThreadTrace {
             trace_id,
             owns,
             base,
-            stack: vec![root_span],
-            closed: Vec::new(),
+            stack,
+            closed,
             error: false,
             dropped: 0,
         });
@@ -427,7 +472,7 @@ fn root_impl(ctx: Option<TraceContext>, name: &'static str, detail: &str) -> Loc
             root_start_ns,
         }),
         name,
-        detail: detail.to_string(),
+        detail,
         start: Instant::now(),
     }
 }
@@ -436,26 +481,25 @@ fn root_impl(ctx: Option<TraceContext>, name: &'static str, detail: &str) -> Loc
 /// caller's [`TraceContext`] when the request carried one, otherwise
 /// originates a fresh trace. The server's connection loop must call this
 /// **exactly once per request** (machine-checked by the `span-parent`
-/// lint).
-pub fn request_root(ctx: Option<TraceContext>, op: &str) -> LocalTrace {
-    root_impl(ctx, "server.rpc", op)
+/// lint). `op` is the request's static name, kept by reference.
+pub fn request_root(ctx: Option<TraceContext>, op: &'static str) -> LocalTrace {
+    root_impl(ctx, "server.rpc", Cow::Borrowed(op))
 }
 
 /// Begin a locally originated trace root on this thread (shell commands,
 /// test harnesses, batch jobs). `name` follows the `layer.operation` span
 /// convention.
 pub fn local_root(name: &'static str, detail: &str) -> LocalTrace {
-    root_impl(None, name, detail)
+    root_impl(None, name, Cow::Owned(detail.to_owned()))
 }
 
 impl Drop for LocalTrace {
     fn drop(&mut self) {
         let Some(kind) = self.kind.take() else { return };
         let dur = self.start.elapsed();
+        let detail = std::mem::take(&mut self.detail);
         match kind {
-            RootKind::Nested(h) => {
-                exit_traced_span(h, self.name, std::mem::take(&mut self.detail), dur)
-            }
+            RootKind::Nested(h) => exit_traced_span(h, self.name, detail, dur),
             RootKind::Thread {
                 trace_id,
                 root_span,
@@ -464,64 +508,76 @@ impl Drop for LocalTrace {
             } => {
                 let taken = CURRENT.with(|c| c.borrow_mut().take());
                 let Some(mut t) = taken else { return };
+                let root = t.owns.then(|| Root {
+                    name: self.name,
+                    detail: detail.clone(),
+                    duration: dur,
+                });
                 push_closed(
                     &mut t,
                     SpanRecord {
                         span_id: root_span,
                         parent: wire_parent,
-                        name: self.name.to_string(),
-                        detail: std::mem::take(&mut self.detail),
+                        name: Cow::Borrowed(self.name),
+                        detail,
                         start_ns: root_start_ns,
-                        duration_ns: dur.as_nanos().min(u64::MAX as u128) as u64,
+                        duration_ns: duration_ns(dur),
                     },
                 );
-                flush_segment(trace_id, t, dur);
+                flush_segment(trace_id, root, t.closed.drain(..), t.error, t.dropped);
+                t.stack.clear();
+                with_spare(|s| {
+                    s.stack = t.stack;
+                    s.closed = t.closed;
+                });
             }
         }
     }
 }
 
-/// Flush a thread's finished segment into the pending table; the owning
-/// segment also finalizes the trace into the flight recorder.
-fn flush_segment(trace_id: u64, t: ThreadTrace, root_dur: Duration) {
-    let owns = t.owns;
-    let error = t.error;
-    let finalized = {
-        let mut sh = pending_shard(trace_id)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if owns {
-            sh.remove(&trace_id).map(|mut p| {
-                p.absorb(t.closed, error, t.dropped);
-                p
-            })
-        } else {
-            if let Some(p) = sh.get_mut(&trace_id) {
-                p.absorb(t.closed, error, t.dropped);
-            }
-            None
+/// The root span of a trace as its finalizing participant knows it.
+struct Root {
+    name: &'static str,
+    detail: Cow<'static, str>,
+    duration: Duration,
+}
+
+/// Flush a participant's finished segment into the pending table. The
+/// owning participant passes its `root` and also finalizes the trace into
+/// the flight recorder, taking back the span buffer the recorder frees.
+fn flush_segment(
+    trace_id: u64,
+    root: Option<Root>,
+    spans: impl IntoIterator<Item = SpanRecord>,
+    error: bool,
+    dropped: u64,
+) {
+    let mut sh = pending_shard(trace_id)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let Some(root) = root else {
+        if let Some(p) = sh.get_mut(&trace_id) {
+            p.absorb(spans, error, dropped);
         }
+        return;
     };
-    if let Some(p) = finalized {
-        // The owner's root span was pushed last by the caller; recover its
-        // name/detail for the summary line.
-        let (root_name, root_detail) = p
-            .spans
-            .iter()
-            .rev()
-            .find(|s| s.parent.is_none() || !p.spans.iter().any(|o| Some(o.span_id) == s.parent))
-            .map(|s| (s.name.clone(), s.detail.clone()))
-            .unwrap_or_default();
-        crate::recorder::recorder().record(TraceRecord {
-            trace_id,
-            root_name,
-            root_detail,
-            total_ns: root_dur.as_nanos().min(u64::MAX as u128) as u64,
-            error: p.error,
-            dropped_spans: p.dropped,
-            seq: 0,
-            spans: p.spans,
-        });
+    let Some(mut p) = sh.remove(&trace_id) else {
+        return;
+    };
+    drop(sh);
+    p.absorb(spans, error, dropped);
+    let recycled = crate::recorder::recorder().record(TraceRecord {
+        trace_id,
+        root_name: Cow::Borrowed(root.name),
+        root_detail: root.detail,
+        total_ns: duration_ns(root.duration),
+        error: p.error,
+        dropped_spans: p.dropped,
+        seq: 0,
+        spans: p.spans,
+    });
+    if let Some(spans) = recycled {
+        with_spare(|s| s.spans = spans);
     }
 }
 
@@ -555,20 +611,20 @@ enum WireKind {
 pub struct WireScope {
     kind: Option<WireKind>,
     name: &'static str,
-    detail: String,
+    detail: &'static str,
     start: Instant,
 }
 
 /// Open a client-side scope for a wire request named `name` (e.g.
-/// `client.call`) with `detail` (e.g. the RPC op). If a trace is already
-/// active on this thread the request joins it; otherwise a fresh detached
-/// trace is originated.
-pub fn wire_scope(name: &'static str, detail: &str) -> WireScope {
+/// `client.call`) with `detail` (e.g. the RPC op's static name). If a
+/// trace is already active on this thread the request joins it; otherwise
+/// a fresh detached trace is originated.
+pub fn wire_scope(name: &'static str, detail: &'static str) -> WireScope {
     if !enabled() {
         return WireScope {
             kind: None,
             name,
-            detail: String::new(),
+            detail,
             start: Instant::now(),
         };
     }
@@ -600,7 +656,7 @@ pub fn wire_scope(name: &'static str, detail: &str) -> WireScope {
     WireScope {
         kind,
         name,
-        detail: detail.to_string(),
+        detail,
         start: Instant::now(),
     }
 }
@@ -654,10 +710,10 @@ impl Drop for WireScope {
                 let mut record = Some(SpanRecord {
                     span_id,
                     parent,
-                    name: self.name.to_string(),
-                    detail: std::mem::take(&mut self.detail),
+                    name: Cow::Borrowed(self.name),
+                    detail: Cow::Borrowed(self.detail),
                     start_ns,
-                    duration_ns: dur.as_nanos().min(u64::MAX as u128) as u64,
+                    duration_ns: duration_ns(dur),
                 });
                 let pushed = CURRENT.with(|c| {
                     let mut cur = c.borrow_mut();
@@ -675,14 +731,7 @@ impl Drop for WireScope {
                     // The scope outlived its root on this thread: absorb
                     // straight into the pending table while the trace is
                     // still open elsewhere (dropped silently otherwise).
-                    if let Some(r) = record.take() {
-                        let mut sh = pending_shard(trace_id)
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        if let Some(p) = sh.get_mut(&trace_id) {
-                            p.absorb(vec![r], false, 0);
-                        }
-                    }
+                    flush_segment(trace_id, None, record, false, 0);
                 }
             }
             WireKind::Detached {
@@ -693,21 +742,17 @@ impl Drop for WireScope {
                 let record = SpanRecord {
                     span_id,
                     parent: None,
-                    name: self.name.to_string(),
-                    detail: std::mem::take(&mut self.detail),
+                    name: Cow::Borrowed(self.name),
+                    detail: Cow::Borrowed(self.detail),
                     start_ns: 0,
-                    duration_ns: dur.as_nanos().min(u64::MAX as u128) as u64,
+                    duration_ns: duration_ns(dur),
                 };
-                let t = ThreadTrace {
-                    trace_id,
-                    owns: true,
-                    base: self.start,
-                    stack: Vec::new(),
-                    closed: vec![record],
-                    error,
-                    dropped: 0,
+                let root = Root {
+                    name: self.name,
+                    detail: Cow::Borrowed(self.detail),
+                    duration: dur,
                 };
-                flush_segment(trace_id, t, dur);
+                flush_segment(trace_id, Some(root), Some(record), error, 0);
             }
         }
     }
@@ -1084,7 +1129,7 @@ mod tests {
         let t = TraceRecord {
             trace_id: 1,
             root_name: "x".into(),
-            root_detail: String::new(),
+            root_detail: String::new().into(),
             total_ns: 10,
             error: false,
             dropped_spans: 0,
@@ -1094,7 +1139,7 @@ mod tests {
                     span_id: 1,
                     parent: Some(2),
                     name: "a".into(),
-                    detail: String::new(),
+                    detail: String::new().into(),
                     start_ns: 0,
                     duration_ns: 5,
                 },
@@ -1102,7 +1147,7 @@ mod tests {
                     span_id: 2,
                     parent: Some(1),
                     name: "b".into(),
-                    detail: String::new(),
+                    detail: String::new().into(),
                     start_ns: 1,
                     duration_ns: 5,
                 },

@@ -6,6 +6,7 @@
 //! exclusive write access on the server until commit/abort.
 
 use std::fmt;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use neptune_ham::context::{ConflictPolicy, MergeReport};
@@ -18,7 +19,7 @@ use neptune_ham::types::{
 use neptune_ham::value::Value;
 use neptune_storage::diff::Difference;
 
-use crate::frame::FrameBuf;
+use crate::frame::{self, FrameBuf};
 use crate::proto::{ObsSetting, Request, Response, TracedRequest};
 
 /// Client-side errors.
@@ -60,14 +61,15 @@ pub type Result<T> = std::result::Result<T, ClientError>;
 
 /// A connection to a Neptune server.
 ///
-/// The socket is split into a read half and a buffered write half so
-/// requests can be pipelined: [`Client::pipeline`] queues N frames, flushes
-/// once, then drains N responses — amortizing syscall and round-trip cost.
+/// The socket is split into a buffered read half (a small response costs
+/// one `recv`) and a buffered write half so requests can be pipelined:
+/// [`Client::pipeline`] queues N frames, flushes once, then drains N
+/// responses — amortizing syscall and round-trip cost.
 /// [`Client::batch`] goes further and ships the N requests as one
 /// `Request::Batch` frame the server executes under a single lock
 /// acquisition.
 pub struct Client {
-    reader: TcpStream,
+    reader: BufReader<TcpStream>,
     writer: std::io::BufWriter<TcpStream>,
     frames: FrameBuf,
 }
@@ -96,7 +98,7 @@ impl Client {
         stream.set_nodelay(true).ok();
         let writer = std::io::BufWriter::new(stream.try_clone()?);
         Ok(Client {
-            reader: stream,
+            reader: BufReader::with_capacity(frame::READ_BUFFER, stream),
             writer,
             frames: FrameBuf::new(),
         })

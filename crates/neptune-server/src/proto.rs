@@ -1431,8 +1431,8 @@ fn decode_span_record(r: &mut Reader<'_>) -> StorageResult<SpanRecord> {
         } else {
             None
         },
-        name: r.get_str()?.to_owned(),
-        detail: r.get_str()?.to_owned(),
+        name: r.get_str()?.to_owned().into(),
+        detail: r.get_str()?.to_owned().into(),
         start_ns: r.get_u64()?,
         duration_ns: r.get_u64()?,
     })
@@ -1454,8 +1454,8 @@ fn encode_trace_record(t: &TraceRecord, w: &mut Writer) {
 
 fn decode_trace_record(r: &mut Reader<'_>) -> StorageResult<TraceRecord> {
     let trace_id = r.get_u64()?;
-    let root_name = r.get_str()?.to_owned();
-    let root_detail = r.get_str()?.to_owned();
+    let root_name = r.get_str()?.to_owned().into();
+    let root_detail = r.get_str()?.to_owned().into();
     let total_ns = r.get_u64()?;
     let error = r.get_bool()?;
     let dropped_spans = r.get_u64()?;

@@ -42,10 +42,11 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,8 +55,35 @@ use neptune_ham::types::Time;
 use neptune_ham::{CommittedView, Ham, MultiView, ShardedHam};
 use neptune_obs::lockcheck;
 
-use crate::frame::FrameBuf;
+use crate::frame::{self, FrameBuf};
 use crate::proto::{ObsSetting, Request, Response, TracedRequest};
+
+/// Bump the registry counter named by a literal (no-op when instrumentation
+/// is disabled). The handle is resolved once per call site into a static,
+/// so a count on the lock-free read path is one relaxed atomic add rather
+/// than a registry lock and a string-keyed map search.
+macro_rules! count {
+    ($key:literal) => {{
+        static HANDLE: OnceLock<Arc<neptune_obs::Counter>> = OnceLock::new();
+        if neptune_obs::enabled() {
+            HANDLE
+                .get_or_init(|| neptune_obs::registry().counter($key))
+                .inc();
+        }
+    }};
+}
+
+/// Hold the registry gauge named by a literal up by one for the returned
+/// guard's lifetime (`None` when instrumentation is disabled); the handle
+/// is resolved once per call site, as `count!` does.
+macro_rules! scoped_gauge {
+    ($key:literal) => {{
+        static HANDLE: OnceLock<Arc<neptune_obs::Gauge>> = OnceLock::new();
+        neptune_obs::enabled().then(|| {
+            neptune_obs::Gauge::scoped(HANDLE.get_or_init(|| neptune_obs::registry().gauge($key)))
+        })
+    }};
+}
 
 /// How long a client waits for another client's transaction before its
 /// request fails with a lock-timeout error. This is a fixed deadline: the
@@ -108,7 +136,7 @@ impl Shared {
         // Rank-check before blocking: an inversion should panic at this
         // call site, not deadlock inside `lock()`.
         let held = lockcheck::acquire(lockcheck::GATE, "server.gate");
-        count("neptune_server_gate_acquisitions_total");
+        count!("neptune_server_gate_acquisitions_total");
         GateGuard {
             guard: self.gate.lock().unwrap_or_else(PoisonError::into_inner),
             held,
@@ -289,7 +317,7 @@ pub fn serve_sharded_with(
                             shared: conn_shared.clone(),
                             conn_id: id,
                         };
-                        let _conns = scoped_gauge("neptune_server_active_connections");
+                        let _conns = scoped_gauge!("neptune_server_active_connections");
                         record_peak_connections();
                         let _ = handle_connection(stream, id, conn_shared);
                     }));
@@ -318,15 +346,18 @@ fn handle_connection(
     shared: Arc<Shared>,
 ) -> neptune_storage::error::Result<()> {
     stream.set_nodelay(true).ok();
-    // Reads poll with a timeout so connection threads notice shutdown.
+    // Reads poll with a timeout so connection threads notice shutdown. A
+    // timeout that fires mid-frame is harmless: the frame reader keeps the
+    // bytes it has and resumes on the next pass (see `frame`).
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .ok();
     // Per-connection reusable framing buffers: steady state is
     // allocation-free, and every frame's wire size feeds the
-    // `neptune_server_bytes_{in,out}_total` counters. Responses go through
-    // a buffered writer so header + payload chunks coalesce into one
-    // syscall.
+    // `neptune_server_bytes_{in,out}_total` counters. Requests come through
+    // a read buffer so a small frame costs one `recv`, and responses go
+    // through a buffered writer so header + payload chunks coalesce into
+    // one syscall.
     let mut frames = if neptune_obs::enabled() {
         let registry = neptune_obs::registry();
         FrameBuf::with_counters(
@@ -337,7 +368,7 @@ fn handle_connection(
         FrameBuf::new()
     };
     let mut writer = std::io::BufWriter::new(stream.try_clone()?);
-    let mut reader = stream;
+    let mut reader = BufReader::with_capacity(frame::READ_BUFFER, stream);
     let mut conn = ConnState { owns_txn: false };
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -366,24 +397,6 @@ fn handle_connection(
         // reading the response always sees the server's spans.
         let response = execute(&shared, conn_id, &mut conn, request);
         frames.write_frame(&mut writer, &response)?;
-    }
-}
-
-/// Hold a named registry gauge up by one for the returned guard's lifetime
-/// (no-op when instrumentation is disabled).
-fn scoped_gauge(key: &'static str) -> Option<neptune_obs::GaugeGuard> {
-    if neptune_obs::enabled() {
-        Some(neptune_obs::Gauge::scoped(
-            &neptune_obs::registry().gauge(key),
-        ))
-    } else {
-        None
-    }
-}
-
-fn count(key: &'static str) {
-    if neptune_obs::enabled() {
-        neptune_obs::registry().counter(key).inc();
     }
 }
 
@@ -502,7 +515,7 @@ fn wait_for_gate<'a>(
         while gate.txn_owner.is_some() && gate.txn_owner != Some(conn_id) {
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 observe_gate_wait(wait_start.elapsed());
-                count("neptune_server_lock_timeouts_total");
+                count!("neptune_server_lock_timeouts_total");
                 return Err(Box::new(Response::Error(
                     "timed out waiting for another client's transaction".into(),
                 )));
@@ -555,7 +568,7 @@ fn execute_batch(
         // either entirely visible or entirely absent, and there is no
         // gate, no shard lock, and no waiting on a foreign transaction.
         let mv = shared.load_multi_view();
-        let inflight = scoped_gauge("neptune_server_read_ops_inflight");
+        let inflight = scoped_gauge!("neptune_server_read_ops_inflight");
         let mut responses = Vec::with_capacity(elements.len());
         let mut bounced = false;
         for element in &elements {
@@ -571,7 +584,7 @@ fn execute_batch(
             };
             match served {
                 Ok(response) => {
-                    count("neptune_server_reads_lockfree_total");
+                    count!("neptune_server_reads_lockfree_total");
                     observe_rpc(op, start.elapsed(), &response);
                     responses.push(response);
                 }
@@ -588,7 +601,7 @@ fn execute_batch(
             return Response::Batch(responses);
         }
         drop(inflight);
-        count("neptune_server_read_bounces_total");
+        count!("neptune_server_read_bounces_total");
     }
     // Exclusive path: one gate wait and one writer registration amortized
     // over the whole batch — no explicit transaction can begin until every
@@ -599,7 +612,7 @@ fn execute_batch(
         Ok(gate) => gate,
         Err(response) => return *response,
     };
-    let _inflight = scoped_gauge("neptune_server_exclusive_ops_inflight");
+    let _inflight = scoped_gauge!("neptune_server_exclusive_ops_inflight");
     gate.active_writers += 1;
     drop(gate);
     let _writer = ActiveWriter { shared };
@@ -637,7 +650,7 @@ fn execute_inner(
 ) -> Response {
     let mut request = request;
     if request.is_read_only() && !conn.owns_txn {
-        let inflight = scoped_gauge("neptune_server_read_ops_inflight");
+        let inflight = scoped_gauge!("neptune_server_read_ops_inflight");
         let served = match request.context_id() {
             Some(context) => {
                 // Context-scoped read: one lock-free load of the home
@@ -654,13 +667,13 @@ fn execute_inner(
         };
         match served {
             Ok(response) => {
-                count("neptune_server_reads_lockfree_total");
+                count!("neptune_server_reads_lockfree_total");
                 return response;
             }
             Err(bounced) => {
                 // A nodeOpened demon must fire: retry on the write path.
                 drop(inflight);
-                count("neptune_server_read_bounces_total");
+                count!("neptune_server_read_bounces_total");
                 request = bounced;
             }
         }
@@ -687,7 +700,7 @@ fn execute_inner(
                     }
                     drop(gate);
                     shared.txn_released.notify_all();
-                    count("neptune_server_lock_timeouts_total");
+                    count!("neptune_server_lock_timeouts_total");
                     return Response::Error(
                         "timed out waiting for in-flight writes to drain".into(),
                     );
@@ -739,7 +752,7 @@ fn execute_inner(
     // on disjoint shards validate, WAL-append, and publish concurrently.
     // The registration is what BeginTransaction drains, preserving an
     // explicit transaction's exclusivity without serializing everyone else.
-    let _inflight = scoped_gauge("neptune_server_exclusive_ops_inflight");
+    let _inflight = scoped_gauge!("neptune_server_exclusive_ops_inflight");
     gate.active_writers += 1;
     drop(gate);
     let _writer = ActiveWriter { shared };
