@@ -12,20 +12,27 @@ cargo clippy --workspace --all-targets -- -D warnings
 # exceptions with `// neptune-lint: allow(rule): reason`.
 cargo run -q -p neptune-lint
 
-# Tier-1 gate: release build plus the whole workspace test suite. The
-# flight-recorder dump path is exported for the whole gate: any test that
-# installs the panic hook (the fault sweep does) writes the last traces to
-# TRACE_dump.json on failure, which CI uploads as an artifact.
+# Tier-1 gate: release build plus the whole workspace test suite (the
+# root manifest's default-members is every crate, so plain `cargo test`
+# runs them all). The flight-recorder dump path is exported for the whole
+# gate: any test that installs the panic hook (the fault sweep does)
+# writes the last traces to TRACE_dump.json on failure, which CI uploads
+# as an artifact.
 NEPTUNE_TRACE_DUMP="$PWD/TRACE_dump.json"
 export NEPTUNE_TRACE_DUMP
 cargo build --release
-cargo test --workspace
+cargo test
 
 # The commit-path invariant hooks only exist under this feature; run the
-# neptune-ham suite with them armed so a violated invariant fails CI, and
-# the root test of what a commit shares with the view before it: the
-# shared history must also be history the invariant rules accept.
-cargo test -p neptune-ham --features strict-invariants --lib
+# neptune-ham suite with them armed so a violated invariant fails CI —
+# the unit tests, and the integration tests that abort and fail commits
+# (begin_transaction then asserts every live context thread is the
+# published view's, the precondition an abort restores from) — and the
+# root test of what a commit shares with the view before it: the shared
+# history must also be history the invariant rules accept.
+cargo test -p neptune-ham --features strict-invariants --lib \
+    --test snapshot_view --test failure_injection --test properties \
+    --test sharded_checkpoint
 cargo test --features neptune-ham/strict-invariants --test history_sharing
 
 # Fault-injection sweep, second seed. The workspace run above already

@@ -78,14 +78,6 @@ impl AttributeTable {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
-
-    /// Drop names created after `time` (transaction rollback).
-    pub fn truncate_after(&mut self, time: Time) {
-        let keep = self.names.partition_point(|(_, created)| *created <= time);
-        for (name, _) in self.names.drain(keep..) {
-            self.by_name.remove(&name);
-        }
-    }
 }
 
 impl Encode for AttributeTable {
@@ -210,14 +202,6 @@ impl AttrMap {
     /// Every attribute's full versioned history, for integrity checking.
     pub fn histories(&self) -> impl Iterator<Item = (AttributeIndex, &Versioned<Value>)> {
         self.values.iter().map(|(idx, v)| (*idx, v))
-    }
-
-    /// Roll back changes after `time`.
-    pub fn truncate_after(&mut self, time: Time) {
-        self.values.retain(|_, v| {
-            v.truncate_after(time);
-            !v.is_empty()
-        });
     }
 
     /// Number of attributes that ever had a value.
@@ -466,20 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn table_truncate_rolls_back_interning() {
-        let mut t = AttributeTable::new();
-        let early = t.intern("early", Time(1));
-        t.intern("late", Time(10));
-        t.truncate_after(Time(5));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.lookup("late"), None);
-        // Re-interning after rollback reuses the freed index slot.
-        let again = t.intern("late2", Time(6));
-        assert_eq!(again, AttributeIndex(1));
-        assert_eq!(t.lookup("early"), Some(early));
-    }
-
-    #[test]
     fn table_codec_roundtrip() {
         let mut t = AttributeTable::new();
         t.intern("a", Time(1));
@@ -519,21 +489,6 @@ mod tests {
         assert_eq!(m.all_at(Time(1)).len(), 1);
         assert_eq!(m.all_at(Time(5)).len(), 2);
         assert_eq!(m.all_at(Time::CURRENT).len(), 2);
-    }
-
-    #[test]
-    fn attrmap_truncate_after() {
-        let mut m = AttrMap::new();
-        m.set(AttributeIndex(0), Value::str("keep"), Time(1));
-        m.set(AttributeIndex(0), Value::str("drop"), Time(9));
-        m.set(AttributeIndex(1), Value::str("drop-entirely"), Time(8));
-        m.truncate_after(Time(5));
-        assert_eq!(
-            m.get(AttributeIndex(0), Time::CURRENT),
-            Some(&Value::str("keep"))
-        );
-        assert_eq!(m.get(AttributeIndex(1), Time::CURRENT), None);
-        assert_eq!(m.len(), 1);
     }
 
     #[test]

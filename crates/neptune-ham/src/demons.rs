@@ -263,14 +263,6 @@ impl DemonTable {
         self.slots.iter().map(|(e, v)| (*e, v))
     }
 
-    /// Roll back changes after `time`.
-    pub fn truncate_after(&mut self, time: Time) {
-        self.slots.retain(|_, v| {
-            v.truncate_after(time);
-            !v.is_empty()
-        });
-    }
-
     /// Whether no demon was ever set.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
@@ -412,14 +404,12 @@ mod tests {
     }
 
     #[test]
-    fn table_all_at_and_truncate() {
+    fn table_all_at() {
         let mut t = DemonTable::new();
         t.set(Event::NodeAdded, Some(DemonSpec::notify("a", "x")), Time(1));
         t.set(Event::LinkAdded, Some(DemonSpec::notify("b", "y")), Time(6));
         assert_eq!(t.all_at(Time(1)).len(), 1);
         assert_eq!(t.all_at(Time::CURRENT).len(), 2);
-        t.truncate_after(Time(3));
-        assert_eq!(t.all_at(Time::CURRENT).len(), 1);
     }
 
     #[test]

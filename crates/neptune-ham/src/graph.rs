@@ -482,7 +482,7 @@ impl HamGraph {
         }
     }
 
-    // ----- graph versions & rollback -----
+    // ----- graph versions -----
 
     /// Record a graph-level version entry.
     pub fn record_graph_version(&mut self, time: Time, explanation: &str) {
@@ -492,28 +492,6 @@ impl HamGraph {
     /// The graph's version history.
     pub fn graph_versions(&self) -> &[Version] {
         &self.graph_versions
-    }
-
-    /// Roll back the entire graph to logical time `time`, discarding all
-    /// newer state. This is the abort primitive: transactions remember
-    /// their start time and truncate on rollback.
-    pub fn truncate_after(&mut self, time: Time) {
-        self.nodes.retain(|_, n| n.truncate_after(time));
-        self.links.retain(|_, l| l.truncate_after(time));
-        // Remove dangling incidence entries for links dropped above.
-        let live_links: std::collections::HashSet<LinkIndex> =
-            self.links.keys().map(LinkIndex).collect();
-        self.nodes.for_each_mut(|_, n| {
-            n.incident_links.retain(|l| live_links.contains(l));
-        });
-        Arc::make_mut(&mut self.attr_table).truncate_after(time);
-        Arc::make_mut(&mut self.graph_demons).truncate_after(time);
-        Arc::make_mut(&mut self.graph_versions).retain(|v| v.time <= time);
-        self.clock = time.0;
-        self.next_node = self.nodes.keys().map(|n| n + 1).max().unwrap_or(1);
-        self.next_link = self.links.keys().map(|l| l + 1).max().unwrap_or(1);
-        Arc::make_mut(&mut self.temporal_index).truncate_after(time);
-        self.rebuild_value_index();
     }
 
     /// Rebuild the derived value index from canonical state.
@@ -751,39 +729,6 @@ mod tests {
             g.set_node_attr(a, AttributeIndex(42), Value::Int(1)),
             Err(HamError::NoSuchAttribute(_))
         ));
-    }
-
-    #[test]
-    fn truncate_after_rolls_back_everything() {
-        let (mut g, a, _b) = graph_with_two_nodes();
-        let doc = g.attribute_index("document");
-        g.set_node_attr(a, doc, Value::str("keep")).unwrap();
-        let checkpoint = g.now();
-
-        // Post-checkpoint changes to discard:
-        let (c, _) = g.add_node(true);
-        let (l, _) = g
-            .add_link(LinkPt::current(a, 0), LinkPt::current(c, 0))
-            .unwrap();
-        g.set_node_attr(a, doc, Value::str("drop")).unwrap();
-        let late_attr = g.attribute_index("late");
-        g.set_node_attr(c, late_attr, Value::Int(1)).unwrap();
-
-        g.truncate_after(checkpoint);
-        assert!(g.node(c).is_err());
-        assert!(g.link(l).is_err());
-        assert_eq!(
-            g.node(a).unwrap().attrs.get(doc, Time::CURRENT),
-            Some(&Value::str("keep"))
-        );
-        assert!(g.attr_table.lookup("late").is_none());
-        assert_eq!(g.now(), checkpoint);
-        // Index rebuilt consistently.
-        assert_eq!(g.value_index().lookup(doc, &Value::str("keep")).len(), 1);
-        assert!(g.value_index().lookup(doc, &Value::str("drop")).is_empty());
-        // Ids are reusable after rollback.
-        let (c2, _) = g.add_node(true);
-        assert_eq!(c2, c);
     }
 
     #[test]

@@ -108,7 +108,8 @@ pub struct Ham {
     in_demon: bool,
     replaying: bool,
     /// Publication point for committed snapshots: refreshed at every
-    /// commit and rollback, loaded lock-free by snapshot readers.
+    /// commit, loaded lock-free by snapshot readers, and what an abort
+    /// restores the machine from.
     published: Arc<Published<CommittedView>>,
     /// Epoch stamped into the next published view (monotonic from 1).
     view_epoch: u64,
@@ -360,7 +361,6 @@ impl Ham {
     ) -> Result<(NodeIndex, Time)> {
         let _span = neptune_obs::span!("ham.add_node", "context {}", context.0);
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             let (id, time) = ham.graph_mut(context)?.add_node(keep_history);
             ham.push_redo(RedoOp::AddNode {
                 context,
@@ -381,7 +381,6 @@ impl Ham {
     pub fn delete_node(&mut self, context: ContextId, node: NodeIndex) -> Result<()> {
         let _span = neptune_obs::span!("ham.delete_node", "context {} node {}", context.0, node.0);
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             let time = ham.graph_mut(context)?.delete_node(node)?;
             ham.push_redo(RedoOp::DeleteNode {
                 context,
@@ -406,7 +405,6 @@ impl Ham {
     ) -> Result<(LinkIndex, Time)> {
         let _span = neptune_obs::span!("ham.add_link", "context {}", context.0);
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             let (id, time) = ham.graph_mut(context)?.add_link(from, to)?;
             ham.push_redo(RedoOp::AddLink {
                 context,
@@ -454,7 +452,6 @@ impl Ham {
     pub fn delete_link(&mut self, context: ContextId, link: LinkIndex) -> Result<()> {
         let _span = neptune_obs::span!("ham.delete_link", "context {} link {}", context.0, link.0);
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             let time = ham.graph_mut(context)?.delete_link(link)?;
             ham.push_redo(RedoOp::DeleteLink {
                 context,
@@ -600,7 +597,6 @@ impl Ham {
         // check-in never copies the contents.
         let contents: Arc<[u8]> = contents.into();
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             let now = apply_modify_node(
                 ham.graph_mut(context)?,
                 node,
@@ -637,13 +633,8 @@ impl Ham {
         protections: Protections,
     ) -> Result<()> {
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             ham.graph_mut(context)?.live_node(node, Time::CURRENT)?;
-            let slot = &mut ham.graph_mut(context)?.node_mut(node)?.protections;
-            let old = std::mem::replace(slot, protections);
-            if let Some(txn) = &mut ham.txn {
-                txn.saved_protections.push((context, node, old));
-            }
+            ham.graph_mut(context)?.node_mut(node)?.protections = protections;
             // The node's file changes mode once the commit is durable.
             ham.push_redo(RedoOp::ChangeProtection {
                 context,
@@ -752,7 +743,6 @@ impl Ham {
         }
         let name = name.to_string();
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             let idx = ham.graph_mut(context)?.attribute_index(&name);
             let time = ham.graph(context)?.now();
             ham.push_redo(RedoOp::InternAttr {
@@ -782,7 +772,6 @@ impl Ham {
             node.0
         );
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             let time = ham
                 .graph_mut(context)?
                 .set_node_attr(node, attr, value.clone())?;
@@ -810,7 +799,6 @@ impl Ham {
         attr: AttributeIndex,
     ) -> Result<()> {
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             let time = ham.graph_mut(context)?.delete_node_attr(node, attr)?;
             let name = ham.graph(context)?.attr_name(attr)?.to_string();
             ham.push_redo(RedoOp::DeleteNodeAttr {
@@ -855,7 +843,6 @@ impl Ham {
         value: Value,
     ) -> Result<()> {
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             let time = ham
                 .graph_mut(context)?
                 .set_link_attr(link, attr, value.clone())?;
@@ -880,7 +867,6 @@ impl Ham {
         attr: AttributeIndex,
     ) -> Result<()> {
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             let time = ham.graph_mut(context)?.delete_link_attr(link, attr)?;
             let name = ham.graph(context)?.attr_name(attr)?.to_string();
             ham.push_redo(RedoOp::DeleteLinkAttr {
@@ -931,7 +917,6 @@ impl Ham {
         demon: Option<DemonSpec>,
     ) -> Result<()> {
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             // A mark-node demon's attribute must exist for the demon to be
             // meaningful; intern it now rather than at first fire.
             if let Some(DemonSpec {
@@ -976,7 +961,6 @@ impl Ham {
         demon: Option<DemonSpec>,
     ) -> Result<()> {
         self.auto_txn(|ham| {
-            ham.note_context(context)?;
             ham.graph_mut(context)?.live_node(node, Time::CURRENT)?;
             if let Some(DemonSpec {
                 action: DemonAction::MarkNode { attr, .. },
@@ -1041,10 +1025,28 @@ impl Ham {
                 reason: "transaction already active",
             });
         }
+        #[cfg(feature = "strict-invariants")]
+        self.assert_threads_published();
         let id = self.next_txn;
         self.next_txn += 1;
         self.txn = Some(ActiveTxn::new(id));
         Ok(id)
+    }
+
+    /// The precondition of [`Ham::rollback`]: nothing changed the machine's
+    /// threads since the last publication, so every one of them is the very
+    /// thread the published view holds.
+    #[cfg(feature = "strict-invariants")]
+    fn assert_threads_published(&self) {
+        let view = self.published.load();
+        let published = view.threads();
+        let same = |(id, thread): (&ContextId, &Arc<GraphThread>)| {
+            published.get(id).is_some_and(|p| Arc::ptr_eq(thread, p))
+        };
+        assert!(
+            self.threads.len() == published.len() && self.threads.iter().all(same),
+            "strict-invariants violated at begin_transaction: threads differ from the published view"
+        );
     }
 
     /// Commit the active transaction: its operations become durable (the
@@ -1055,11 +1057,12 @@ impl Ham {
             reason: "no active transaction",
         })?;
         if txn.redo.is_empty() {
-            // A coordinator-forced sequence must not outlive the (empty)
-            // commit it was meant for.
-            self.forced_seq = None;
+            // Nothing to log, so nothing may stay changed either (a failed
+            // op may have copied a thread); nor may a coordinator-forced
+            // sequence outlive the commit it was meant for.
+            self.rollback();
             count("neptune_ham_txn_commits_total", 1);
-            return Ok(()); // read-only transaction: nothing new to publish
+            return Ok(());
         }
         if let Err(e) = self.log_txn(&txn) {
             // The commit never became durable (or its durability is
@@ -1067,7 +1070,7 @@ impl Ham {
             // state back so what readers see matches what recovery will
             // reconstruct — returning the error while keeping the changes
             // would leave the machine serving state that a crash loses.
-            self.rollback(txn);
+            self.rollback();
             count("neptune_ham_txn_commit_failures_total", 1);
             return Err(e.into());
         }
@@ -1135,64 +1138,32 @@ impl Ham {
         );
     }
 
-    /// Abort the active transaction: every context it touched is rolled
-    /// back to its state at transaction start ("complete recovery from any
-    /// aborted transaction").
+    /// Abort the active transaction: the machine returns to the last
+    /// published view, its state at transaction start ("complete recovery
+    /// from any aborted transaction").
     pub fn abort_transaction(&mut self) -> Result<()> {
         let _span = neptune_obs::span!("ham.abort_transaction");
-        let txn = self.txn.take().ok_or(HamError::TransactionState {
+        self.txn.take().ok_or(HamError::TransactionState {
             reason: "no active transaction",
         })?;
         count("neptune_ham_txn_aborts_total", 1);
-        self.rollback(txn);
+        self.rollback();
         Ok(())
     }
 
     /// Undo everything a transaction did in memory (shared by explicit
-    /// aborts and failed commits).
-    fn rollback(&mut self, txn: ActiveTxn) {
+    /// aborts and failed or empty commits). Every commit publishes the
+    /// threads it leaves, so the published view holds exactly the state the
+    /// transaction started from; its writes went to copies the view never
+    /// shared, and are dropped with the machine's threads. Nothing else a
+    /// transaction can change needs undoing: the context and transaction
+    /// id counters only move forward, so those ids are never reused, and
+    /// the demon journal records firings, not state (DESIGN.md §9).
+    fn rollback(&mut self) {
         // A commit the WAL refused must not leak its forced sequence into
         // a later unrelated commit.
         self.forced_seq = None;
-        // Contexts destroyed/overwritten during the txn come back first.
-        for (id, graph) in txn.saved_contexts.into_iter().rev() {
-            let forked_from = self.threads.get(&id).and_then(|t| t.forked_from);
-            self.threads
-                .insert(id, GraphThread::shared(graph, forked_from));
-        }
-        for id in txn.created_contexts {
-            self.threads.remove(&id);
-        }
-        // Fork points rewritten by merges are not clock-versioned; restore
-        // them explicitly, oldest record last so the pre-transaction value
-        // wins when one context was re-forked twice.
-        for (id, forked_from) in txn.saved_forks.into_iter().rev() {
-            if let Some(thread) = self.threads.get_mut(&id) {
-                Arc::make_mut(thread).forked_from = forked_from;
-            }
-        }
-        for (context, start) in txn.start_times {
-            if let Some(thread) = self.threads.get_mut(&context) {
-                Arc::make_mut(thread).graph.truncate_after(start);
-            }
-        }
-        // Nor are protections; nodes created inside the transaction are
-        // already gone.
-        for (context, node, protections) in txn.saved_protections.into_iter().rev() {
-            if let Some(n) = self
-                .threads
-                .get_mut(&context)
-                .and_then(|t| Arc::make_mut(t).graph.node_mut(node).ok())
-            {
-                n.protections = protections;
-            }
-        }
-        // Rollback rewinds version clocks, so future check-ins can reuse
-        // the exact (node, time) pairs just discarded with different
-        // contents. No cache needs telling: `truncate_after` dropped each
-        // rewound archive's anchors past the cut, and those archives are
-        // this machine's own copies. Nor is there anything to publish: the
-        // current view is the last committed state, which is what is left.
+        self.threads = self.published.load().threads().clone();
     }
 
     /// Whether a transaction is currently active.
@@ -1331,9 +1302,6 @@ impl Ham {
             ham.next_context = ham.next_context.max(id.0 + 1);
             ham.threads
                 .insert(id, GraphThread::shared(graph, Some((from, fork_time))));
-            if let Some(txn) = &mut ham.txn {
-                txn.created_contexts.push(id);
-            }
             ham.push_redo(RedoOp::CreateContext {
                 id,
                 from,
@@ -1359,7 +1327,6 @@ impl Ham {
                     reason: "cannot merge the main context",
                 })?;
         self.auto_txn(|ham| {
-            ham.note_context(parent_id)?;
             let child_graph = ham.thread(child)?.graph.clone();
             let parent = ham.graph_mut(parent_id)?;
             let report = merge_context(parent, &child_graph, fork_time, policy)?;
@@ -1370,14 +1337,7 @@ impl Ham {
             }
             let new_fork = ham.graph(parent_id)?.now();
             if let Some(thread) = ham.threads.get_mut(&child) {
-                // Fork points are not clock-versioned: save the old one so
-                // an abort restores it (truncating the parent alone would
-                // leave the child forked beyond the parent's clock).
-                let old = thread.forked_from;
                 Arc::make_mut(thread).forked_from = Some((parent_id, new_fork));
-                if let Some(txn) = &mut ham.txn {
-                    txn.saved_forks.push((child, old));
-                }
             }
             ham.push_redo(RedoOp::MergeContext {
                 child,
@@ -1397,11 +1357,7 @@ impl Ham {
             });
         }
         self.auto_txn(|ham| {
-            let thread = ham.threads.get(&id).ok_or(HamError::NoSuchContext(id))?;
-            if let Some(txn) = &mut ham.txn {
-                txn.saved_contexts.push((id, thread.graph.clone()));
-            }
-            ham.threads.remove(&id);
+            ham.threads.remove(&id).ok_or(HamError::NoSuchContext(id))?;
             ham.push_redo(RedoOp::DestroyContext { id });
             Ok(())
         })
@@ -1454,9 +1410,6 @@ impl Ham {
             ham.next_context = ham.next_context.max(id.0 + 1);
             ham.threads
                 .insert(id, GraphThread::shared(graph, Some((from, time))));
-            if let Some(txn) = &mut ham.txn {
-                txn.created_contexts.push(id);
-            }
             ham.push_redo(RedoOp::AdoptContext {
                 id,
                 from,
@@ -1479,7 +1432,6 @@ impl Ham {
     ) -> Result<MergeReport> {
         let _span = neptune_obs::span!("ham.merge_foreign", "into {}", into.0);
         self.auto_txn(|ham| {
-            ham.note_context(into)?;
             let parent = ham.graph_mut(into)?;
             let report = merge_context(parent, child_graph, fork_time, policy)?;
             if neptune_obs::enabled() && !report.conflicts.is_empty() {
@@ -1513,11 +1465,7 @@ impl Ham {
                 .threads
                 .get_mut(&child)
                 .ok_or(HamError::NoSuchContext(child))?;
-            let old = thread.forked_from;
             Arc::make_mut(thread).forked_from = Some((into, time));
-            if let Some(txn) = &mut ham.txn {
-                txn.saved_forks.push((child, old));
-            }
             ham.push_redo(RedoOp::RefixFork { child, into, time });
             Ok(())
         })
@@ -1685,14 +1633,6 @@ impl Ham {
             .get_mut(&context)
             .map(|t| &mut Arc::make_mut(t).graph)
             .ok_or(HamError::NoSuchContext(context))
-    }
-
-    fn note_context(&mut self, context: ContextId) -> Result<()> {
-        let now = self.graph(context)?.now();
-        if let Some(txn) = &mut self.txn {
-            txn.note_context(context, now);
-        }
-        Ok(())
     }
 
     fn push_redo(&mut self, op: RedoOp) {

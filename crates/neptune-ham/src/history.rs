@@ -163,21 +163,6 @@ impl<T> Versioned<T> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Remove every entry with time strictly greater than `time`.
-    ///
-    /// This is the primitive behind transaction rollback: aborting a
-    /// transaction truncates all versioned state back to the transaction's
-    /// start time. Returns true if anything was removed.
-    pub fn truncate_after(&mut self, time: Time) -> bool {
-        let keep = self.entries.partition_point(|(t, _)| *t <= time);
-        if keep < self.entries.len() {
-            self.entries.truncate(keep);
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// A derived creation-time index over the graph's nodes and links: two
@@ -225,8 +210,7 @@ impl TemporalIndex {
         TemporalIndex::default()
     }
 
-    /// Rebuild from unsorted `(created, id)` records (snapshot decode,
-    /// rollback recovery).
+    /// Rebuild from unsorted `(created, id)` records (snapshot decode).
     pub fn from_records(mut nodes: Vec<(Time, u64)>, mut links: Vec<(Time, u64)>) -> TemporalIndex {
         nodes.sort_unstable();
         links.sort_unstable();
@@ -265,12 +249,6 @@ impl TemporalIndex {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.nodes_by_created.is_empty() && self.links_by_created.is_empty()
-    }
-
-    /// Drop every record newer than `time` (rollback support).
-    pub fn truncate_after(&mut self, time: Time) {
-        self.nodes_by_created.retain(|&(t, _)| t <= time);
-        self.links_by_created.retain(|&(t, _)| t <= time);
     }
 
     /// Clear the index.
@@ -364,27 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_after_rolls_back() {
-        let mut v = Versioned::new();
-        v.set(Time(1), 1u64);
-        v.set(Time(5), 2);
-        v.set(Time(9), 3);
-        assert!(v.truncate_after(Time(5)));
-        assert_eq!(v.current(), Some(&2));
-        assert_eq!(v.change_count(), 2);
-        assert!(!v.truncate_after(Time(5)));
-        assert!(v.truncate_after(Time(0)) || v.is_empty() || v.change_count() == 0);
-    }
-
-    #[test]
-    fn truncate_to_time_zero_empties() {
-        let mut v = Versioned::new();
-        v.set(Time(1), 1u64);
-        v.truncate_after(Time(0));
-        assert!(v.is_empty());
-    }
-
-    #[test]
     fn codec_roundtrip() {
         let mut v: Versioned<String> = Versioned::new();
         v.set(Time(2), "x".into());
@@ -416,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn temporal_index_tolerates_out_of_order_and_truncates() {
+    fn temporal_index_tolerates_out_of_order() {
         let mut ix = TemporalIndex::new();
         ix.record_node(Time(5), 2);
         // Forced WAL replays can insert behind the newest record; the
@@ -424,8 +381,7 @@ mod tests {
         ix.record_node(Time(2), 1);
         assert_eq!(ix.nodes_created_by(Time(3)), vec![1]);
         ix.record_node(Time(9), 3);
-        ix.truncate_after(Time(5));
-        assert_eq!(ix.nodes_created_by(Time::CURRENT), vec![1, 2]);
+        assert_eq!(ix.nodes_created_by(Time::CURRENT), vec![1, 2, 3]);
         ix.clear();
         assert!(ix.is_empty());
     }

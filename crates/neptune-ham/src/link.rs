@@ -138,20 +138,6 @@ impl Link {
         }
         self.versions.push(Version::new(now, explanation));
     }
-
-    /// Roll back all link state after `time`; `false` means the link was
-    /// created after `time` and should be dropped entirely.
-    pub fn truncate_after(&mut self, time: Time) -> bool {
-        if self.created > time {
-            return false;
-        }
-        self.alive.truncate_after(time);
-        self.from.positions.truncate_after(time);
-        self.to.positions.truncate_after(time);
-        self.attrs.truncate_after(time);
-        self.versions.retain(|v| v.time <= time);
-        true
-    }
 }
 
 impl Encode for Link {
@@ -223,18 +209,11 @@ mod tests {
     }
 
     #[test]
-    fn existence_and_truncate() {
+    fn existence() {
         let mut l = sample();
         l.alive.delete(Time(9));
         assert!(l.exists_at(Time(5)));
         assert!(!l.exists_at(Time(9)));
-        // Roll back the deletion.
-        assert!(l.truncate_after(Time(6)));
-        assert!(l.exists_at(Time::CURRENT));
-        // A link created later is dropped wholesale.
-        let mut late = sample();
-        late.created = Time(10);
-        assert!(!late.truncate_after(Time(6)));
     }
 
     #[test]

@@ -67,10 +67,6 @@ impl VersionList {
     fn to_vec(&self) -> Vec<Version> {
         self.0.iter().cloned().collect()
     }
-
-    fn truncate_after(&mut self, time: Time) {
-        self.0.truncate(self.0.partition_point(|v| v.time <= time));
-    }
 }
 
 impl Encode for VersionList {
@@ -248,28 +244,6 @@ impl Node {
             self.incident_links.push(link);
         }
     }
-
-    /// Roll back all node state recorded after `time`. Returns `false` if
-    /// the node itself was created after `time` and should be dropped.
-    pub fn truncate_after(&mut self, time: Time) -> bool {
-        if self.created > time {
-            return false;
-        }
-        self.alive.truncate_after(time);
-        self.attrs.truncate_after(time);
-        self.demons.truncate_after(time);
-        if let NodeContents::Archive(a) = &mut self.contents {
-            a.truncate_after(time.0)
-                .expect("created <= time implies a version survives");
-        }
-        // File nodes keep only the current version; a rolled-back file node
-        // retains whatever contents it had (single-writer transactions mean
-        // the pre-transaction contents were never overwritten durably —
-        // the Ham layer forbids file-node writes inside transactions).
-        self.major_versions.truncate_after(time);
-        self.minor_versions.truncate_after(time);
-        true
-    }
 }
 
 impl Encode for Node {
@@ -387,20 +361,6 @@ mod tests {
         assert!(n.exists_at(Time(8)));
         assert!(!n.exists_at(Time(9)));
         assert!(!n.exists_at(Time::CURRENT));
-    }
-
-    #[test]
-    fn truncate_rolls_back_contents_and_versions() {
-        let mut n = Node::new(NodeIndex(5), Time(1), true);
-        n.modify(b"keep".to_vec(), Time(3), "keep").unwrap();
-        n.modify(b"drop".to_vec(), Time(8), "drop").unwrap();
-        assert!(n.truncate_after(Time(5)));
-        assert_eq!(&n.contents_at(Time::CURRENT).unwrap()[..], b"keep");
-        let (major, _) = n.versions();
-        assert_eq!(major.len(), 2);
-        // A node created after the truncation point reports false.
-        let mut late = Node::new(NodeIndex(6), Time(9), true);
-        assert!(!late.truncate_after(Time(5)));
     }
 
     #[test]

@@ -154,24 +154,6 @@ impl<V: Clone> Pam<V> {
         }
         removed
     }
-
-    /// Keep only entries for which `f` returns true; `f` may mutate values.
-    pub fn retain(&mut self, mut f: impl FnMut(u64, &mut V) -> bool) {
-        if let Some(root) = self.root.as_mut() {
-            let (kept, empty) = retain_node(root, &mut f);
-            self.len = kept;
-            if empty {
-                self.root = None;
-            }
-        }
-    }
-
-    /// Apply `f` to every entry, copying shared structure as needed.
-    pub fn for_each_mut(&mut self, mut f: impl FnMut(u64, &mut V)) {
-        if let Some(root) = self.root.as_mut() {
-            for_each_mut_node(root, &mut f);
-        }
-    }
 }
 
 fn insert_node<V: Clone>(node: &mut Arc<PamNode<V>>, key: u64, value: V, shift: u32) -> Option<V> {
@@ -302,69 +284,6 @@ fn remove_node<V: Clone>(node: &mut Arc<PamNode<V>>, key: u64, shift: u32) -> (O
         *node = only;
     }
     (removed, false)
-}
-
-fn retain_node<V: Clone>(
-    node: &mut Arc<PamNode<V>>,
-    f: &mut impl FnMut(u64, &mut V) -> bool,
-) -> (usize, bool) {
-    if matches!(&**node, PamNode::Leaf(..)) {
-        let inner = Arc::make_mut(node);
-        if let PamNode::Leaf(k, v) = inner {
-            return if f(*k, v) { (1, false) } else { (0, true) };
-        }
-        return (0, true);
-    }
-    let (kept, collapse) = {
-        let PamNode::Branch { bitmap, children } = Arc::make_mut(node) else {
-            return (0, true);
-        };
-        let mut kept = 0usize;
-        let mut chunk_bits: Vec<u16> = Vec::with_capacity(children.len());
-        {
-            let mut bits = *bitmap;
-            while bits != 0 {
-                let low = bits & bits.wrapping_neg();
-                chunk_bits.push(low);
-                bits &= bits - 1;
-            }
-        }
-        let mut idx = 0usize;
-        for bit in chunk_bits {
-            let Some(child) = children.get_mut(idx) else {
-                break;
-            };
-            let (child_kept, child_empty) = retain_node(child, f);
-            kept += child_kept;
-            if child_empty {
-                *bitmap &= !bit;
-                children.remove(idx);
-            } else {
-                idx += 1;
-            }
-        }
-        if children.is_empty() {
-            return (kept, true);
-        }
-        let collapse = (children.len() == 1 && matches!(&*children[0], PamNode::Leaf(..)))
-            .then(|| children.remove(0));
-        (kept, collapse)
-    };
-    if let Some(only) = collapse {
-        *node = only;
-    }
-    (kept, false)
-}
-
-fn for_each_mut_node<V: Clone>(node: &mut Arc<PamNode<V>>, f: &mut impl FnMut(u64, &mut V)) {
-    match Arc::make_mut(node) {
-        PamNode::Leaf(k, v) => f(*k, v),
-        PamNode::Branch { children, .. } => {
-            for child in children {
-                for_each_mut_node(child, f);
-            }
-        }
-    }
 }
 
 /// Borrowed iterator over all entries, unspecified order.
@@ -504,22 +423,6 @@ mod tests {
         }
         let collected: HashMap<u64, u64> = m.iter().map(|(k, v)| (k, *v)).collect();
         assert_eq!(collected, model);
-    }
-
-    #[test]
-    fn retain_and_for_each_mut() {
-        let mut m: Pam<u64> = (0..100u64).map(|k| (k, k)).collect();
-        m.retain(|k, v| {
-            *v += 1;
-            k % 2 == 0
-        });
-        assert_eq!(m.len(), 50);
-        assert_eq!(m.get(4), Some(&5));
-        assert_eq!(m.get(5), None);
-        m.for_each_mut(|_, v| *v *= 10);
-        assert_eq!(m.get(4), Some(&50));
-        assert_eq!(m.values().count(), 50);
-        assert_eq!(m.keys().filter(|k| k % 2 == 1).count(), 0);
     }
 
     #[test]

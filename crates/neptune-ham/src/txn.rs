@@ -4,10 +4,11 @@
 //! recovery from any aborted transaction"*; the HAM provides
 //! *"transaction-based crash recovery"*. Two mechanisms cooperate:
 //!
-//! * **Abort** exploits the fact that *all* HAM state is versioned by the
-//!   logical clock: a transaction remembers the clock value at its start
-//!   for each context it touches, and aborting truncates every versioned
-//!   structure back to that value ([`crate::graph::HamGraph::truncate_after`]).
+//! * **Abort** needs no record of its own: every commit publishes the
+//!   machine's context threads as a [`crate::view::CommittedView`], so the
+//!   state before any transaction is the published view, and aborting
+//!   swaps that view's threads back in. The transaction's writes went to
+//!   copies the view never shared, and are simply dropped.
 //! * **Durability** uses the write-ahead log: each state-changing operation
 //!   is recorded as a [`RedoOp`] carrying its *assigned* ids and times, so
 //!   replay after a crash reproduces the exact same state. Demon side
@@ -18,8 +19,6 @@
 //! single-op transaction — the paper's UI does the same ("special commands
 //! that bundle together several primitive hypertext operations into a
 //! single transaction" are the explicit case).
-
-use std::collections::HashMap;
 
 use neptune_storage::codec::{decode_seq, encode_seq, Decode, Encode, Reader, Writer};
 use neptune_storage::error::{Result as StorageResult, StorageError};
@@ -606,21 +605,6 @@ impl Decode for RedoOp {
 pub struct ActiveTxn {
     /// Transaction id (monotonic per graph).
     pub id: u64,
-    /// Clock value at transaction start, per touched context — the rollback
-    /// points for abort.
-    pub start_times: HashMap<ContextId, Time>,
-    /// Contexts created inside this transaction (dropped on abort).
-    pub created_contexts: Vec<ContextId>,
-    /// Contexts destroyed or merged inside this transaction, with their
-    /// pre-transaction state (restored on abort).
-    pub saved_contexts: Vec<(ContextId, crate::graph::HamGraph)>,
-    /// Fork points rewritten inside this transaction (by the cross-shard
-    /// `RefixFork` path), with their pre-transaction values. Fork points
-    /// are not clock-versioned, so abort must restore them explicitly.
-    pub saved_forks: Vec<(ContextId, Option<(ContextId, Time)>)>,
-    /// Node protections changed inside this transaction, with their
-    /// previous values. Protections are not clock-versioned either.
-    pub saved_protections: Vec<(ContextId, NodeIndex, Protections)>,
     /// Redo records accumulated so far.
     pub redo: Vec<RedoOp>,
 }
@@ -630,18 +614,8 @@ impl ActiveTxn {
     pub fn new(id: u64) -> ActiveTxn {
         ActiveTxn {
             id,
-            start_times: HashMap::new(),
-            created_contexts: Vec::new(),
-            saved_contexts: Vec::new(),
-            saved_forks: Vec::new(),
-            saved_protections: Vec::new(),
             redo: Vec::new(),
         }
-    }
-
-    /// Record the rollback point for `context` if not already recorded.
-    pub fn note_context(&mut self, context: ContextId, now: Time) {
-        self.start_times.entry(context).or_insert(now);
     }
 }
 
@@ -769,13 +743,5 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         assert!(RedoOp::from_bytes(&[200]).is_err());
-    }
-
-    #[test]
-    fn active_txn_notes_first_start_time_only() {
-        let mut txn = ActiveTxn::new(1);
-        txn.note_context(ContextId(0), Time(5));
-        txn.note_context(ContextId(0), Time(9));
-        assert_eq!(txn.start_times[&ContextId(0)], Time(5));
     }
 }

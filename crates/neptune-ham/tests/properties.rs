@@ -3,18 +3,28 @@
 //! The central invariants under test:
 //! * any random sequence of HAM operations leaves every historical query
 //!   answerable (complete version history);
-//! * rolling back to a checkpoint restores the exact observed state;
+//! * an abort, or a commit the log refuses, returns every shard to the
+//!   view it last published, with all of its contexts;
 //! * persistence (snapshot + WAL replay) reproduces the exact state;
 //! * `Versioned<T>` behaves like an append-only map from time to value.
 
+use std::sync::Arc;
+
+use neptune_ham::context::ConflictPolicy;
+use neptune_ham::demons::{DemonSpec, Event};
 use neptune_ham::graph::HamGraph;
+use neptune_ham::ham::Ham;
 use neptune_ham::history::Versioned;
 use neptune_ham::predicate::Predicate;
 use neptune_ham::query::get_graph_query;
-use neptune_ham::types::{LinkPt, NodeIndex, ProjectId, Time};
+use neptune_ham::shard::ShardedHam;
+use neptune_ham::types::{
+    ContextId, LinkPt, NodeIndex, ProjectId, Protections, Time, MAIN_CONTEXT,
+};
 use neptune_ham::value::Value;
 
 use neptune_storage::codec::{Decode, Encode};
+use neptune_storage::fault::{FaultKind, FaultVfs};
 use neptune_storage::testutil::XorShift;
 
 /// A randomized mutation against a graph.
@@ -184,26 +194,278 @@ fn history_is_immutable() {
     }
 }
 
-/// truncate_after(t) restores exactly the state observed at t, and the
-/// full current state matches what it was then.
+/// One step of a HAM-level script: a graph op in one context, or an op on
+/// the contexts themselves. Indices pick among whatever is live.
+#[derive(Debug, Clone)]
+enum HamOp {
+    Graph(usize, GraphOp),
+    Fork(usize),
+    Merge(usize),
+    Destroy(usize),
+    Protect(usize, usize),
+    NodeDemon(usize, usize),
+}
+
+fn gen_ham_ops(rng: &mut XorShift, min: usize, max: usize) -> Vec<HamOp> {
+    let count = min + rng.below((max - min) as u64) as usize;
+    (0..count)
+        .map(|_| {
+            let (c, n) = (rng.next_u64() as usize, rng.next_u64() as usize);
+            match rng.below(12) {
+                0 => HamOp::Fork(c),
+                1 => HamOp::Merge(c),
+                2 => HamOp::Destroy(c),
+                3 => HamOp::Protect(c, n),
+                4 => HamOp::NodeDemon(c, n),
+                _ => HamOp::Graph(c, gen_op(rng)),
+            }
+        })
+        .collect()
+}
+
+fn live_nodes(graph: &HamGraph) -> Vec<NodeIndex> {
+    graph
+        .nodes()
+        .filter(|n| n.exists_at(Time::CURRENT))
+        .map(|n| n.id)
+        .collect()
+}
+
+/// Apply a graph op through the machine's API. Links attach at offset 0,
+/// which no later edit can leave beyond a node's contents, so committed
+/// scripts stay within the strict invariants.
+fn apply_in(ham: &mut Ham, ctx: ContextId, op: &GraphOp) {
+    let Ok(graph) = ham.graph(ctx) else { return };
+    let nodes = live_nodes(graph);
+    let links: Vec<_> = graph
+        .links()
+        .filter(|l| l.exists_at(Time::CURRENT))
+        .map(|l| l.id)
+        .collect();
+    let node = |i: &usize| (!nodes.is_empty()).then(|| nodes[i % nodes.len()]);
+    match op {
+        GraphOp::AddNode(keep) => {
+            let _ = ham.add_node(ctx, *keep);
+        }
+        GraphOp::DeleteNode(i) => {
+            if let Some(id) = node(i) {
+                let _ = ham.delete_node(ctx, id);
+            }
+        }
+        GraphOp::AddLink(a, b, _) => {
+            if let (Some(from), Some(to)) = (node(a), node(b)) {
+                let _ = ham.add_link(ctx, LinkPt::current(from, 0), LinkPt::current(to, 0));
+            }
+        }
+        GraphOp::DeleteLink(i) => {
+            if !links.is_empty() {
+                let _ = ham.delete_link(ctx, links[i % links.len()]);
+            }
+        }
+        GraphOp::ModifyNode(i, contents) => {
+            if let Some(id) = node(i) {
+                if let Ok(opened) = ham.read_node(ctx, id, Time::CURRENT, &[]) {
+                    let _ = ham.modify_node(
+                        ctx,
+                        id,
+                        opened.current_time,
+                        contents.clone(),
+                        &opened.link_pts,
+                    );
+                }
+            }
+        }
+        GraphOp::SetAttr(i, a, v) => {
+            if let Some(id) = node(i) {
+                if let Ok(attr) = ham.get_attribute_index(ctx, ATTR_NAMES[*a as usize]) {
+                    let _ = ham.set_node_attribute_value(ctx, id, attr, Value::Int(*v as i64));
+                }
+            }
+        }
+        GraphOp::DeleteAttr(i, a) => {
+            if let Some(id) = node(i) {
+                if let Ok(attr) = ham.get_attribute_index(ctx, ATTR_NAMES[*a as usize]) {
+                    let _ = ham.delete_node_attribute(ctx, id, attr);
+                }
+            }
+        }
+    }
+}
+
+fn forked_from(ham: &ShardedHam, ctx: ContextId) -> Option<ContextId> {
+    let guard = ham.lock_shard(ham.shard_of(ctx));
+    Some(guard.context_forked_from(ctx).ok()??.0)
+}
+
+/// Apply one script step; ops that the machine refuses are skipped.
+fn apply_ham(ham: &ShardedHam, op: &HamOp) {
+    let contexts = ham.live_contexts();
+    let pick = |i: &usize| contexts[i % contexts.len()];
+    let on_node = |i: &usize, n: &usize, f: &dyn Fn(&mut Ham, ContextId, NodeIndex)| {
+        let ctx = pick(i);
+        let mut guard = ham.lock_home(ctx).unwrap();
+        let nodes = guard.graph(ctx).map(live_nodes).unwrap_or_default();
+        if !nodes.is_empty() {
+            f(&mut guard, ctx, nodes[n % nodes.len()]);
+        }
+    };
+    match op {
+        HamOp::Graph(i, g) => {
+            let ctx = pick(i);
+            apply_in(&mut ham.lock_home(ctx).unwrap(), ctx, g);
+        }
+        HamOp::Fork(i) => {
+            let _ = ham.create_context(pick(i));
+        }
+        HamOp::Merge(i) => {
+            if pick(i) != MAIN_CONTEXT {
+                let _ = ham.merge_context(pick(i), ConflictPolicy::PreferChild);
+            }
+        }
+        HamOp::Destroy(i) => {
+            // Destroying a fork parent partitions its children, which the
+            // strict invariants reject at commit: only leaves go.
+            let ctx = pick(i);
+            let is_parent = contexts.iter().any(|&c| forked_from(ham, c) == Some(ctx));
+            if ctx != MAIN_CONTEXT && !is_parent {
+                let _ = ham.destroy_context(ctx);
+            }
+        }
+        HamOp::Protect(i, n) => on_node(i, n, &|ham, ctx, node| {
+            let _ = ham.change_node_protection(ctx, node, Protections::PRIVATE);
+        }),
+        HamOp::NodeDemon(i, n) => on_node(i, n, &|ham, ctx, node| {
+            let demon = DemonSpec::notify("edited", "node modified");
+            let _ = ham.set_node_demon(ctx, node, Event::NodeModified, Some(demon));
+        }),
+    }
+}
+
+/// What a context looked like in a published view, copied out so that a
+/// write leaking into the view's shared structure would show.
+#[derive(Debug, PartialEq)]
+struct ContextState {
+    graph: Vec<u8>,
+    observed: String,
+    now: Time,
+    forked_from: Option<(ContextId, Time)>,
+    protections: Vec<(NodeIndex, Protections)>,
+}
+
+fn context_state(graph: &HamGraph, forked_from: Option<(ContextId, Time)>) -> ContextState {
+    ContextState {
+        graph: graph.to_bytes(),
+        observed: observe(graph, Time::CURRENT),
+        now: graph.now(),
+        forked_from,
+        protections: graph.nodes().map(|n| (n.id, n.protections)).collect(),
+    }
+}
+
+/// Commit `ops_before`, run `ops_after` in an explicit transaction, then
+/// abort it — or, with `fail_commit`, commit it with the first fsync
+/// failing. Either way every shard must be back at the view it published
+/// before the transaction: the same contexts, each the view's very thread,
+/// with the graph, clock, fork point and protections it had.
+fn check_transaction_restores_view(nshards: usize, seed: u64, fail_commit: bool) {
+    let mut rng = XorShift::new(seed);
+    let dir = std::env::temp_dir().join(format!(
+        "neptune-prop-restore-{nshards}-{seed}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let vfs = FaultVfs::new();
+    let (ham, _, _) =
+        ShardedHam::create_with(Arc::new(vfs.clone()), &dir, Protections::DEFAULT, nshards)
+            .unwrap();
+    let mut ops_before = vec![HamOp::Fork(0), HamOp::Fork(0)];
+    ops_before.extend(gen_ham_ops(&mut rng, 20, 60));
+    for op in &ops_before {
+        apply_ham(&ham, op);
+    }
+    let views: Vec<_> = (0..nshards)
+        .map(|k| ham.lock_shard(k).committed_view())
+        .collect();
+    let before: Vec<Vec<(ContextId, ContextState)>> = views
+        .iter()
+        .map(|view| {
+            let state =
+                |c| context_state(view.graph(c).unwrap(), view.context_forked_from(c).unwrap());
+            view.contexts().into_iter().map(|c| (c, state(c))).collect()
+        })
+        .collect();
+
+    // Every kind of op first, the two forks from MAIN usually landing on
+    // other shards; then a random tail.
+    let mut ops_after = vec![
+        HamOp::Graph(0, GraphOp::AddNode(true)),
+        HamOp::Graph(0, GraphOp::ModifyNode(0, b"inside\n".to_vec())),
+        HamOp::Graph(1, GraphOp::SetAttr(0, 0, 1)),
+        HamOp::Graph(1, GraphOp::AddLink(0, 1, 0)),
+        HamOp::Fork(0),
+        HamOp::Fork(0),
+        HamOp::Protect(0, 0),
+        HamOp::NodeDemon(0, 0),
+        HamOp::Merge(1),
+        HamOp::Destroy(2),
+    ];
+    ops_after.extend(gen_ham_ops(&mut rng, 20, 60));
+    ham.begin_transaction().unwrap();
+    for op in &ops_after {
+        apply_ham(&ham, op);
+    }
+    if fail_commit {
+        vfs.arm(FaultKind::FailSync, 0);
+        let result = ham.commit_transaction();
+        vfs.disarm();
+        assert!(result.is_err(), "seed {seed}: the commit must fail");
+        assert!(vfs.injected() > 0, "seed {seed}: the fault must fire");
+    } else {
+        ham.abort_transaction().unwrap();
+    }
+    assert!(!ham.in_transaction());
+
+    for (k, (view, want)) in views.iter().zip(&before).enumerate() {
+        let guard = ham.lock_shard(k);
+        assert!(
+            Arc::ptr_eq(&guard.committed_view(), view),
+            "seed {seed}: shard {k} published again"
+        );
+        let ids: Vec<ContextId> = want.iter().map(|(c, _)| *c).collect();
+        assert_eq!(guard.contexts(), ids, "seed {seed}: shard {k} contexts");
+        for (ctx, state) in want {
+            let graph = guard.graph(*ctx).unwrap();
+            assert!(
+                std::ptr::eq(graph, view.graph(*ctx).unwrap()),
+                "seed {seed}: shard {k} {ctx:?} is not the view's thread"
+            );
+            let got = context_state(graph, guard.context_forked_from(*ctx).unwrap());
+            assert_eq!(&got, state, "seed {seed}: shard {k} {ctx:?}");
+        }
+    }
+    drop(ham);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
-fn rollback_restores_observed_state() {
-    let mut rng = XorShift::new(0xA002);
-    for _ in 0..64 {
-        let ops_before = gen_ops(&mut rng, 1, 20);
-        let ops_after = gen_ops(&mut rng, 1, 20);
-        let mut graph = HamGraph::new(ProjectId(1));
-        for op in &ops_before {
-            apply(&mut graph, op);
-        }
-        let checkpoint = graph.now();
-        let expected = observe(&graph, Time::CURRENT);
-        for op in &ops_after {
-            apply(&mut graph, op);
-        }
-        graph.truncate_after(checkpoint);
-        assert_eq!(observe(&graph, Time::CURRENT), expected);
-        assert_eq!(graph.now(), checkpoint);
+fn abort_restores_the_published_view_single_shard() {
+    for seed in 1..=8 {
+        check_transaction_restores_view(1, 0xA002_0000 + seed, false);
+    }
+}
+
+#[test]
+fn abort_restores_the_published_view_eight_shards() {
+    for seed in 1..=8 {
+        check_transaction_restores_view(8, 0xA002_0000 + seed, false);
+    }
+}
+
+#[test]
+fn failed_commit_restores_the_published_view() {
+    for seed in 1..=4 {
+        check_transaction_restores_view(1, 0xA002_1000 + seed, true);
+        check_transaction_restores_view(8, 0xA002_1000 + seed, true);
     }
 }
 

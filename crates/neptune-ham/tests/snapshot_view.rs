@@ -69,9 +69,9 @@ fn old_view_is_stable_across_commit_checkpoint_and_rollback() {
     assert_eq!(view_contents(&old, node), b"v1");
     assert_eq!(view_contents(&newer, node), b"v2");
 
-    // A rolled-back transaction truncates in-txn history on the machine's
-    // own copies; both retained views are unaffected, and the published
-    // view is still the last committed state.
+    // An aborted transaction wrote only to the machine's own copies, which
+    // the abort drops; both retained views are unaffected, and the
+    // published view is still the last committed state.
     ham.begin_transaction().unwrap();
     let t2 = ham.get_node_time_stamp(MAIN_CONTEXT, node).unwrap();
     ham.modify_node(MAIN_CONTEXT, node, t2, &b"doomed"[..], &[])
@@ -102,8 +102,8 @@ fn old_view_is_stable_across_commit_checkpoint_and_rollback() {
 /// kept as an anchor — inside the transaction; nothing may serve them
 /// afterwards, and a view published before the abort must keep answering
 /// from its own world. The anchors sit inside the archives they describe:
-/// `truncate_after` drops the machine's, and the views' archives are never
-/// touched.
+/// the abort drops the machine's copies, anchors and all, for the view's,
+/// and the views' archives are never touched.
 #[test]
 fn rebinding_a_version_time_after_abort_keeps_every_world_apart() {
     let (mut ham, _, _) = Ham::create_graph(tmpdir("rebind"), Protections::DEFAULT).unwrap();

@@ -28,8 +28,10 @@
 //! under [`DEFAULT_ANCHOR_BUDGET`]. It is the system's only version cache:
 //! a repeated read of one version is an exact anchor hit (zero deltas, one
 //! refcount bump), and because the anchors live inside the archive they
-//! describe, [`Archive::truncate_after`] is the only invalidation they ever
-//! need. Anchors are in-memory only; [`anchor_stats`] reports them.
+//! describe they never need invalidating: a history only grows, and each
+//! copy of an archive owns its index, so a copy that is dropped (an aborted
+//! transaction's) takes its anchors with it. Anchors are in-memory only;
+//! [`anchor_stats`] reports them.
 //! [`Archive::checkout_uncached`] performs the original full replay for
 //! benchmarks and cross-checking; [`Archive::verify_index`] audits every
 //! persisted skip against the canonical delta chain.
@@ -212,12 +214,6 @@ impl Frames {
         }
     }
 
-    fn retain_below(&mut self, cut: usize) {
-        for (old, _) in self.map.split_off(&cut).into_values() {
-            self.released(&old);
-        }
-    }
-
     /// Account for one frame that just left `map`.
     fn released(&mut self, old: &[u8]) {
         self.held -= old.len();
@@ -304,14 +300,6 @@ impl AnchorCache {
         }
     }
 
-    fn retain_below(&mut self, cut: usize) {
-        if let Some(frames) = &mut self.frames {
-            if frames.map.range(cut..).next().is_some() {
-                Arc::make_mut(frames).retain_below(cut);
-            }
-        }
-    }
-
     fn clear(&mut self) {
         self.frames = None;
     }
@@ -385,15 +373,6 @@ impl ArchiveIndex {
         (0..SKIP_LEVELS)
             .map(|level| self.skips(level).count())
             .sum()
-    }
-
-    /// Drop skips whose source version no longer exists after the history
-    /// was truncated to `len` entries. Surviving skips reference only
-    /// versions `0..=len`, which truncation never rewrites.
-    fn retain_skips_for_len(&mut self, len: usize) {
-        for (level, rungs) in self.levels.iter_mut().enumerate() {
-            rungs.truncate(len / SKIP_SPANS[level]);
-        }
     }
 }
 
@@ -719,33 +698,6 @@ impl Archive {
             current = entry.back_delta.apply(&current)?;
         }
         Ok(current.into())
-    }
-
-    /// Discard every version checked in after logical time `t`, restoring
-    /// the newest remaining version as the head. Supports transaction
-    /// rollback, where aborting truncates all versioned state back to the
-    /// transaction's start time. Errors if no version at or before `t`
-    /// exists (the archive itself should be deleted in that case).
-    pub fn truncate_after(&mut self, t: u64) -> Result<()> {
-        if self.head_time <= t {
-            return Ok(());
-        }
-        // The newest surviving version becomes the head.
-        let idx = self
-            .entry_at(t)
-            .ok_or(StorageError::NoSuchVersion { time: t })?;
-        let resolved = self.entry(idx).time;
-        let new_head = self.materialize_idx(idx)?;
-        self.entries.truncate(idx);
-        self.head = new_head;
-        self.head_time = resolved;
-        // Anchors at or past the cut refer to discarded versions; a later
-        // checkin would reuse those entry indices with different contents.
-        // Skips whose source version was cut away go with them.
-        let mut ix = self.lock_index();
-        ix.anchors.retain_below(idx);
-        ix.retain_skips_for_len(idx);
-        Ok(())
     }
 
     /// How many full chunks of this archive's history are the very same
@@ -1131,40 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_after_restores_older_head() {
-        let mut a = build(10);
-        a.truncate_after(4).unwrap();
-        assert_eq!(a.version_count(), 4);
-        assert_eq!(a.head(), version(3).as_slice());
-        assert_eq!(a.head_time(), 4);
-        for i in 0..4 {
-            assert_eq!(&a.checkout((i + 1) as u64).unwrap()[..], version(i));
-        }
-        // Truncating at or past the head is a no-op.
-        a.truncate_after(4).unwrap();
-        assert_eq!(a.version_count(), 4);
-        a.truncate_after(99).unwrap();
-        assert_eq!(a.version_count(), 4);
-        // Truncating before the first version is an error.
-        assert!(a.truncate_after(0).is_err());
-    }
-
-    #[test]
-    fn truncate_then_checkin_continues_history() {
-        let mut a = build(5);
-        a.truncate_after(2).unwrap();
-        a.checkin(b"new branch tip".to_vec(), 9).unwrap();
-        assert_eq!(&a.checkout(0).unwrap()[..], b"new branch tip");
-        assert_eq!(&a.checkout(1).unwrap()[..], version(0));
-        assert_eq!(&a.checkout(2).unwrap()[..], version(1));
-        assert_eq!(
-            &a.checkout(5).unwrap()[..],
-            version(1),
-            "times 3..8 resolve to v2"
-        );
-    }
-
-    #[test]
     fn anchors_accelerate_without_changing_results() {
         let a = build(100);
         // Cold pass populates anchors; warm pass must reread identically.
@@ -1179,27 +1097,6 @@ mod tests {
             let t = (i + 1) as u64;
             assert_eq!(a.checkout(t).unwrap(), a.checkout_uncached(t).unwrap());
         }
-    }
-
-    #[test]
-    fn anchors_are_dropped_by_truncate() {
-        let mut a = build(64);
-        a.checkout(1).unwrap(); // warm anchors along the whole chain
-        a.truncate_after(40).unwrap();
-        let left = a.lock_index().anchors.frames.clone();
-        assert!(left.is_some_and(|f| f.map.keys().all(|&k| k < 39)));
-        // Regrow the history past the cut; the reused entry indices must not
-        // resurrect pre-truncation contents.
-        for i in 40..64 {
-            a.checkin(version(i), (i + 10) as u64).unwrap();
-        }
-        for i in 0..40 {
-            assert_eq!(&a.checkout((i + 1) as u64).unwrap()[..], version(i));
-        }
-        for i in 40..64 {
-            assert_eq!(&a.checkout((i + 10) as u64).unwrap()[..], version(i));
-        }
-        a.verify_index().unwrap();
     }
 
     #[test]
@@ -1405,14 +1302,18 @@ mod tests {
             a.set_anchor_budget([usize::MAX, 8 * 1024, 64 * 1024][rng.index(3)]);
             let mut clock = 1u64;
             let mut live: Vec<u64> = vec![1];
+            // The state at the last "commit": what an abort goes back to,
+            // the way the HAM drops its working copy for the published one.
+            let mut committed = (a.clone(), contents.clone(), clock, live.clone());
             for step in 0..rng.index(60) + 20 {
-                if rng.chance(1, 10) && live.len() > 1 {
-                    // Rewind to a random surviving version, like an abort.
-                    let cut = live[rng.index(live.len())];
-                    a.truncate_after(cut).unwrap();
-                    live.retain(|&t| t <= cut);
-                    contents = a.head().to_vec();
-                    clock = cut;
+                if rng.chance(1, 10) {
+                    committed = (a.clone(), contents.clone(), clock, live.clone());
+                } else if rng.chance(1, 9) {
+                    // Abort. The check-ins that follow reuse the discarded
+                    // times and entry indices with different contents, so
+                    // an anchor or rung the working copy built past the
+                    // commit must not reach the restored copy.
+                    (a, contents, clock, live) = committed.clone();
                 } else {
                     // Random splice edit, then check in.
                     let at = rng.index(contents.len().max(1));

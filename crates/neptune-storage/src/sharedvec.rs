@@ -1,8 +1,8 @@
 //! An append-mostly vector whose clones share storage.
 //!
-//! Version histories only ever grow at the end (check-in) or shrink from
-//! the end (rollback), and every commit copies the node it touches because
-//! the published view still holds the old one. A plain `Vec` makes that
+//! Version histories only ever grow at the end (check-in), and every
+//! commit copies the node it touches because the published view still
+//! holds the old one. A plain `Vec` makes that
 //! copy linear in the history. [`SharedVec`] keeps its items in fixed-size
 //! chunks behind `Arc`s: full chunks sit in a shared spine, the last,
 //! partial chunk is the tail. `clone` is two refcount bumps; a `push` after
@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// Items per chunk. A power of two, so indexing is a shift and a mask.
 pub const CHUNK: usize = 32;
 
-/// A vector with O(1) `clone` and copy-on-write `push`/`truncate`/`set`.
+/// A vector with O(1) `clone` and copy-on-write `push`/`set`.
 /// An empty one owns no allocation, and one shorter than a chunk only its
 /// tail: most histories are short, and every node carries several.
 #[derive(Debug)]
@@ -147,29 +147,6 @@ impl<T: Clone> SharedVec<T> {
         };
         Arc::make_mut(slot)[index % CHUNK] = item;
     }
-
-    /// Keep the first `len` items and drop the rest.
-    pub fn truncate(&mut self, len: usize) {
-        if len >= self.len() {
-            return;
-        }
-        let (full, keep) = (len / CHUNK, len % CHUNK);
-        if let Some(sealed) = self.sealed.as_mut().filter(|s| full < s.len()) {
-            // The cut falls inside (or at the start of) a sealed chunk,
-            // which becomes the new tail.
-            let sealed = Arc::make_mut(sealed);
-            sealed.truncate(full + 1);
-            self.tail = sealed.pop();
-            if full == 0 {
-                self.sealed = None;
-            }
-        }
-        if keep == 0 {
-            self.tail = None;
-        } else if let Some(tail) = &mut self.tail {
-            Arc::make_mut(tail).truncate(keep);
-        }
-    }
 }
 
 impl<T: PartialEq> PartialEq for SharedVec<T> {
@@ -209,7 +186,7 @@ mod tests {
     use crate::testutil::XorShift;
 
     #[test]
-    fn matches_a_vec_under_push_set_and_truncate() {
+    fn matches_a_vec_under_push_and_set() {
         for seed in 1..=6u64 {
             let mut rng = XorShift::new(seed);
             let mut model: Vec<u64> = Vec::new();
@@ -217,11 +194,6 @@ mod tests {
             let mut frozen: Vec<(SharedVec<u64>, Vec<u64>)> = Vec::new();
             for step in 0..600u64 {
                 match rng.below(10) {
-                    0 if !model.is_empty() => {
-                        let cut = rng.index(model.len() + 1);
-                        model.truncate(cut);
-                        v.truncate(cut);
-                    }
                     1 if !model.is_empty() => {
                         let at = rng.index(model.len());
                         model[at] = step;
@@ -280,9 +252,9 @@ mod tests {
     #[test]
     fn equality_compares_items_not_layout() {
         let a: SharedVec<u8> = (0..100).collect();
-        let mut b: SharedVec<u8> = (0..120).collect();
+        let mut b: SharedVec<u8> = (0..99).collect();
         assert_ne!(a, b);
-        b.truncate(100);
+        b.push(99);
         assert_eq!(a, b);
         assert_eq!(a, a.clone());
     }
