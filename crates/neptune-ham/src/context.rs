@@ -18,7 +18,7 @@
 //! ordinary new versions, exactly as a designer "merging the chosen design
 //! back" would check it in.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::error::{HamError, Result};
 use crate::graph::HamGraph;
@@ -310,6 +310,56 @@ pub fn merge_context(
 
     parent.record_graph_version(parent.now(), "context merged");
     Ok(report)
+}
+
+impl HamGraph {
+    /// This (child) graph restricted to what [`merge_context`] reads when
+    /// merging it into `parent` at `fork_time`: merging the delta into
+    /// `parent` gives the same report and the same parent as merging the
+    /// whole child. It is what a cross-shard merge logs, so its size is the
+    /// change since the fork, not the graph.
+    ///
+    /// Kept are the nodes created after the fork, changed after it (the
+    /// tests the merge makes), or dead here while alive in `parent`; every
+    /// endpoint of a link created after the fork (the merge maps a new
+    /// link's ends through the nodes it visited); and the links created
+    /// after the fork, dead here while alive in `parent`, or with
+    /// attributes changed after it. Every other field is this graph's, and
+    /// the kept objects keep their relative order, on which the merge's
+    /// ticks and new ids depend. The liveness tests read `parent` as it is
+    /// now, so the delta is only good for a merge into `parent` unchanged.
+    pub fn merge_delta(&self, parent: &HamGraph, fork_time: Time) -> HamGraph {
+        let mut endpoints = HashSet::new();
+        let mut links = Vec::new();
+        for link in self.links() {
+            let keep = if link.created > fork_time {
+                endpoints.insert(link.from.node);
+                endpoints.insert(link.to.node);
+                true
+            } else {
+                (!link.exists_at(Time::CURRENT)
+                    && parent
+                        .link(link.id)
+                        .is_ok_and(|p| p.exists_at(Time::CURRENT)))
+                    || !link.attrs.attrs_changed_after(fork_time).is_empty()
+            };
+            if keep {
+                links.push(link.id);
+            }
+        }
+        let nodes: Vec<NodeIndex> = self
+            .nodes()
+            .filter(|n| {
+                n.created > fork_time
+                    || node_changed_after(n, fork_time)
+                    || (!n.exists_at(Time::CURRENT)
+                        && parent.node(n.id).is_ok_and(|p| p.exists_at(Time::CURRENT)))
+                    || endpoints.contains(&n.id)
+            })
+            .map(|n| n.id)
+            .collect();
+        self.restricted_to(nodes, links)
+    }
 }
 
 fn parent_tick(parent: &mut HamGraph) -> Time {

@@ -494,6 +494,39 @@ impl HamGraph {
         &self.graph_versions
     }
 
+    /// This graph holding only the listed nodes and links (ids it lacks are
+    /// skipped). The clock, id counters, attribute table, demons and graph
+    /// versions are this graph's; the derived indexes cover what is kept.
+    pub(crate) fn restricted_to(
+        &self,
+        nodes: impl IntoIterator<Item = NodeIndex>,
+        links: impl IntoIterator<Item = LinkIndex>,
+    ) -> HamGraph {
+        let mut graph = HamGraph {
+            project_id: self.project_id,
+            created: self.created,
+            clock: self.clock,
+            next_node: self.next_node,
+            next_link: self.next_link,
+            nodes: nodes
+                .into_iter()
+                .filter_map(|id| Some((id.0, self.nodes.get(id.0)?.clone())))
+                .collect(),
+            links: links
+                .into_iter()
+                .filter_map(|id| Some((id.0, self.links.get(id.0)?.clone())))
+                .collect(),
+            attr_table: Arc::clone(&self.attr_table),
+            graph_demons: Arc::clone(&self.graph_demons),
+            graph_versions: Arc::clone(&self.graph_versions),
+            value_index: ValueIndex::new(),
+            temporal_index: Arc::default(),
+        };
+        graph.rebuild_value_index();
+        graph.rebuild_temporal_index();
+        graph
+    }
+
     /// Rebuild the derived value index from canonical state.
     pub fn rebuild_value_index(&mut self) {
         let mut index = ValueIndex::new();

@@ -1422,7 +1422,10 @@ impl Ham {
 
     /// Merge a foreign (other-shard) child graph into local context `into`.
     /// The parent half of a cross-shard merge; the child shard separately
-    /// re-forks via [`Ham::set_fork_point`].
+    /// re-forks via [`Ham::set_fork_point`]. Only the child's
+    /// [`HamGraph::merge_delta`] against `into` is merged and logged, so
+    /// the record costs the change since the fork, and replay merges the
+    /// very graph the live path did.
     pub(crate) fn merge_foreign(
         &mut self,
         into: ContextId,
@@ -1432,15 +1435,16 @@ impl Ham {
     ) -> Result<MergeReport> {
         let _span = neptune_obs::span!("ham.merge_foreign", "into {}", into.0);
         self.auto_txn(|ham| {
+            let delta = child_graph.merge_delta(ham.graph(into)?, fork_time);
             let parent = ham.graph_mut(into)?;
-            let report = merge_context(parent, child_graph, fork_time, policy)?;
+            let report = merge_context(parent, &delta, fork_time, policy)?;
             if neptune_obs::enabled() && !report.conflicts.is_empty() {
                 neptune_obs::registry()
                     .counter("neptune_ham_merge_conflicts_total")
                     .add(report.conflicts.len() as u64);
             }
             let mut gw = Writer::new();
-            child_graph.encode(&mut gw);
+            delta.encode(&mut gw);
             ham.push_redo(RedoOp::MergeForeign {
                 into,
                 policy: policy_tag(policy),
@@ -2685,6 +2689,84 @@ mod tests {
                 .contents[..],
             b"private edit\n"[..]
         );
+    }
+
+    /// Logs written before merges were restricted hold the whole child
+    /// graph in `MergeForeign` and must still replay: one store logs the
+    /// merge in that form, another through `merge_foreign`, whose record
+    /// holds only the child's merge delta. Both merge to the same MAIN
+    /// live, and both logs replay to it.
+    #[test]
+    fn merge_foreign_records_replay_alike_whole_or_delta() {
+        let merged = |name: &str, whole_record: bool| {
+            let dir = tmpdir(name);
+            let (mut ham, pid, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
+            let mut ids = Vec::new();
+            for i in 0..8 {
+                let (n, t) = ham.add_node(MAIN_CONTEXT, true).unwrap();
+                ham.modify_node(MAIN_CONTEXT, n, t, format!("node {i}\n").into_bytes(), &[])
+                    .unwrap();
+                ids.push(n);
+            }
+            ham.add_link(
+                MAIN_CONTEXT,
+                LinkPt::current(ids[0], 0),
+                LinkPt::current(ids[1], 0),
+            )
+            .unwrap();
+            let (mut child, fork) = ham.export_graph(MAIN_CONTEXT).unwrap();
+            let t = child.tick();
+            child
+                .node_mut(ids[2])
+                .unwrap()
+                .modify(b"child edit\n".to_vec(), t, "edit")
+                .unwrap();
+            child.delete_node(ids[3]).unwrap();
+            let (extra, _) = child.add_node(true);
+            child
+                .add_link(LinkPt::current(extra, 0), LinkPt::current(ids[4], 0))
+                .unwrap();
+            let owner = child.attribute_index("owner");
+            child
+                .set_node_attr(ids[5], owner, Value::str("child"))
+                .unwrap();
+
+            let policy = ConflictPolicy::Fail;
+            let report = if whole_record {
+                ham.auto_txn(|ham| {
+                    let report = merge_context(ham.graph_mut(MAIN_CONTEXT)?, &child, fork, policy)?;
+                    let mut gw = Writer::new();
+                    child.encode(&mut gw);
+                    ham.push_redo(RedoOp::MergeForeign {
+                        into: MAIN_CONTEXT,
+                        policy: policy_tag(policy),
+                        fork_time: fork,
+                        graph: gw.into_bytes(),
+                    });
+                    Ok(report)
+                })
+            } else {
+                ham.merge_foreign(MAIN_CONTEXT, &child, fork, policy)
+            }
+            .unwrap();
+            assert_eq!(report.nodes_deleted, vec![ids[3]]);
+            assert_eq!(report.links_added.len(), 1);
+            let live = ham.graph(MAIN_CONTEXT).unwrap().clone();
+            let wal_bytes = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+            drop(ham);
+            let (ham, main) = Ham::open_graph(pid, &Machine::local(), &dir).unwrap();
+            let mut replayed = ham.graph(main).unwrap().clone();
+            assert_eq!(replayed, live, "{name}: replay differs from the live merge");
+            drop(ham);
+            let _ = std::fs::remove_dir_all(&dir);
+            // Stores draw their own project ids; compare everything else.
+            replayed.project_id = ProjectId(0);
+            (replayed, wal_bytes)
+        };
+        let (whole, whole_bytes) = merged("mf-whole", true);
+        let (delta, delta_bytes) = merged("mf-delta", false);
+        assert_eq!(whole, delta);
+        assert!(delta_bytes < whole_bytes, "{delta_bytes} vs {whole_bytes}");
     }
 
     #[test]

@@ -506,13 +506,14 @@ impl ShardedHam {
     /// resolves the merge with everything else.
     pub fn merge_context(&self, child: ContextId, policy: ConflictPolicy) -> Result<MergeReport> {
         let child_shard = self.shard_of(child);
-        let (parent, fork_time) = {
+        let parent = {
             let guard = self.lock_shard(child_shard);
             guard
                 .context_forked_from(child)?
                 .ok_or(HamError::TransactionState {
                     reason: "cannot merge the main context",
                 })?
+                .0
         };
         let parent_shard = self.shard_of(parent);
         if parent_shard == child_shard {
@@ -523,8 +524,8 @@ impl ShardedHam {
         }
         let locks: BTreeSet<usize> = [parent_shard, child_shard].into_iter().collect();
         let mut guards = self.lock_ascending(&locks);
-        // Re-read under both locks: a concurrent merge may have advanced
-        // the fork time between the peek above and taking the locks. The
+        // The fork time is read under both locks: a concurrent merge may
+        // advance it between the peek above and taking the locks. The
         // parent context itself can never change (merges re-fork from the
         // same parent), so the lock set stays valid.
         let (_, fork_time) = {
@@ -532,11 +533,12 @@ impl ShardedHam {
                 .iter()
                 .find(|(k, _)| *k == child_shard)
                 .expect("child shard locked");
-            let from = child_g.1.context_forked_from(child)?;
-            let _ = fork_time;
-            from.ok_or(HamError::TransactionState {
-                reason: "cannot merge the main context",
-            })?
+            child_g
+                .1
+                .context_forked_from(child)?
+                .ok_or(HamError::TransactionState {
+                    reason: "cannot merge the main context",
+                })?
         };
         let child_export = {
             let child_g = guards
@@ -1082,6 +1084,53 @@ mod tests {
             "fork time {t:?} beyond parent clock {parent_now:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cross-shard merge logs the change, not the child: merging a
+    /// one-node edit appends as many bytes to the parent shard's WAL over a
+    /// graph of 2 000 nodes of 2 KiB as over one of 100.
+    #[test]
+    fn cross_shard_merge_logs_the_same_bytes_whatever_the_graph_size() {
+        let appended = |nodes: usize| -> u64 {
+            let dir = tmpdir(&format!("xmerge-bytes-{nodes}"));
+            let (ham, _, _) = ShardedHam::create(&dir, Protections::DEFAULT, 2).unwrap();
+            ham.begin_transaction().unwrap();
+            let edited = {
+                let mut main = ham.lock_home(MAIN_CONTEXT).unwrap();
+                let mut first = None;
+                for i in 0..nodes {
+                    let (node, t) = main.add_node(MAIN_CONTEXT, true).unwrap();
+                    let body = vec![b'a' + (i % 26) as u8; 2048];
+                    main.modify_node(MAIN_CONTEXT, node, t, body, &[]).unwrap();
+                    first.get_or_insert(node);
+                }
+                first.unwrap()
+            };
+            ham.commit_transaction().unwrap();
+            let child = ham.create_context(MAIN_CONTEXT).unwrap();
+            assert_ne!(ham.shard_of(child), ham.shard_of(MAIN_CONTEXT));
+            {
+                let mut guard = ham.lock_home(child).unwrap();
+                let t = guard.get_node_time_stamp(child, edited).unwrap();
+                guard
+                    .modify_node(child, edited, t, vec![b'z'; 2048], &[])
+                    .unwrap();
+            }
+            let wal = shard_dir(&dir, ham.shard_of(MAIN_CONTEXT)).join(crate::ham::WAL_FILE);
+            let before = std::fs::metadata(&wal).unwrap().len();
+            let report = ham.merge_context(child, ConflictPolicy::Fail).unwrap();
+            assert_eq!(report.nodes_modified, vec![edited]);
+            let after = std::fs::metadata(&wal).unwrap().len();
+            drop(ham);
+            let _ = std::fs::remove_dir_all(&dir);
+            after - before
+        };
+        let (small, large) = (appended(100), appended(2000));
+        assert!(
+            small.abs_diff(large) <= 64,
+            "merge appended {small} B at 100 nodes but {large} B at 2 000"
+        );
+        assert!(large < 8 * 1024, "a one-node merge appended {large} B");
     }
 
     #[test]

@@ -220,7 +220,8 @@ pub enum RedoOp {
     },
     /// A cross-shard `mergeContext`, parent side: fold an encoded foreign
     /// child graph into `into`. Self-contained for the same reason as
-    /// [`RedoOp::AdoptContext`].
+    /// [`RedoOp::AdoptContext`], but it carries only what the merge reads
+    /// (see `graph`).
     MergeForeign {
         /// The receiving (parent) context on this shard.
         into: ContextId,
@@ -228,7 +229,11 @@ pub enum RedoOp {
         policy: u8,
         /// The child's fork time in the parent's clock.
         fork_time: Time,
-        /// Encoded [`crate::graph::HamGraph`] of the (foreign) child.
+        /// Encoded [`crate::graph::HamGraph`] of the (foreign) child as
+        /// [`crate::graph::HamGraph::merge_delta`] restricts it: the
+        /// objects changed since the fork, with the child's clock and
+        /// tables. Older logs carry the whole child graph; both replay
+        /// through the same merge to the same parent.
         graph: Vec<u8>,
     },
     /// A cross-shard `mergeContext`, child side: after the parent shard

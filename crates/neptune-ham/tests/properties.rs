@@ -6,11 +6,12 @@
 //! * an abort, or a commit the log refuses, returns every shard to the
 //!   view it last published, with all of its contexts;
 //! * persistence (snapshot + WAL replay) reproduces the exact state;
+//! * merging a child's `merge_delta` is merging the whole child;
 //! * `Versioned<T>` behaves like an append-only map from time to value.
 
 use std::sync::Arc;
 
-use neptune_ham::context::ConflictPolicy;
+use neptune_ham::context::{merge_context, ConflictPolicy};
 use neptune_ham::demons::{DemonSpec, Event};
 use neptune_ham::graph::HamGraph;
 use neptune_ham::ham::Ham;
@@ -19,7 +20,7 @@ use neptune_ham::predicate::Predicate;
 use neptune_ham::query::get_graph_query;
 use neptune_ham::shard::ShardedHam;
 use neptune_ham::types::{
-    ContextId, LinkPt, NodeIndex, ProjectId, Protections, Time, MAIN_CONTEXT,
+    ContextId, LinkIndex, LinkPt, NodeIndex, ProjectId, Protections, Time, MAIN_CONTEXT,
 };
 use neptune_ham::value::Value;
 
@@ -561,5 +562,229 @@ fn versioned_cell_matches_model() {
             };
             assert_eq!(cell.get_at(Time(q)), expected, "query at {q}");
         }
+    }
+}
+
+const POLICIES: [ConflictPolicy; 3] = [
+    ConflictPolicy::Fail,
+    ConflictPolicy::PreferChild,
+    ConflictPolicy::PreferParent,
+];
+
+/// Merge `child` into copies of `parent` three ways: whole, as its
+/// `merge_delta`, and as that delta after an encode/decode round trip (what
+/// WAL replay merges). All three must give the same report, or the same
+/// error, and the same parent bytes. Returns the whole merge's outcome.
+fn merge_alike(
+    parent: &HamGraph,
+    child: &HamGraph,
+    fork: Time,
+    policy: ConflictPolicy,
+    what: &str,
+) -> (
+    HamGraph,
+    neptune_ham::Result<neptune_ham::context::MergeReport>,
+) {
+    let mut whole = parent.clone();
+    let expected = merge_context(&mut whole, child, fork, policy);
+    let delta = child.merge_delta(parent, fork);
+    assert!(
+        delta.nodes().count() <= child.nodes().count()
+            && delta.links().count() <= child.links().count(),
+        "{what}, {policy:?}: the delta outgrew the child"
+    );
+    let replayed = HamGraph::from_bytes(&delta.to_bytes()).unwrap();
+    for (how, input) in [("delta", &delta), ("decoded delta", &replayed)] {
+        let mut merged = parent.clone();
+        let got = merge_context(&mut merged, input, fork, policy);
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{expected:?}"),
+            "{what}, {policy:?}: the {how} merged otherwise"
+        );
+        assert!(
+            merged.to_bytes() == whole.to_bytes(),
+            "{what}, {policy:?}: the {how} left other parent bytes"
+        );
+    }
+    (whole, expected)
+}
+
+/// Seeded fork/edit/merge scripts: a base graph, divergent edits in parent
+/// and child, a merge, then a second round from a re-fork at the parent's
+/// clock (the child keeps its own). Every merge agrees whole and as a delta.
+#[test]
+fn merge_delta_merges_like_the_whole_child() {
+    let mut rng = XorShift::new(0xA006);
+    for case in 0..96 {
+        let mut base = HamGraph::new(ProjectId(5));
+        for op in gen_ops(&mut rng, 1, 30) {
+            apply(&mut base, &op);
+        }
+        let child_ops = gen_ops(&mut rng, 1, 30);
+        let parent_ops = gen_ops(&mut rng, 1, 8);
+        let again_ops = gen_ops(&mut rng, 1, 12);
+        let parent_edits = rng.chance(1, 2);
+        for policy in POLICIES {
+            let what = format!("case {case}");
+            let fork = base.now();
+            let mut parent = base.clone();
+            let mut child = base.clone();
+            for op in &child_ops {
+                apply(&mut child, op);
+            }
+            if parent_edits {
+                for op in &parent_ops {
+                    apply(&mut parent, op);
+                }
+            }
+            let (merged, first) = merge_alike(&parent, &child, fork, policy, &what);
+            if first.is_err() {
+                continue;
+            }
+            let refork = merged.now();
+            for op in &again_ops {
+                apply(&mut child, op);
+            }
+            let _ = merge_alike(&merged, &child, refork, policy, &format!("{what}, again"));
+        }
+    }
+}
+
+/// A parent with archive nodes a, b, c (a and b with contents), a link
+/// a -> b, and a "status" attribute on a and on the link.
+fn merge_base() -> (HamGraph, [NodeIndex; 3], LinkIndex) {
+    let mut g = HamGraph::new(ProjectId(8));
+    let ids = [g.add_node(true).0, g.add_node(true).0, g.add_node(true).0];
+    for (id, text) in ids.iter().zip([&b"node a\n"[..], b"node b\n"]) {
+        let now = g.tick();
+        g.node_mut(*id)
+            .unwrap()
+            .modify(text.to_vec(), now, "init")
+            .unwrap();
+    }
+    let (link, _) = g
+        .add_link(LinkPt::current(ids[0], 0), LinkPt::current(ids[1], 0))
+        .unwrap();
+    let status = g.attribute_index("status");
+    g.set_node_attr(ids[0], status, Value::str("draft"))
+        .unwrap();
+    g.set_link_attr(link, status, Value::str("draft")).unwrap();
+    (g, ids, link)
+}
+
+fn edit(graph: &mut HamGraph, id: NodeIndex, text: &str) {
+    let now = graph.tick();
+    graph
+        .node_mut(id)
+        .unwrap()
+        .modify(text.as_bytes().to_vec(), now, "edit")
+        .unwrap();
+}
+
+/// Merge under every policy and require all three to agree whole and as a
+/// delta; the outcomes, in `POLICIES` order.
+fn merge_each_policy(
+    parent: &HamGraph,
+    child: &HamGraph,
+    fork: Time,
+    what: &str,
+) -> Vec<neptune_ham::Result<neptune_ham::context::MergeReport>> {
+    POLICIES
+        .iter()
+        .map(|&policy| merge_alike(parent, child, fork, policy, what).1)
+        .collect()
+}
+
+#[test]
+fn merge_delta_keeps_the_ends_of_new_links() {
+    let (parent, [a, b, c], _) = merge_base();
+    let fork = parent.now();
+    let mut child = parent.clone();
+    // A new node linked to unchanged c, and a new link between two
+    // unchanged pre-fork nodes.
+    let (d, _) = child.add_node(true);
+    child
+        .add_link(LinkPt::current(d, 0), LinkPt::current(c, 0))
+        .unwrap();
+    child
+        .add_link(LinkPt::current(a, 0), LinkPt::current(c, 0))
+        .unwrap();
+    for report in merge_each_policy(&parent, &child, fork, "new links") {
+        assert_eq!(report.unwrap().links_added.len(), 2);
+    }
+    let delta = child.merge_delta(&parent, fork);
+    assert!(delta.node(a).is_ok() && delta.node(c).is_ok());
+    assert!(delta.node(b).is_err(), "b is neither changed nor an end");
+}
+
+#[test]
+fn merge_delta_carries_deletions() {
+    let (parent, [_, b, _], link) = merge_base();
+    let fork = parent.now();
+
+    let mut child = parent.clone();
+    child.delete_node(b).unwrap();
+    for report in merge_each_policy(&parent, &child, fork, "node deleted") {
+        assert_eq!(report.unwrap().nodes_deleted, vec![b]);
+    }
+
+    let mut child = parent.clone();
+    child.delete_link(link).unwrap();
+    for report in merge_each_policy(&parent, &child, fork, "link deleted") {
+        assert_eq!(report.unwrap().links_deleted, vec![link]);
+    }
+}
+
+#[test]
+fn merge_delta_carries_attribute_deletions() {
+    let (parent, [a, _, _], link) = merge_base();
+    let fork = parent.now();
+    let mut child = parent.clone();
+    let status = child.attribute_index("status");
+    child.delete_node_attr(a, status).unwrap();
+    child.delete_link_attr(link, status).unwrap();
+    for report in merge_each_policy(&parent, &child, fork, "attribute deleted") {
+        assert_eq!(report.unwrap().attrs_changed, 2);
+    }
+}
+
+#[test]
+fn merge_delta_reports_a_change_to_a_node_the_parent_deleted() {
+    let (mut parent, [a, _, _], _) = merge_base();
+    let fork = parent.now();
+    let mut child = parent.clone();
+    edit(&mut child, a, "child edit\n");
+    parent.delete_node(a).unwrap();
+    let outcomes = merge_each_policy(&parent, &child, fork, "deleted in parent");
+    assert!(outcomes[0].is_err(), "Fail refuses the merge");
+    for report in &outcomes[1..] {
+        assert_eq!(report.as_ref().unwrap().conflicts.len(), 1);
+    }
+}
+
+/// Item-14 shape: the parent's clock runs ahead, the child merges, is
+/// re-forked at the parent's later clock, then edits and deletes a node
+/// with times below that fork point. A delta that chose deletions by time
+/// would drop b's deletion here; the merge's deletion test reads only
+/// liveness, so the delta must too.
+#[test]
+fn merge_delta_matches_a_second_merge_after_a_refork() {
+    let (mut parent, [a, b, c], _) = merge_base();
+    let fork = parent.now();
+    let mut child = parent.clone();
+    for i in 0..20 {
+        edit(&mut parent, c, &format!("parent edit {i}\n"));
+    }
+    edit(&mut child, a, "child edit 1\n");
+    let (parent, first) = merge_alike(&parent, &child, fork, ConflictPolicy::Fail, "first");
+    assert_eq!(first.unwrap().nodes_modified, vec![a]);
+
+    let refork = parent.now();
+    edit(&mut child, a, "child edit 2\n");
+    child.delete_node(b).unwrap();
+    assert!(child.now() < refork, "the child's times lag the new fork");
+    for report in merge_each_policy(&parent, &child, refork, "second") {
+        assert_eq!(report.unwrap().nodes_deleted, vec![b]);
     }
 }
