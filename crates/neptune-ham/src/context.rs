@@ -16,7 +16,11 @@
 //! fork, the [`ConflictPolicy`] decides. The child's internal version
 //! history remains in the child thread — the parent records the merge as
 //! ordinary new versions, exactly as a designer "merging the chosen design
-//! back" would check it in.
+//! back" would check it in, all at the merge's one time.
+//!
+//! Every time in every context comes from one store clock, so a version
+//! is "since the fork" exactly when its time is past the fork point, in
+//! the child and in the parent alike.
 
 use std::collections::{HashMap, HashSet};
 
@@ -58,7 +62,10 @@ pub struct MergeReport {
     pub conflicts: Vec<String>,
 }
 
-/// Merge `child` (forked from `parent` at `fork_time`) into `parent`.
+/// Merge `child` (forked from `parent` at `fork_time`) into `parent`,
+/// stamping everything the merge writes with `now`: a merge is one event,
+/// so no read at a past time sees half of it. `now` must be past every
+/// version either graph holds, and becomes the child's next fork point.
 ///
 /// On `Err`, `parent` may have been partially modified; callers (the Ham
 /// facade) run merges inside a transaction so failure rolls back cleanly.
@@ -67,6 +74,7 @@ pub fn merge_context(
     child: &HamGraph,
     fork_time: Time,
     policy: ConflictPolicy,
+    now: Time,
 ) -> Result<MergeReport> {
     let mut report = MergeReport::default();
     let mut node_map: HashMap<NodeIndex, NodeIndex> = HashMap::new();
@@ -79,110 +87,74 @@ pub fn merge_context(
         if !cnode.exists_at(Time::CURRENT) {
             continue; // created and deleted inside the private world
         }
-        let (new_id, _) = parent.add_node(cnode.is_archive());
+        let contents = cnode.contents_at(Time::CURRENT)?;
+        let (new_id, _) = parent.add_node_holding(cnode.is_archive(), contents, now);
         node_map.insert(cnode.id, new_id);
         report.nodes_added.push((cnode.id, new_id));
-        let contents = cnode.contents_at(Time::CURRENT)?;
-        if !contents.is_empty() {
-            let now = parent_tick(parent);
-            parent
-                .node_mut(new_id)?
-                .modify(contents, now, "merged from context")?;
+        for (attr, value) in cnode.attrs.all_at(Time::CURRENT) {
+            if let Some(name) = child.attr_table.name(attr) {
+                let pattr = parent.attribute_index(name, now);
+                parent.set_node_attr(new_id, pattr, value, now)?;
+            }
         }
-        copy_current_attrs_node(parent, child, cnode, new_id)?;
     }
 
     // Pass 2: pre-fork nodes — contents, attributes, deletions.
     for cnode in child.nodes().filter(|n| n.created <= fork_time) {
         let id = cnode.id;
-        let Ok(pnode) = parent.node(id) else {
-            continue; // parent rolled this node away; nothing to merge onto
+        // The parent's node of this id is the child's only if it was made
+        // at the same time: no two nodes share a creation time unless one
+        // merge made both. One made since (by the parent, by the first pass
+        // above, or as the merged copy of a node the child made) merely
+        // shares the number.
+        let Some(pnode) = parent.node(id).ok().filter(|p| p.created == cnode.created) else {
+            continue;
         };
         node_map.insert(id, id);
 
         let child_alive = cnode.exists_at(Time::CURRENT);
         let parent_alive = pnode.exists_at(Time::CURRENT);
         if !child_alive {
-            if parent_alive {
-                let parent_touched = node_changed_after(pnode, fork_time);
-                if parent_touched {
-                    match policy {
-                        ConflictPolicy::Fail => {
-                            return Err(HamError::MergeConflict {
-                                detail: format!("{id} deleted in child but modified in parent"),
-                            })
-                        }
-                        ConflictPolicy::PreferChild => {
-                            report
-                                .conflicts
-                                .push(format!("{id}: delete (child) over modify (parent)"));
-                            parent.delete_node(id)?;
-                            report.nodes_deleted.push(id);
-                        }
-                        ConflictPolicy::PreferParent => {
-                            report
-                                .conflicts
-                                .push(format!("{id}: modify (parent) over delete (child)"));
-                        }
-                    }
-                } else {
-                    parent.delete_node(id)?;
-                    report.nodes_deleted.push(id);
-                }
+            let delete = parent_alive
+                && (!node_changed_after(pnode, fork_time)
+                    || child_wins(
+                        policy,
+                        &mut report,
+                        format!("{id} deleted in child but modified in parent"),
+                        format!("{id}: delete (child) over modify (parent)"),
+                        format!("{id}: modify (parent) over delete (child)"),
+                    )?);
+            if delete {
+                parent.delete_node(id, now)?;
+                report.nodes_deleted.push(id);
             }
             continue;
         }
         if !parent_alive {
-            // Parent deleted it; child may have modified it.
+            // Parent deleted it; child may have modified it. A deleted index
+            // cannot be resurrected, so the parent's deletion stands either
+            // way, but the conflict is recorded.
             if node_changed_after(cnode, fork_time) {
-                match policy {
-                    ConflictPolicy::Fail => {
-                        return Err(HamError::MergeConflict {
-                            detail: format!("{id} modified in child but deleted in parent"),
-                        })
-                    }
-                    ConflictPolicy::PreferChild | ConflictPolicy::PreferParent => {
-                        // The node is gone in the parent; we cannot resurrect
-                        // a deleted index, so parent's deletion stands either
-                        // way, but record the conflict.
-                        report.conflicts.push(format!(
-                            "{id}: deletion (parent) stands; child changes dropped"
-                        ));
-                    }
-                }
+                let stands = format!("{id}: deletion (parent) stands; child changes dropped");
+                let what = format!("{id} modified in child but deleted in parent");
+                child_wins(policy, &mut report, what, stands.clone(), stands)?;
             }
             continue;
         }
 
         // Contents.
-        let child_content_changed = content_changed_after(cnode, fork_time);
-        let parent_content_changed = content_changed_after(pnode, fork_time);
-        if child_content_changed {
-            let apply = if parent_content_changed {
-                match policy {
-                    ConflictPolicy::Fail => {
-                        return Err(HamError::MergeConflict {
-                            detail: format!("{id} contents changed in both threads"),
-                        })
-                    }
-                    ConflictPolicy::PreferChild => {
-                        report.conflicts.push(format!("{id}: child contents win"));
-                        true
-                    }
-                    ConflictPolicy::PreferParent => {
-                        report.conflicts.push(format!("{id}: parent contents win"));
-                        false
-                    }
-                }
-            } else {
-                true
-            };
+        if content_changed_after(cnode, fork_time) {
+            let apply = !content_changed_after(pnode, fork_time)
+                || child_wins(
+                    policy,
+                    &mut report,
+                    format!("{id} contents changed in both threads"),
+                    format!("{id}: child contents win"),
+                    format!("{id}: parent contents win"),
+                )?;
             if apply {
                 let contents = cnode.contents_at(Time::CURRENT)?;
-                let now = parent_tick(parent);
-                parent
-                    .node_mut(id)?
-                    .modify(contents, now, "merged from context")?;
+                parent.check_in(id, contents, now, "merged from context")?;
                 report.nodes_modified.push(id);
             }
         }
@@ -194,36 +166,25 @@ pub fn merge_context(
                 Some(n) => n.to_string(),
                 None => continue,
             };
-            let parent_attr = parent.attribute_index(&name);
+            let parent_attr = parent.attribute_index(&name, now);
             let parent_changed = parent
                 .node(id)?
                 .attrs
                 .attrs_changed_after(fork_time)
                 .iter()
                 .any(|a| parent.attr_table.name(*a) == Some(name.as_str()));
-            let apply = if parent_changed {
-                match policy {
-                    ConflictPolicy::Fail => {
-                        return Err(HamError::MergeConflict {
-                            detail: format!("{id} attribute '{name}' changed in both threads"),
-                        })
-                    }
-                    ConflictPolicy::PreferChild => {
-                        report.conflicts.push(format!("{id}.{name}: child wins"));
-                        true
-                    }
-                    ConflictPolicy::PreferParent => {
-                        report.conflicts.push(format!("{id}.{name}: parent wins"));
-                        false
-                    }
-                }
-            } else {
-                true
-            };
+            let apply = !parent_changed
+                || child_wins(
+                    policy,
+                    &mut report,
+                    format!("{id} attribute '{name}' changed in both threads"),
+                    format!("{id}.{name}: child wins"),
+                    format!("{id}.{name}: parent wins"),
+                )?;
             if apply {
                 match cnode.attrs.get(child_attr, Time::CURRENT) {
                     Some(v) => {
-                        parent.set_node_attr(id, parent_attr, v.clone())?;
+                        parent.set_node_attr(id, parent_attr, v.clone(), now)?;
                     }
                     None => {
                         // Deleted in child since the fork.
@@ -233,7 +194,7 @@ pub fn merge_context(
                             .get(parent_attr, Time::CURRENT)
                             .is_some()
                         {
-                            parent.delete_node_attr(id, parent_attr)?;
+                            parent.delete_node_attr(id, parent_attr, now)?;
                         }
                     }
                 }
@@ -263,21 +224,25 @@ pub fn merge_context(
             let (Some(from_pt), Some(to_pt)) = (from_pt, to_pt) else {
                 continue;
             };
-            let (new_id, _) = parent.add_link(from_pt, to_pt)?;
+            let (new_id, _) = parent.add_link(from_pt, to_pt, now)?;
             report.links_added.push((clink.id, new_id));
             for (attr, value) in clink.attrs.all_at(Time::CURRENT) {
                 if let Some(name) = child.attr_table.name(attr) {
-                    let pattr = parent.attribute_index(name);
-                    parent.set_link_attr(new_id, pattr, value)?;
+                    let pattr = parent.attribute_index(name, now);
+                    parent.set_link_attr(new_id, pattr, value, now)?;
                 }
             }
         } else {
             // Pre-fork link: propagate deletion; attrs last-wins from child.
-            let Ok(plink) = parent.link(clink.id) else {
+            let Some(plink) = parent
+                .link(clink.id)
+                .ok()
+                .filter(|p| p.created == clink.created)
+            else {
                 continue;
             };
             if !clink.exists_at(Time::CURRENT) && plink.exists_at(Time::CURRENT) {
-                parent.delete_link(clink.id)?;
+                parent.delete_link(clink.id, now)?;
                 report.links_deleted.push(clink.id);
                 continue;
             }
@@ -285,10 +250,10 @@ pub fn merge_context(
                 for attr in clink.attrs.attrs_changed_after(fork_time) {
                     if let Some(name) = child.attr_table.name(attr) {
                         let name = name.to_string();
-                        let pattr = parent.attribute_index(&name);
+                        let pattr = parent.attribute_index(&name, now);
                         match clink.attrs.get(attr, Time::CURRENT) {
                             Some(v) => {
-                                parent.set_link_attr(clink.id, pattr, v.clone())?;
+                                parent.set_link_attr(clink.id, pattr, v.clone(), now)?;
                             }
                             None => {
                                 if parent
@@ -297,7 +262,7 @@ pub fn merge_context(
                                     .get(pattr, Time::CURRENT)
                                     .is_some()
                                 {
-                                    parent.delete_link_attr(clink.id, pattr)?;
+                                    parent.delete_link_attr(clink.id, pattr, now)?;
                                 }
                             }
                         }
@@ -308,7 +273,7 @@ pub fn merge_context(
         }
     }
 
-    parent.record_graph_version(parent.now(), "context merged");
+    parent.record_graph_version(now, "context merged");
     Ok(report)
 }
 
@@ -326,7 +291,7 @@ impl HamGraph {
     /// after the fork, dead here while alive in `parent`, or with
     /// attributes changed after it. Every other field is this graph's, and
     /// the kept objects keep their relative order, on which the merge's
-    /// ticks and new ids depend. The liveness tests read `parent` as it is
+    /// new ids depend. The liveness tests read `parent` as it is
     /// now, so the delta is only good for a merge into `parent` unchanged.
     pub fn merge_delta(&self, parent: &HamGraph, fork_time: Time) -> HamGraph {
         let mut endpoints = HashSet::new();
@@ -362,8 +327,22 @@ impl HamGraph {
     }
 }
 
-fn parent_tick(parent: &mut HamGraph) -> Time {
-    parent.tick()
+/// Settle a conflict (`what`) by `policy`: `Fail` refuses the merge; the
+/// other two record which side won and say whether the child's did.
+fn child_wins(
+    policy: ConflictPolicy,
+    report: &mut MergeReport,
+    what: String,
+    child_won: String,
+    parent_won: String,
+) -> Result<bool> {
+    let (wins, record) = match policy {
+        ConflictPolicy::Fail => return Err(HamError::MergeConflict { detail: what }),
+        ConflictPolicy::PreferChild => (true, child_won),
+        ConflictPolicy::PreferParent => (false, parent_won),
+    };
+    report.conflicts.push(record);
+    Ok(wins)
 }
 
 fn node_changed_after(node: &crate::node::Node, fork_time: Time) -> bool {
@@ -375,26 +354,11 @@ fn content_changed_after(node: &crate::node::Node, fork_time: Time) -> bool {
     node.current_time() > fork_time
 }
 
-fn copy_current_attrs_node(
-    parent: &mut HamGraph,
-    child: &HamGraph,
-    cnode: &crate::node::Node,
-    new_id: NodeIndex,
-) -> Result<()> {
-    for (attr, value) in cnode.attrs.all_at(Time::CURRENT) {
-        if let Some(name) = child.attr_table.name(attr) {
-            let pattr = parent.attribute_index(name);
-            parent.set_node_attr(new_id, pattr, value)?;
-        }
-    }
-    Ok(())
-}
-
 fn remap_linkpt(pt: Option<LinkPt>, node: NodeIndex) -> Option<LinkPt> {
     pt.map(|mut p| {
         p.node = node;
-        // Version pins refer to child-thread times, which have no meaning in
-        // the parent's clock; remapped links track the current version.
+        // A pin may name a version only the child's thread holds; remapped
+        // links track the current version.
         if !p.track_current {
             p.track_current = true;
             p.time = Time::CURRENT;
@@ -406,41 +370,56 @@ fn remap_linkpt(pt: Option<LinkPt>, node: NodeIndex) -> Option<LinkPt> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Stamp;
     use crate::types::ProjectId;
     use crate::value::Value;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn base_graph() -> (HamGraph, NodeIndex, NodeIndex) {
+    /// A graph with nodes a (contents checked in at time 10) and b, and the
+    /// store clock its forks and merges draw from, at 10.
+    fn base_graph() -> (HamGraph, AtomicU64, NodeIndex, NodeIndex) {
         let mut g = HamGraph::new(ProjectId(1));
-        let (a, _) = g.add_node(true);
-        let (b, _) = g.add_node(true);
-        g.node_mut(a)
-            .unwrap()
-            .modify(b"original a\n".to_vec(), Time(10), "init")
+        let (a, _) = g.add_node(true, Time(2));
+        let (b, _) = g.add_node(true, Time(3));
+        g.check_in(a, b"original a\n".to_vec(), Time(10), "init")
             .unwrap();
-        g.set_clock(Time(10));
-        (g, a, b)
+        (g, AtomicU64::new(10), a, b)
+    }
+
+    /// The fork point: the store clock's current value.
+    fn fork_point(clock: &AtomicU64) -> Time {
+        Time(clock.load(Ordering::Relaxed))
+    }
+
+    fn merge(
+        parent: &mut HamGraph,
+        child: &HamGraph,
+        fork: Time,
+        policy: ConflictPolicy,
+        clock: &AtomicU64,
+    ) -> Result<MergeReport> {
+        merge_context(parent, child, fork, policy, clock.stamp())
     }
 
     #[test]
     fn merge_new_nodes_and_links() {
-        let (mut parent, a, _b) = base_graph();
-        let fork = parent.now();
+        let (mut parent, clock, a, _b) = base_graph();
+        let fork = fork_point(&clock);
         let mut child = parent.clone();
 
-        let (c, _) = child.add_node(true);
-        let tc = child.tick();
+        let (c, _) = child.add_node(true, &clock);
         child
-            .node_mut(c)
-            .unwrap()
-            .modify(b"child node\n".to_vec(), tc, "x")
+            .check_in(c, b"child node\n".to_vec(), &clock, "x")
             .unwrap();
-        let icon = child.attribute_index("icon");
-        child.set_node_attr(c, icon, Value::str("newbie")).unwrap();
+        let icon = child.attribute_index("icon", &clock);
         child
-            .add_link(LinkPt::current(a, 0), LinkPt::current(c, 0))
+            .set_node_attr(c, icon, Value::str("newbie"), &clock)
+            .unwrap();
+        child
+            .add_link(LinkPt::current(a, 0), LinkPt::current(c, 0), &clock)
             .unwrap();
 
-        let report = merge_context(&mut parent, &child, fork, ConflictPolicy::Fail).unwrap();
+        let report = merge(&mut parent, &child, fork, ConflictPolicy::Fail, &clock).unwrap();
         assert_eq!(report.nodes_added.len(), 1);
         assert_eq!(report.links_added.len(), 1);
         let (_, new_id) = report.nodes_added[0];
@@ -461,17 +440,14 @@ mod tests {
 
     #[test]
     fn merge_content_changes_without_conflict() {
-        let (mut parent, a, _) = base_graph();
-        let fork = parent.now();
+        let (mut parent, clock, a, _) = base_graph();
+        let fork = fork_point(&clock);
         let mut child = parent.clone();
-        let t = child.tick();
         child
-            .node_mut(a)
-            .unwrap()
-            .modify(b"child edit\n".to_vec(), t, "e")
+            .check_in(a, b"child edit\n".to_vec(), &clock, "e")
             .unwrap();
 
-        let report = merge_context(&mut parent, &child, fork, ConflictPolicy::Fail).unwrap();
+        let report = merge(&mut parent, &child, fork, ConflictPolicy::Fail, &clock).unwrap();
         assert_eq!(report.nodes_modified, vec![a]);
         assert_eq!(
             parent.node(a).unwrap().contents_at(Time::CURRENT).unwrap()[..],
@@ -481,35 +457,36 @@ mod tests {
 
     #[test]
     fn conflicting_content_fails_or_resolves() {
-        let (parent0, a, _) = base_graph();
-        let fork = parent0.now();
+        let (parent0, clock, a, _) = base_graph();
+        let fork = fork_point(&clock);
 
         let make_diverged = || {
             let mut parent = parent0.clone();
             let mut child = parent0.clone();
-            let tp = parent.tick();
             parent
-                .node_mut(a)
-                .unwrap()
-                .modify(b"parent edit\n".to_vec(), tp, "p")
+                .check_in(a, b"parent edit\n".to_vec(), &clock, "p")
                 .unwrap();
-            let tc = child.tick();
             child
-                .node_mut(a)
-                .unwrap()
-                .modify(b"child edit\n".to_vec(), tc, "c")
+                .check_in(a, b"child edit\n".to_vec(), &clock, "c")
                 .unwrap();
             (parent, child)
         };
 
         let (mut parent, child) = make_diverged();
         assert!(matches!(
-            merge_context(&mut parent, &child, fork, ConflictPolicy::Fail),
+            merge(&mut parent, &child, fork, ConflictPolicy::Fail, &clock),
             Err(HamError::MergeConflict { .. })
         ));
 
         let (mut parent, child) = make_diverged();
-        let report = merge_context(&mut parent, &child, fork, ConflictPolicy::PreferChild).unwrap();
+        let report = merge(
+            &mut parent,
+            &child,
+            fork,
+            ConflictPolicy::PreferChild,
+            &clock,
+        )
+        .unwrap();
         assert_eq!(report.conflicts.len(), 1);
         assert_eq!(
             parent.node(a).unwrap().contents_at(Time::CURRENT).unwrap()[..],
@@ -517,7 +494,14 @@ mod tests {
         );
 
         let (mut parent, child) = make_diverged();
-        merge_context(&mut parent, &child, fork, ConflictPolicy::PreferParent).unwrap();
+        merge(
+            &mut parent,
+            &child,
+            fork,
+            ConflictPolicy::PreferParent,
+            &clock,
+        )
+        .unwrap();
         assert_eq!(
             parent.node(a).unwrap().contents_at(Time::CURRENT).unwrap()[..],
             b"parent edit\n"[..]
@@ -526,30 +510,45 @@ mod tests {
 
     #[test]
     fn attribute_merge_and_conflict() {
-        let (parent0, a, _) = base_graph();
+        let (parent0, clock, a, _) = base_graph();
         let mut parent = parent0.clone();
-        let status_p = parent.attribute_index("status");
+        let status_p = parent.attribute_index("status", &clock);
         parent
-            .set_node_attr(a, status_p, Value::str("base"))
+            .set_node_attr(a, status_p, Value::str("base"), &clock)
             .unwrap();
-        let fork = parent.now();
+        let fork = fork_point(&clock);
         let mut child = parent.clone();
 
         // Non-conflicting: child sets a fresh attribute.
-        let owner = child.attribute_index("owner");
-        child.set_node_attr(a, owner, Value::str("norm")).unwrap();
-        // Conflicting: both set "status".
-        let status_c = child.attribute_index("status");
+        let owner = child.attribute_index("owner", &clock);
         child
-            .set_node_attr(a, status_c, Value::str("child"))
+            .set_node_attr(a, owner, Value::str("norm"), &clock)
+            .unwrap();
+        // Conflicting: both set "status".
+        let status_c = child.attribute_index("status", &clock);
+        child
+            .set_node_attr(a, status_c, Value::str("child"), &clock)
             .unwrap();
         parent
-            .set_node_attr(a, status_p, Value::str("parent"))
+            .set_node_attr(a, status_p, Value::str("parent"), &clock)
             .unwrap();
 
-        assert!(merge_context(&mut parent.clone(), &child, fork, ConflictPolicy::Fail).is_err());
-        let report =
-            merge_context(&mut parent, &child, fork, ConflictPolicy::PreferParent).unwrap();
+        assert!(merge(
+            &mut parent.clone(),
+            &child,
+            fork,
+            ConflictPolicy::Fail,
+            &clock
+        )
+        .is_err());
+        let report = merge(
+            &mut parent,
+            &child,
+            fork,
+            ConflictPolicy::PreferParent,
+            &clock,
+        )
+        .unwrap();
         assert!(report.attrs_changed >= 1);
         let status = parent.attr_table.lookup("status").unwrap();
         let owner_p = parent.attr_table.lookup("owner").unwrap();
@@ -565,36 +564,40 @@ mod tests {
 
     #[test]
     fn deletion_propagates() {
-        let (mut parent, _a, b) = base_graph();
-        let fork = parent.now();
+        let (mut parent, clock, _a, b) = base_graph();
+        let fork = fork_point(&clock);
         let mut child = parent.clone();
-        child.delete_node(b).unwrap();
-        let report = merge_context(&mut parent, &child, fork, ConflictPolicy::Fail).unwrap();
+        child.delete_node(b, &clock).unwrap();
+        let report = merge(&mut parent, &child, fork, ConflictPolicy::Fail, &clock).unwrap();
         assert_eq!(report.nodes_deleted, vec![b]);
         assert!(!parent.node(b).unwrap().exists_at(Time::CURRENT));
     }
 
     #[test]
     fn node_created_and_deleted_in_child_never_reaches_parent() {
-        let (mut parent, _, _) = base_graph();
-        let fork = parent.now();
+        let (mut parent, clock, _, _) = base_graph();
+        let fork = fork_point(&clock);
         let mut child = parent.clone();
-        let (tmp, _) = child.add_node(true);
-        child.delete_node(tmp).unwrap();
-        let report = merge_context(&mut parent, &child, fork, ConflictPolicy::Fail).unwrap();
+        let (tmp, _) = child.add_node(true, &clock);
+        child.delete_node(tmp, &clock).unwrap();
+        let report = merge(&mut parent, &child, fork, ConflictPolicy::Fail, &clock).unwrap();
         assert!(report.nodes_added.is_empty());
     }
 
     #[test]
     fn pinned_links_from_child_become_tracking() {
-        let (mut parent, a, _) = base_graph();
-        let fork = parent.now();
+        let (mut parent, clock, a, _) = base_graph();
+        let fork = fork_point(&clock);
         let mut child = parent.clone();
-        let (c, _) = child.add_node(true);
+        let (c, _) = child.add_node(true, &clock);
         child
-            .add_link(LinkPt::pinned(a, 0, Time(10)), LinkPt::current(c, 0))
+            .add_link(
+                LinkPt::pinned(a, 0, Time(10)),
+                LinkPt::current(c, 0),
+                &clock,
+            )
             .unwrap();
-        let report = merge_context(&mut parent, &child, fork, ConflictPolicy::Fail).unwrap();
+        let report = merge(&mut parent, &child, fork, ConflictPolicy::Fail, &clock).unwrap();
         let (_, new_link) = report.links_added[0];
         assert!(parent.link(new_link).unwrap().from.track_current);
     }

@@ -1,18 +1,20 @@
 //! The hypergraph: the complete versioned state of one Neptune database.
 //!
 //! A [`HamGraph`] owns the nodes, links, attribute vocabulary, graph-level
-//! demons, the logical version clock, and the derived value index. It is a
-//! purely in-memory, single-writer structure; the [`crate::ham::Ham`]
-//! facade layers transactions, durability, demon firing, and the appendix
-//! operation signatures on top.
+//! demons, and the derived value index. It is a purely in-memory,
+//! single-writer structure that keeps no clock of its own: every operation
+//! takes its version time as a [`Stamp`], drawn from the store clock every
+//! context shares. The [`crate::ham::Ham`] facade layers transactions,
+//! durability, demon firing, and the appendix operation signatures on top.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use neptune_storage::codec::{decode_seq, encode_seq, Decode, Encode, Reader, Writer};
 use neptune_storage::error::Result as StorageResult;
 
 use crate::attributes::{AttrMap, AttributeTable, ObjKind, ValueIndex};
-use crate::demons::DemonTable;
+use crate::demons::{DemonSpec, DemonTable, Event};
 use crate::error::{HamError, Result};
 use crate::history::{TemporalIndex, Versioned};
 use crate::link::Link;
@@ -20,6 +22,33 @@ use crate::node::Node;
 use crate::pmap::Pam;
 use crate::types::{AttributeIndex, LinkIndex, LinkPt, NodeIndex, ProjectId, Time, Version};
 use crate::value::Value;
+
+/// Where a graph operation gets its version time: from the store clock,
+/// drawn only once the operation has validated (the live path), or as a
+/// time already assigned (replay passes the logged time; a merge stamps
+/// everything it writes with its one time).
+pub trait Stamp {
+    /// The time the operation records.
+    fn stamp(self) -> Time;
+}
+
+impl Stamp for Time {
+    fn stamp(self) -> Time {
+        self
+    }
+}
+
+/// The store clock: one counter for every context on every shard, holding
+/// the newest time it has issued. It never rewinds, so no time is issued
+/// twice, and an aborted operation's time is simply never used. `Relaxed`
+/// suffices: the counter publishes no other data. A time is drawn and
+/// written into a graph under that graph's shard lock, and whoever reads
+/// the graph holds the lock or loads a view published under it.
+impl Stamp for &AtomicU64 {
+    fn stamp(self) -> Time {
+        Time(self.fetch_add(1, Ordering::Relaxed) + 1)
+    }
+}
 
 /// The complete versioned state of a hyperdata graph.
 ///
@@ -36,6 +65,7 @@ pub struct HamGraph {
     pub project_id: ProjectId,
     /// Creation time (always `Time(1)`).
     pub created: Time,
+    /// The newest time recorded in this graph.
     clock: u64,
     next_node: u64,
     next_link: u64,
@@ -93,21 +123,17 @@ impl HamGraph {
 
     // ----- clock -----
 
-    /// Advance the logical version clock and return the new time.
-    pub fn tick(&mut self) -> Time {
-        self.clock += 1;
-        Time(self.clock)
-    }
-
-    /// The newest issued time.
+    /// The newest time recorded in this graph: its creation, or its latest
+    /// change. Other contexts may have drawn later times from the store
+    /// clock since.
     pub fn now(&self) -> Time {
         Time(self.clock)
     }
 
-    /// Force the clock to `time` (used by deterministic WAL replay).
-    pub fn set_clock(&mut self, time: Time) {
-        debug_assert!(time.0 >= self.clock, "clock may only move forward");
-        self.clock = time.0;
+    /// Note a change at `now`, returning it.
+    fn record(&mut self, now: Time) -> Time {
+        self.clock = self.clock.max(now.0);
+        now
     }
 
     // ----- object access -----
@@ -185,30 +211,34 @@ impl HamGraph {
     // ----- structural mutation -----
 
     /// Create a node; `keep_history` selects archive vs file storage.
-    pub fn add_node(&mut self, keep_history: bool) -> (NodeIndex, Time) {
-        let now = self.tick();
+    pub fn add_node(&mut self, keep_history: bool, now: impl Stamp) -> (NodeIndex, Time) {
+        self.add_node_holding(keep_history, Vec::new(), now)
+    }
+
+    /// Create a node whose first version holds `contents`: a merge brings
+    /// a node made in the child over with its contents, at its one time.
+    pub fn add_node_holding(
+        &mut self,
+        keep_history: bool,
+        contents: impl Into<Arc<[u8]>>,
+        now: impl Stamp,
+    ) -> (NodeIndex, Time) {
+        let now = self.record(now.stamp());
         let id = NodeIndex(self.next_node);
         self.next_node += 1;
-        self.nodes.insert(id.0, Node::new(id, now, keep_history));
+        self.nodes
+            .insert(id.0, Node::new(id, now, keep_history, contents));
         Arc::make_mut(&mut self.temporal_index).record_node(now, id.0);
         (id, now)
     }
 
-    /// Create a node with a forced id and time (WAL replay).
-    pub fn add_node_forced(&mut self, id: NodeIndex, now: Time, keep_history: bool) {
-        self.set_clock(now);
-        self.next_node = self.next_node.max(id.0 + 1);
-        self.nodes.insert(id.0, Node::new(id, now, keep_history));
-        Arc::make_mut(&mut self.temporal_index).record_node(now, id.0);
-    }
-
     /// Delete a node: records its death and that of every incident link
     /// (paper: "All links into or out of the node are deleted").
-    pub fn delete_node(&mut self, id: NodeIndex) -> Result<Time> {
+    pub fn delete_node(&mut self, id: NodeIndex, now: impl Stamp) -> Result<Time> {
         if !self.node(id)?.exists_at(Time::CURRENT) {
             return Err(HamError::NoSuchNode(id));
         }
-        let now = self.tick();
+        let now = self.record(now.stamp());
         let incident = self.node(id)?.incident_links.clone();
         for link_id in incident {
             let remove_pairs = {
@@ -240,21 +270,19 @@ impl HamGraph {
     ///
     /// Validates the paper's precondition: "The from and to nodes must
     /// exist at their respective times."
-    pub fn add_link(&mut self, from: LinkPt, to: LinkPt) -> Result<(LinkIndex, Time)> {
+    pub fn add_link(
+        &mut self,
+        from: LinkPt,
+        to: LinkPt,
+        now: impl Stamp,
+    ) -> Result<(LinkIndex, Time)> {
         self.validate_endpoint(&from)?;
         self.validate_endpoint(&to)?;
-        let now = self.tick();
+        let now = self.record(now.stamp());
         let id = LinkIndex(self.next_link);
         self.next_link += 1;
         self.insert_link(Link::new(id, from, to, now), now);
         Ok((id, now))
-    }
-
-    /// Create a link with forced id and time (WAL replay).
-    pub fn add_link_forced(&mut self, id: LinkIndex, from: LinkPt, to: LinkPt, now: Time) {
-        self.set_clock(now);
-        self.next_link = self.next_link.max(id.0 + 1);
-        self.insert_link(Link::new(id, from, to, now), now);
     }
 
     fn insert_link(&mut self, link: Link, now: Time) {
@@ -295,11 +323,11 @@ impl HamGraph {
     }
 
     /// Delete a link (records its death; history is preserved).
-    pub fn delete_link(&mut self, id: LinkIndex) -> Result<Time> {
+    pub fn delete_link(&mut self, id: LinkIndex, now: impl Stamp) -> Result<Time> {
         if !self.link(id)?.exists_at(Time::CURRENT) {
             return Err(HamError::NoSuchLink(id));
         }
-        let now = self.tick();
+        let now = self.record(now.stamp());
         let remove_pairs = {
             let link = self.links.get_mut(id.0).expect("checked above");
             link.alive.delete(now);
@@ -325,12 +353,13 @@ impl HamGraph {
 
     // ----- attributes -----
 
-    /// Intern an attribute name — `getAttributeIndex`.
-    pub fn attribute_index(&mut self, name: &str) -> AttributeIndex {
+    /// Intern an attribute name — `getAttributeIndex`. Only a new name
+    /// takes a time.
+    pub fn attribute_index(&mut self, name: &str, now: impl Stamp) -> AttributeIndex {
         if let Some(idx) = self.attr_table.lookup(name) {
             return idx;
         }
-        let now = self.tick();
+        let now = self.record(now.stamp());
         Arc::make_mut(&mut self.attr_table).intern(name, now)
     }
 
@@ -340,12 +369,13 @@ impl HamGraph {
         id: NodeIndex,
         attr: AttributeIndex,
         value: Value,
+        now: impl Stamp,
     ) -> Result<Time> {
         self.attr_name(attr)?; // validate the index exists
         if !self.node(id)?.exists_at(Time::CURRENT) {
             return Err(HamError::NoSuchNode(id));
         }
-        let now = self.tick();
+        let now = self.record(now.stamp());
         let node = self.nodes.get_mut(id.0).expect("checked above");
         let old = node.attrs.get(attr, Time::CURRENT).cloned();
         node.attrs.set(attr, value.clone(), now);
@@ -356,27 +386,29 @@ impl HamGraph {
     }
 
     /// Delete a node attribute.
-    pub fn delete_node_attr(&mut self, id: NodeIndex, attr: AttributeIndex) -> Result<Time> {
+    pub fn delete_node_attr(
+        &mut self,
+        id: NodeIndex,
+        attr: AttributeIndex,
+        now: impl Stamp,
+    ) -> Result<Time> {
         self.attr_name(attr)?;
-        if !self.node(id)?.exists_at(Time::CURRENT) {
-            return Err(HamError::NoSuchNode(id));
-        }
-        let now = self.tick();
+        let node = self.live_node(id, Time::CURRENT)?;
+        let old_value =
+            node.attrs
+                .get(attr, Time::CURRENT)
+                .cloned()
+                .ok_or(HamError::AttributeNotSet {
+                    attribute: attr,
+                    time: Time::CURRENT,
+                })?;
+        let now = self.record(now.stamp());
         let node = self.nodes.get_mut(id.0).expect("checked above");
-        let old = node.attrs.get(attr, Time::CURRENT).cloned();
-        match old {
-            Some(old_value) => {
-                node.attrs.delete(attr, now);
-                node.record_minor(now, "attribute deleted");
-                self.value_index
-                    .remove((ObjKind::Node, id.0), attr, &old_value);
-                Ok(now)
-            }
-            None => Err(HamError::AttributeNotSet {
-                attribute: attr,
-                time: Time::CURRENT,
-            }),
-        }
+        node.attrs.delete(attr, now);
+        node.record_minor(now, "attribute deleted");
+        self.value_index
+            .remove((ObjKind::Node, id.0), attr, &old_value);
+        Ok(now)
     }
 
     /// Set a link attribute.
@@ -385,12 +417,13 @@ impl HamGraph {
         id: LinkIndex,
         attr: AttributeIndex,
         value: Value,
+        now: impl Stamp,
     ) -> Result<Time> {
         self.attr_name(attr)?;
         if !self.link(id)?.exists_at(Time::CURRENT) {
             return Err(HamError::NoSuchLink(id));
         }
-        let now = self.tick();
+        let now = self.record(now.stamp());
         let link = self.links.get_mut(id.0).expect("checked above");
         let old = link.attrs.get(attr, Time::CURRENT).cloned();
         link.attrs.set(attr, value.clone(), now);
@@ -401,27 +434,74 @@ impl HamGraph {
     }
 
     /// Delete a link attribute.
-    pub fn delete_link_attr(&mut self, id: LinkIndex, attr: AttributeIndex) -> Result<Time> {
+    pub fn delete_link_attr(
+        &mut self,
+        id: LinkIndex,
+        attr: AttributeIndex,
+        now: impl Stamp,
+    ) -> Result<Time> {
         self.attr_name(attr)?;
-        if !self.link(id)?.exists_at(Time::CURRENT) {
-            return Err(HamError::NoSuchLink(id));
-        }
-        let now = self.tick();
+        let link = self.live_link(id, Time::CURRENT)?;
+        let old_value =
+            link.attrs
+                .get(attr, Time::CURRENT)
+                .cloned()
+                .ok_or(HamError::AttributeNotSet {
+                    attribute: attr,
+                    time: Time::CURRENT,
+                })?;
+        let now = self.record(now.stamp());
         let link = self.links.get_mut(id.0).expect("checked above");
-        let old = link.attrs.get(attr, Time::CURRENT).cloned();
-        match old {
-            Some(old_value) => {
-                link.attrs.delete(attr, now);
-                link.record_version(now, "attribute deleted");
-                self.value_index
-                    .remove((ObjKind::Link, id.0), attr, &old_value);
-                Ok(now)
-            }
-            None => Err(HamError::AttributeNotSet {
-                attribute: attr,
-                time: Time::CURRENT,
-            }),
-        }
+        link.attrs.delete(attr, now);
+        link.record_version(now, "attribute deleted");
+        self.value_index
+            .remove((ObjKind::Link, id.0), attr, &old_value);
+        Ok(now)
+    }
+
+    /// Check `contents` into node `id` — the content half of `modifyNode`,
+    /// and how a merge brings a child's contents over.
+    pub fn check_in(
+        &mut self,
+        id: NodeIndex,
+        contents: impl Into<Arc<[u8]>>,
+        now: impl Stamp,
+        explanation: &str,
+    ) -> Result<Time> {
+        let node = self.nodes.get_mut(id.0).ok_or(HamError::NoSuchNode(id))?;
+        let now = now.stamp();
+        node.modify(contents, now, explanation)?;
+        Ok(self.record(now))
+    }
+
+    // ----- demons -----
+
+    /// Set (or with `None` clear) the graph-level demon for `event`.
+    pub fn set_graph_demon(
+        &mut self,
+        event: Event,
+        demon: Option<DemonSpec>,
+        now: impl Stamp,
+    ) -> Time {
+        let now = self.record(now.stamp());
+        Arc::make_mut(&mut self.graph_demons).set(event, demon, now);
+        now
+    }
+
+    /// Set (or with `None` clear) node `id`'s demon for `event`.
+    pub fn set_node_demon(
+        &mut self,
+        id: NodeIndex,
+        event: Event,
+        demon: Option<DemonSpec>,
+        now: impl Stamp,
+    ) -> Result<Time> {
+        self.live_node(id, Time::CURRENT)?;
+        let now = self.record(now.stamp());
+        let node = self.node_mut(id)?;
+        node.demons.set(event, demon, now);
+        node.record_minor(now, "demon set");
+        Ok(now)
     }
 
     /// Resolve an attribute index to its name.
@@ -486,6 +566,7 @@ impl HamGraph {
 
     /// Record a graph-level version entry.
     pub fn record_graph_version(&mut self, time: Time, explanation: &str) {
+        self.record(time);
         Arc::make_mut(&mut self.graph_versions).push(Version::new(time, explanation));
     }
 
@@ -664,16 +745,19 @@ pub fn versioned_alive(alive: &Versioned<bool>, time: Time) -> bool {
 mod tests {
     use super::*;
 
-    fn graph_with_two_nodes() -> (HamGraph, NodeIndex, NodeIndex) {
+    /// A graph with two archive nodes, and the store clock it draws from
+    /// (at 1, the graph's creation).
+    fn graph_with_two_nodes() -> (HamGraph, AtomicU64, NodeIndex, NodeIndex) {
         let mut g = HamGraph::new(ProjectId(1));
-        let (a, _) = g.add_node(true);
-        let (b, _) = g.add_node(true);
-        (g, a, b)
+        let clock = AtomicU64::new(1);
+        let (a, _) = g.add_node(true, &clock);
+        let (b, _) = g.add_node(true, &clock);
+        (g, clock, a, b)
     }
 
     #[test]
     fn add_node_assigns_sequential_ids_and_times() {
-        let (g, a, b) = graph_with_two_nodes();
+        let (g, _, a, b) = graph_with_two_nodes();
         assert_eq!(a, NodeIndex(1));
         assert_eq!(b, NodeIndex(2));
         assert_eq!(g.node(a).unwrap().created, Time(2));
@@ -683,44 +767,50 @@ mod tests {
 
     #[test]
     fn add_link_validates_endpoints() {
-        let (mut g, a, b) = graph_with_two_nodes();
-        let ok = g.add_link(LinkPt::current(a, 0), LinkPt::current(b, 0));
+        let (mut g, clock, a, b) = graph_with_two_nodes();
+        let ok = g.add_link(LinkPt::current(a, 0), LinkPt::current(b, 0), &clock);
         assert!(ok.is_ok());
-        let err = g.add_link(LinkPt::current(a, 0), LinkPt::current(NodeIndex(99), 0));
+        let err = g.add_link(
+            LinkPt::current(a, 0),
+            LinkPt::current(NodeIndex(99), 0),
+            &clock,
+        );
         assert!(matches!(err, Err(HamError::BadEndpoint { .. })));
         // Pinned endpoint to a time before the node existed fails.
-        let err = g.add_link(LinkPt::pinned(a, 0, Time(1)), LinkPt::current(b, 0));
+        let err = g.add_link(LinkPt::pinned(a, 0, Time(1)), LinkPt::current(b, 0), &clock);
         assert!(matches!(err, Err(HamError::BadEndpoint { .. })));
     }
 
     #[test]
     fn delete_node_cascades_to_links() {
-        let (mut g, a, b) = graph_with_two_nodes();
+        let (mut g, clock, a, b) = graph_with_two_nodes();
         let (l, _) = g
-            .add_link(LinkPt::current(a, 0), LinkPt::current(b, 0))
+            .add_link(LinkPt::current(a, 0), LinkPt::current(b, 0), &clock)
             .unwrap();
         let t_before = g.now();
-        g.delete_node(a).unwrap();
+        g.delete_node(a, &clock).unwrap();
         assert!(!g.node(a).unwrap().exists_at(Time::CURRENT));
         assert!(!g.link(l).unwrap().exists_at(Time::CURRENT));
         // History preserved: both visible at the earlier time.
         assert!(g.node(a).unwrap().exists_at(t_before));
         assert!(g.link(l).unwrap().exists_at(t_before));
         // Double delete errors.
-        assert!(g.delete_node(a).is_err());
+        assert!(g.delete_node(a, &clock).is_err());
     }
 
     #[test]
     fn attribute_set_get_and_index() {
-        let (mut g, a, _) = graph_with_two_nodes();
-        let doc = g.attribute_index("document");
-        g.set_node_attr(a, doc, Value::str("requirements")).unwrap();
+        let (mut g, clock, a, _) = graph_with_two_nodes();
+        let doc = g.attribute_index("document", &clock);
+        g.set_node_attr(a, doc, Value::str("requirements"), &clock)
+            .unwrap();
         let hits = g.value_index().lookup(doc, &Value::str("requirements"));
         assert_eq!(hits, vec![(ObjKind::Node, a.0)]);
         let vals = g.attribute_values(doc, Time::CURRENT).unwrap();
         assert_eq!(vals, vec![Value::str("requirements")]);
         // Update moves the index entry.
-        g.set_node_attr(a, doc, Value::str("design")).unwrap();
+        g.set_node_attr(a, doc, Value::str("design"), &clock)
+            .unwrap();
         assert!(g
             .value_index()
             .lookup(doc, &Value::str("requirements"))
@@ -730,12 +820,12 @@ mod tests {
 
     #[test]
     fn attribute_values_at_historical_time_scan() {
-        let (mut g, a, b) = graph_with_two_nodes();
-        let doc = g.attribute_index("document");
-        g.set_node_attr(a, doc, Value::str("v1")).unwrap();
+        let (mut g, clock, a, b) = graph_with_two_nodes();
+        let doc = g.attribute_index("document", &clock);
+        g.set_node_attr(a, doc, Value::str("v1"), &clock).unwrap();
         let t1 = g.now();
-        g.set_node_attr(a, doc, Value::str("v2")).unwrap();
-        g.set_node_attr(b, doc, Value::str("v2")).unwrap();
+        g.set_node_attr(a, doc, Value::str("v2"), &clock).unwrap();
+        g.set_node_attr(b, doc, Value::str("v2"), &clock).unwrap();
         let at_t1 = g.attribute_values(doc, t1).unwrap();
         assert_eq!(at_t1, vec![Value::str("v1")]);
         let now = g.attribute_values(doc, Time::CURRENT).unwrap();
@@ -744,38 +834,37 @@ mod tests {
 
     #[test]
     fn delete_attr_requires_value() {
-        let (mut g, a, _) = graph_with_two_nodes();
-        let attr = g.attribute_index("x");
+        let (mut g, clock, a, _) = graph_with_two_nodes();
+        let attr = g.attribute_index("x", &clock);
         assert!(matches!(
-            g.delete_node_attr(a, attr),
+            g.delete_node_attr(a, attr, &clock),
             Err(HamError::AttributeNotSet { .. })
         ));
-        g.set_node_attr(a, attr, Value::Int(1)).unwrap();
-        g.delete_node_attr(a, attr).unwrap();
+        g.set_node_attr(a, attr, Value::Int(1), &clock).unwrap();
+        g.delete_node_attr(a, attr, &clock).unwrap();
         assert!(g.node(a).unwrap().attrs.get(attr, Time::CURRENT).is_none());
     }
 
     #[test]
     fn unknown_attribute_index_rejected() {
-        let (mut g, a, _) = graph_with_two_nodes();
+        let (mut g, clock, a, _) = graph_with_two_nodes();
         assert!(matches!(
-            g.set_node_attr(a, AttributeIndex(42), Value::Int(1)),
+            g.set_node_attr(a, AttributeIndex(42), Value::Int(1), &clock),
             Err(HamError::NoSuchAttribute(_))
         ));
     }
 
     #[test]
     fn codec_roundtrip() {
-        let (mut g, a, b) = graph_with_two_nodes();
-        let doc = g.attribute_index("document");
-        g.set_node_attr(a, doc, Value::str("requirements")).unwrap();
-        g.add_link(LinkPt::current(a, 3), LinkPt::current(b, 0))
+        let (mut g, clock, a, b) = graph_with_two_nodes();
+        let doc = g.attribute_index("document", &clock);
+        g.set_node_attr(a, doc, Value::str("requirements"), &clock)
             .unwrap();
-        g.node_mut(a)
-            .unwrap()
-            .modify(b"section one\n".to_vec(), Time(99), "edit")
+        g.add_link(LinkPt::current(a, 3), LinkPt::current(b, 0), &clock)
             .unwrap();
-        g.set_clock(Time(99));
+        g.check_in(a, b"section one\n".to_vec(), Time(99), "edit")
+            .unwrap();
+        assert_eq!(g.now(), Time(99));
         let decoded = HamGraph::from_bytes(&g.to_bytes()).unwrap();
         assert_eq!(decoded, g);
         // Derived index was rebuilt on decode.
@@ -790,18 +879,20 @@ mod tests {
 
     #[test]
     fn forced_inserts_respect_ids() {
+        // Replay forces the logged time; ids still come from the counter.
         let mut g = HamGraph::new(ProjectId(9));
-        g.add_node_forced(NodeIndex(5), Time(7), true);
+        assert_eq!(g.add_node(true, Time(7)), (NodeIndex(1), Time(7)));
         assert_eq!(g.now(), Time(7));
-        let (next, _) = g.add_node(true);
-        assert_eq!(next, NodeIndex(6));
+        let (next, _) = g.add_node(true, &AtomicU64::new(7));
+        assert_eq!(next, NodeIndex(2));
+        assert_eq!(g.now(), Time(8));
     }
 
     #[test]
     fn self_link_is_allowed() {
-        let (mut g, a, _) = graph_with_two_nodes();
+        let (mut g, clock, a, _) = graph_with_two_nodes();
         let (l, _) = g
-            .add_link(LinkPt::current(a, 0), LinkPt::current(a, 5))
+            .add_link(LinkPt::current(a, 0), LinkPt::current(a, 5), &clock)
             .unwrap();
         assert_eq!(g.node(a).unwrap().incident_links, vec![l]);
     }

@@ -28,7 +28,7 @@ use neptune_storage::wal::Wal;
 use crate::context::{merge_context, ConflictPolicy, MergeReport};
 use crate::demons::{DemonAction, DemonFireInfo, DemonRegistry, DemonSpec, Event, FireRecord};
 use crate::error::{HamError, Result};
-use crate::graph::HamGraph;
+use crate::graph::{HamGraph, Stamp};
 use crate::predicate::Predicate;
 use crate::query::SubGraph;
 use crate::txn::{ActiveTxn, RedoOp};
@@ -44,7 +44,7 @@ use crate::Published;
 #[derive(Debug, Clone)]
 pub(crate) struct GraphThread {
     pub(crate) graph: HamGraph,
-    /// `(parent context, parent clock at fork)`; `None` for the main thread.
+    /// `(parent context, store clock at fork)`; `None` for the main thread.
     pub(crate) forked_from: Option<(ContextId, Time)>,
 }
 
@@ -121,6 +121,12 @@ pub struct Ham {
     /// Sequence stamped into the most recent durable commit (0 before the
     /// first). Published into every [`CommittedView`].
     last_seq: u64,
+    /// The store clock every operation draws its `Time` from, holding the
+    /// newest time issued. Shared by every shard of a
+    /// [`crate::shard::ShardedHam`] like `commit_seq`, so one `Time` order
+    /// spans every context of the store. It never rewinds: an aborted
+    /// operation's time is left unused.
+    clock: Arc<AtomicU64>,
     /// A sequence pre-assigned by a cross-shard coordinator for the next
     /// commit; consumed by `log_txn` instead of drawing a fresh one, so
     /// every participant of a cross-shard transaction stamps the same
@@ -130,7 +136,7 @@ pub struct Ham {
     /// unsharded store. Consulted by the fork-topology invariant rules: a
     /// context adopted from another shard legitimately has no local parent.
     shard: (u32, u32),
-    /// The blob-mirror watermark: MAIN's clock when `nodes/` last became a
+    /// The blob-mirror watermark: MAIN's newest time when `nodes/` last became a
     /// complete, durable mirror of MAIN. A checkpoint rewrites only nodes
     /// with a version or existence change past it — the version times the
     /// graph already keeps are the dirty bits. `Time(0)` means "mirror
@@ -202,6 +208,7 @@ impl Ham {
             view_epoch: 1,
             commit_seq: Arc::new(AtomicU64::new(0)),
             last_seq: 0,
+            clock: Arc::new(AtomicU64::new(created.0)),
             forced_seq: None,
             shard: (0, 1),
             mirrored_through: Time(0),
@@ -309,6 +316,7 @@ impl Ham {
             view_epoch: 1,
             commit_seq: Arc::new(AtomicU64::new(state.last_seq)),
             last_seq: state.last_seq,
+            clock: Arc::default(),
             forced_seq: None,
             shard: (0, 1),
             mirrored_through,
@@ -327,6 +335,14 @@ impl Ham {
         }
         ham.commit_seq
             .fetch_max(ham.last_seq, atomic::Ordering::Relaxed);
+        // Every time this store ever recorded is a context's newest time or
+        // older, or a fork point: a fork may read a time an aborted
+        // operation drew elsewhere, and that time must not be issued again.
+        let newest = ham.threads.values().flat_map(|t| {
+            let fork = t.forked_from.map(|(_, time)| time);
+            std::iter::once(t.graph.now()).chain(fork)
+        });
+        ham.clock = Arc::new(AtomicU64::new(newest.max().unwrap_or_default().0));
         ham.replaying = false;
         // The placeholder epoch-1 view predates replay; republish so
         // lock-free readers see the recovered state.
@@ -361,7 +377,8 @@ impl Ham {
     ) -> Result<(NodeIndex, Time)> {
         let _span = neptune_obs::span!("ham.add_node", "context {}", context.0);
         self.auto_txn(|ham| {
-            let (id, time) = ham.graph_mut(context)?.add_node(keep_history);
+            let (graph, clock) = ham.write(context)?;
+            let (id, time) = graph.add_node(keep_history, clock);
             ham.push_redo(RedoOp::AddNode {
                 context,
                 id,
@@ -381,7 +398,8 @@ impl Ham {
     pub fn delete_node(&mut self, context: ContextId, node: NodeIndex) -> Result<()> {
         let _span = neptune_obs::span!("ham.delete_node", "context {} node {}", context.0, node.0);
         self.auto_txn(|ham| {
-            let time = ham.graph_mut(context)?.delete_node(node)?;
+            let (graph, clock) = ham.write(context)?;
+            let time = graph.delete_node(node, clock)?;
             ham.push_redo(RedoOp::DeleteNode {
                 context,
                 id: node,
@@ -405,7 +423,8 @@ impl Ham {
     ) -> Result<(LinkIndex, Time)> {
         let _span = neptune_obs::span!("ham.add_link", "context {}", context.0);
         self.auto_txn(|ham| {
-            let (id, time) = ham.graph_mut(context)?.add_link(from, to)?;
+            let (graph, clock) = ham.write(context)?;
+            let (id, time) = graph.add_link(from, to, clock)?;
             ham.push_redo(RedoOp::AddLink {
                 context,
                 id,
@@ -452,7 +471,8 @@ impl Ham {
     pub fn delete_link(&mut self, context: ContextId, link: LinkIndex) -> Result<()> {
         let _span = neptune_obs::span!("ham.delete_link", "context {} link {}", context.0, link.0);
         self.auto_txn(|ham| {
-            let time = ham.graph_mut(context)?.delete_link(link)?;
+            let (graph, clock) = ham.write(context)?;
+            let time = graph.delete_link(link, clock)?;
             ham.push_redo(RedoOp::DeleteLink {
                 context,
                 id: link,
@@ -597,13 +617,9 @@ impl Ham {
         // check-in never copies the contents.
         let contents: Arc<[u8]> = contents.into();
         self.auto_txn(|ham| {
-            let now = apply_modify_node(
-                ham.graph_mut(context)?,
-                node,
-                Some(time),
-                contents.clone(),
-                link_pts,
-            )?;
+            let (graph, clock) = ham.write(context)?;
+            let now =
+                apply_modify_node(graph, node, Some(time), contents.clone(), link_pts, clock)?;
             ham.push_redo(RedoOp::ModifyNode {
                 context,
                 id: node,
@@ -743,8 +759,9 @@ impl Ham {
         }
         let name = name.to_string();
         self.auto_txn(|ham| {
-            let idx = ham.graph_mut(context)?.attribute_index(&name);
-            let time = ham.graph(context)?.now();
+            let (graph, clock) = ham.write(context)?;
+            let idx = graph.attribute_index(&name, clock);
+            let time = graph.now();
             ham.push_redo(RedoOp::InternAttr {
                 context,
                 name,
@@ -772,9 +789,8 @@ impl Ham {
             node.0
         );
         self.auto_txn(|ham| {
-            let time = ham
-                .graph_mut(context)?
-                .set_node_attr(node, attr, value.clone())?;
+            let (graph, clock) = ham.write(context)?;
+            let time = graph.set_node_attr(node, attr, value.clone(), clock)?;
             let name = ham.graph(context)?.attr_name(attr)?.to_string();
             ham.push_redo(RedoOp::SetNodeAttr {
                 context,
@@ -799,7 +815,8 @@ impl Ham {
         attr: AttributeIndex,
     ) -> Result<()> {
         self.auto_txn(|ham| {
-            let time = ham.graph_mut(context)?.delete_node_attr(node, attr)?;
+            let (graph, clock) = ham.write(context)?;
+            let time = graph.delete_node_attr(node, attr, clock)?;
             let name = ham.graph(context)?.attr_name(attr)?.to_string();
             ham.push_redo(RedoOp::DeleteNodeAttr {
                 context,
@@ -843,9 +860,8 @@ impl Ham {
         value: Value,
     ) -> Result<()> {
         self.auto_txn(|ham| {
-            let time = ham
-                .graph_mut(context)?
-                .set_link_attr(link, attr, value.clone())?;
+            let (graph, clock) = ham.write(context)?;
+            let time = graph.set_link_attr(link, attr, value.clone(), clock)?;
             let name = ham.graph(context)?.attr_name(attr)?.to_string();
             ham.push_redo(RedoOp::SetLinkAttr {
                 context,
@@ -867,7 +883,8 @@ impl Ham {
         attr: AttributeIndex,
     ) -> Result<()> {
         self.auto_txn(|ham| {
-            let time = ham.graph_mut(context)?.delete_link_attr(link, attr)?;
+            let (graph, clock) = ham.write(context)?;
+            let time = graph.delete_link_attr(link, attr, clock)?;
             let name = ham.graph(context)?.attr_name(attr)?.to_string();
             ham.push_redo(RedoOp::DeleteLinkAttr {
                 context,
@@ -927,12 +944,8 @@ impl Ham {
                 let attr = attr.clone();
                 ham.get_attribute_index(context, &attr)?;
             }
-            let time = ham.graph_mut(context)?.tick();
-            Arc::make_mut(&mut ham.graph_mut(context)?.graph_demons).set(
-                event,
-                demon.clone(),
-                time,
-            );
+            let (graph, clock) = ham.write(context)?;
+            let time = graph.set_graph_demon(event, demon.clone(), clock);
             ham.push_redo(RedoOp::SetGraphDemon {
                 context,
                 event,
@@ -970,10 +983,8 @@ impl Ham {
                 let attr = attr.clone();
                 ham.get_attribute_index(context, &attr)?;
             }
-            let time = ham.graph_mut(context)?.tick();
-            let g = ham.graph_mut(context)?;
-            g.node_mut(node)?.demons.set(event, demon.clone(), time);
-            g.node_mut(node)?.record_minor(time, "demon set");
+            let (graph, clock) = ham.write(context)?;
+            let time = graph.set_node_demon(node, event, demon.clone(), clock)?;
             ham.push_redo(RedoOp::SetNodeDemon {
                 context,
                 node,
@@ -1194,7 +1205,7 @@ impl Ham {
                 reason: "cannot checkpoint inside a transaction",
             });
         }
-        // Every record is folded and MAIN's clock has not passed the
+        // Every record is folded and MAIN's newest time has not passed the
         // watermark, so no node version can postdate the mirror either:
         // snapshot, blobs and log already say what a checkpoint would write.
         if self.wal.is_folded() && self.threads[&MAIN_CONTEXT].graph.now() <= self.mirrored_through
@@ -1296,9 +1307,8 @@ impl Ham {
                     reason: "context id already in use",
                 });
             }
-            let parent = ham.thread(from)?;
-            let fork_time = parent.graph.now();
-            let graph = parent.graph.clone();
+            let graph = ham.thread(from)?.graph.clone();
+            let fork_time = ham.clock_now();
             ham.next_context = ham.next_context.max(id.0 + 1);
             ham.threads
                 .insert(id, GraphThread::shared(graph, Some((from, fork_time))));
@@ -1328,21 +1338,18 @@ impl Ham {
                 })?;
         self.auto_txn(|ham| {
             let child_graph = ham.thread(child)?.graph.clone();
-            let parent = ham.graph_mut(parent_id)?;
-            let report = merge_context(parent, &child_graph, fork_time, policy)?;
-            if neptune_obs::enabled() && !report.conflicts.is_empty() {
-                neptune_obs::registry()
-                    .counter("neptune_ham_merge_conflicts_total")
-                    .add(report.conflicts.len() as u64);
-            }
-            let new_fork = ham.graph(parent_id)?.now();
+            let (parent, clock) = ham.write(parent_id)?;
+            let time = clock.stamp();
+            let report = merge_context(parent, &child_graph, fork_time, policy, time)?;
+            count_conflicts(&report);
             if let Some(thread) = ham.threads.get_mut(&child) {
-                Arc::make_mut(thread).forked_from = Some((parent_id, new_fork));
+                Arc::make_mut(thread).forked_from = Some((parent_id, time));
             }
             ham.push_redo(RedoOp::MergeContext {
                 child,
                 into: parent_id,
                 policy: policy_tag(policy),
+                time: Some(time),
             });
             Ok(report)
         })
@@ -1379,12 +1386,12 @@ impl Ham {
     // shard — per-shard recovery stays independent ("recovery fan-in" is
     // simply opening every shard).
 
-    /// A read-only export of `context`'s graph and clock, cloned O(changes)
-    /// thanks to the persistent node/link tries. The coordinator hands it
-    /// to another shard's [`Ham::adopt_context`] or [`Ham::merge_foreign`].
+    /// A read-only export of `context`'s graph, cloned O(changes) thanks to
+    /// the persistent node/link tries, with the store clock's value as the
+    /// fork point. The coordinator hands it to another shard's
+    /// [`Ham::adopt_context`] or [`Ham::merge_foreign`].
     pub(crate) fn export_graph(&self, context: ContextId) -> Result<(HamGraph, Time)> {
-        let thread = self.thread(context)?;
-        Ok((thread.graph.clone(), thread.graph.now()))
+        Ok((self.thread(context)?.graph.clone(), self.clock_now()))
     }
 
     /// Adopt a context forked on another shard: install `graph` (the parent
@@ -1425,33 +1432,32 @@ impl Ham {
     /// re-forks via [`Ham::set_fork_point`]. Only the child's
     /// [`HamGraph::merge_delta`] against `into` is merged and logged, so
     /// the record costs the change since the fork, and replay merges the
-    /// very graph the live path did.
+    /// very graph the live path did. Returns the merge's time too: the
+    /// child's new fork point.
     pub(crate) fn merge_foreign(
         &mut self,
         into: ContextId,
         child_graph: &HamGraph,
         fork_time: Time,
         policy: ConflictPolicy,
-    ) -> Result<MergeReport> {
+    ) -> Result<(MergeReport, Time)> {
         let _span = neptune_obs::span!("ham.merge_foreign", "into {}", into.0);
         self.auto_txn(|ham| {
             let delta = child_graph.merge_delta(ham.graph(into)?, fork_time);
-            let parent = ham.graph_mut(into)?;
-            let report = merge_context(parent, &delta, fork_time, policy)?;
-            if neptune_obs::enabled() && !report.conflicts.is_empty() {
-                neptune_obs::registry()
-                    .counter("neptune_ham_merge_conflicts_total")
-                    .add(report.conflicts.len() as u64);
-            }
+            let (parent, clock) = ham.write(into)?;
+            let time = clock.stamp();
+            let report = merge_context(parent, &delta, fork_time, policy, time)?;
+            count_conflicts(&report);
             let mut gw = Writer::new();
             delta.encode(&mut gw);
             ham.push_redo(RedoOp::MergeForeign {
                 into,
                 policy: policy_tag(policy),
                 fork_time,
+                time: Some(time),
                 graph: gw.into_bytes(),
             });
-            Ok(report)
+            Ok((report, time))
         })
     }
 
@@ -1475,17 +1481,28 @@ impl Ham {
         })
     }
 
-    /// The shared commit-sequence source (see [`Ham::attach_commit_seq`]).
-    pub(crate) fn commit_seq_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.commit_seq)
+    /// The shared commit-sequence source and store clock (see
+    /// [`Ham::attach_counters`]).
+    pub(crate) fn counters(&self) -> (Arc<AtomicU64>, Arc<AtomicU64>) {
+        (Arc::clone(&self.commit_seq), Arc::clone(&self.clock))
     }
 
-    /// Rebind this machine to a shared commit-sequence source, raising it
-    /// to at least this shard's last persisted sequence. Called once per
+    /// Rebind this machine to a shared commit-sequence source and store
+    /// clock, raising each to at least this shard's own. Called once per
     /// shard when a [`crate::shard::ShardedHam`] assembles.
-    pub(crate) fn attach_commit_seq(&mut self, seq: Arc<AtomicU64>) {
+    pub(crate) fn attach_counters(&mut self, seq: Arc<AtomicU64>, clock: Arc<AtomicU64>) {
         seq.fetch_max(self.last_seq, atomic::Ordering::Relaxed);
+        clock.fetch_max(self.clock_now().0, atomic::Ordering::Relaxed);
         self.commit_seq = seq;
+        self.clock = clock;
+    }
+
+    /// The newest time the store clock has issued. A fork taken now, under
+    /// its parent's shard lock, sees every time drawn for the parent's
+    /// versions (each drawn under that lock), and every later version
+    /// anywhere is past it.
+    pub(crate) fn clock_now(&self) -> Time {
+        Time(self.clock.load(atomic::Ordering::Relaxed))
     }
 
     /// Sequence stamped into the most recent durable commit (0 before any).
@@ -1611,7 +1628,7 @@ impl Ham {
         }
     }
 
-    /// Where `context` was forked from: `(parent, parent clock at fork)`,
+    /// Where `context` was forked from: `(parent, store clock at fork)`,
     /// or `None` for the main context. Integrity checkers use this to
     /// verify the context-partition topology.
     pub fn context_forked_from(&self, context: ContextId) -> Result<Option<(ContextId, Time)>> {
@@ -1633,10 +1650,17 @@ impl Ham {
     }
 
     fn graph_mut(&mut self, context: ContextId) -> Result<&mut HamGraph> {
-        self.threads
+        Ok(self.write(context)?.0)
+    }
+
+    /// `context`'s graph for writing, and the store clock the write draws
+    /// its time from.
+    fn write(&mut self, context: ContextId) -> Result<(&mut HamGraph, &AtomicU64)> {
+        let thread = self
+            .threads
             .get_mut(&context)
-            .map(|t| &mut Arc::make_mut(t).graph)
-            .ok_or(HamError::NoSuchContext(context))
+            .ok_or(HamError::NoSuchContext(context))?;
+        Ok((&mut Arc::make_mut(thread).graph, &self.clock))
     }
 
     fn push_redo(&mut self, op: RedoOp) {
@@ -1784,7 +1808,8 @@ impl Ham {
         Ok(())
     }
 
-    /// Apply a logged operation during recovery.
+    /// Apply a logged operation during recovery: each op records the time
+    /// the log assigned it.
     fn apply_redo(&mut self, op: RedoOp) -> Result<()> {
         match op {
             RedoOp::AddNode {
@@ -1793,13 +1818,15 @@ impl Ham {
                 time,
                 keep_history,
             } => {
-                self.graph_mut(context)?
-                    .add_node_forced(id, time, keep_history);
+                // Replay allocates ids as the live operation did; a log
+                // naming another describes some other history.
+                let (got, _) = self.graph_mut(context)?.add_node(keep_history, time);
+                if got != id {
+                    return Err(HamError::NoSuchNode(id));
+                }
             }
             RedoOp::DeleteNode { context, id, time } => {
-                let g = self.graph_mut(context)?;
-                g.set_clock(Time(time.0 - 1));
-                g.delete_node(id)?;
+                self.graph_mut(context)?.delete_node(id, time)?;
             }
             RedoOp::AddLink {
                 context,
@@ -1808,12 +1835,13 @@ impl Ham {
                 to,
                 time,
             } => {
-                self.graph_mut(context)?.add_link_forced(id, from, to, time);
+                let (got, _) = self.graph_mut(context)?.add_link(from, to, time)?;
+                if got != id {
+                    return Err(HamError::NoSuchLink(id));
+                }
             }
             RedoOp::DeleteLink { context, id, time } => {
-                let g = self.graph_mut(context)?;
-                g.set_clock(Time(time.0 - 1));
-                g.delete_link(id)?;
+                self.graph_mut(context)?.delete_link(id, time)?;
             }
             RedoOp::ModifyNode {
                 context,
@@ -1822,9 +1850,14 @@ impl Ham {
                 link_pts,
                 time,
             } => {
-                let g = self.graph_mut(context)?;
-                g.set_clock(Time(time.0 - 1));
-                apply_modify_node(g, id, None, contents, &link_pts)?;
+                apply_modify_node(
+                    self.graph_mut(context)?,
+                    id,
+                    None,
+                    contents,
+                    &link_pts,
+                    time,
+                )?;
             }
             RedoOp::SetNodeAttr {
                 context,
@@ -1834,11 +1867,9 @@ impl Ham {
                 time,
             } => {
                 let g = self.graph_mut(context)?;
-                // The name was interned by an earlier InternAttr record, so
-                // this lookup does not advance the clock.
-                let idx = g.attribute_index(&attr);
-                g.set_clock(Time(time.0 - 1));
-                g.set_node_attr(node, idx, value)?;
+                // An earlier InternAttr record interned the name.
+                let idx = g.attribute_index(&attr, time);
+                g.set_node_attr(node, idx, value, time)?;
             }
             RedoOp::DeleteNodeAttr {
                 context,
@@ -1847,9 +1878,8 @@ impl Ham {
                 time,
             } => {
                 let g = self.graph_mut(context)?;
-                let idx = g.attribute_index(&attr);
-                g.set_clock(Time(time.0 - 1));
-                g.delete_node_attr(node, idx)?;
+                let idx = g.attribute_index(&attr, time);
+                g.delete_node_attr(node, idx, time)?;
             }
             RedoOp::SetLinkAttr {
                 context,
@@ -1859,9 +1889,8 @@ impl Ham {
                 time,
             } => {
                 let g = self.graph_mut(context)?;
-                let idx = g.attribute_index(&attr);
-                g.set_clock(Time(time.0 - 1));
-                g.set_link_attr(link, idx, value)?;
+                let idx = g.attribute_index(&attr, time);
+                g.set_link_attr(link, idx, value, time)?;
             }
             RedoOp::DeleteLinkAttr {
                 context,
@@ -1870,18 +1899,15 @@ impl Ham {
                 time,
             } => {
                 let g = self.graph_mut(context)?;
-                let idx = g.attribute_index(&attr);
-                g.set_clock(Time(time.0 - 1));
-                g.delete_link_attr(link, idx)?;
+                let idx = g.attribute_index(&attr, time);
+                g.delete_link_attr(link, idx, time)?;
             }
             RedoOp::InternAttr {
                 context,
                 name,
                 time,
             } => {
-                let g = self.graph_mut(context)?;
-                g.set_clock(Time(time.0 - 1));
-                g.attribute_index(&name);
+                self.graph_mut(context)?.attribute_index(&name, time);
             }
             RedoOp::SetGraphDemon {
                 context,
@@ -1889,9 +1915,7 @@ impl Ham {
                 demon,
                 time,
             } => {
-                let g = self.graph_mut(context)?;
-                g.set_clock(time);
-                Arc::make_mut(&mut g.graph_demons).set(event, demon, time);
+                self.graph_mut(context)?.set_graph_demon(event, demon, time);
             }
             RedoOp::SetNodeDemon {
                 context,
@@ -1900,10 +1924,8 @@ impl Ham {
                 demon,
                 time,
             } => {
-                let g = self.graph_mut(context)?;
-                g.set_clock(time);
-                g.node_mut(node)?.demons.set(event, demon, time);
-                g.node_mut(node)?.record_minor(time, "demon set");
+                self.graph_mut(context)?
+                    .set_node_demon(node, event, demon, time)?;
             }
             RedoOp::ChangeProtection {
                 context,
@@ -1926,6 +1948,7 @@ impl Ham {
                 child,
                 into,
                 policy,
+                time,
             } => {
                 let (parent_id, fork_time) = self
                     .thread(child)?
@@ -1934,10 +1957,16 @@ impl Ham {
                 debug_assert_eq!(parent_id, into);
                 let child_graph = self.thread(child)?.graph.clone();
                 let parent = self.graph_mut(into)?;
-                merge_context(parent, &child_graph, fork_time, policy_from_tag(policy))?;
-                let new_fork = self.graph(into)?.now();
+                let time = time.unwrap_or(Time(parent.now().0 + 1));
+                merge_context(
+                    parent,
+                    &child_graph,
+                    fork_time,
+                    policy_from_tag(policy),
+                    time,
+                )?;
                 if let Some(thread) = self.threads.get_mut(&child) {
-                    Arc::make_mut(thread).forked_from = Some((into, new_fork));
+                    Arc::make_mut(thread).forked_from = Some((into, time));
                 }
             }
             RedoOp::DestroyContext { id } => {
@@ -1961,12 +1990,20 @@ impl Ham {
                 into,
                 policy,
                 fork_time,
+                time,
                 graph,
             } => {
                 let mut r = Reader::new(&graph);
                 let child_graph = HamGraph::decode(&mut r)?;
                 let parent = self.graph_mut(into)?;
-                merge_context(parent, &child_graph, fork_time, policy_from_tag(policy))?;
+                let time = time.unwrap_or(Time(parent.now().0 + 1));
+                merge_context(
+                    parent,
+                    &child_graph,
+                    fork_time,
+                    policy_from_tag(policy),
+                    time,
+                )?;
             }
             RedoOp::RefixFork { child, into, time } => {
                 let thread = self
@@ -1998,6 +2035,15 @@ impl Ham {
 pub(crate) fn count(key: &str, n: u64) {
     if neptune_obs::enabled() {
         neptune_obs::registry().counter(key).add(n);
+    }
+}
+
+fn count_conflicts(report: &MergeReport) {
+    if !report.conflicts.is_empty() {
+        count(
+            "neptune_ham_merge_conflicts_total",
+            report.conflicts.len() as u64,
+        );
     }
 }
 
@@ -2213,6 +2259,7 @@ fn apply_modify_node(
     expected_time: Option<Time>,
     contents: Arc<[u8]>,
     link_pts: &[LinkPt],
+    now: impl Stamp,
 ) -> Result<Time> {
     graph.live_node(node, Time::CURRENT)?;
     let current = graph.node(node)?.current_time();
@@ -2251,8 +2298,7 @@ fn apply_modify_node(
             });
         }
     }
-    let now = graph.tick();
-    graph.node_mut(node)?.modify(contents, now, "modifyNode")?;
+    let now = graph.check_in(node, contents, now, "modifyNode")?;
     for ((link_id, is_to, old_pt), new_pt) in attachments.iter().zip(link_pts) {
         if old_pt.track_current && new_pt.position != old_pt.position {
             let link = graph.link_mut(*link_id)?;
@@ -2715,38 +2761,44 @@ mod tests {
             )
             .unwrap();
             let (mut child, fork) = ham.export_graph(MAIN_CONTEXT).unwrap();
-            let t = child.tick();
+            let clock = Arc::clone(&ham.clock);
             child
-                .node_mut(ids[2])
-                .unwrap()
-                .modify(b"child edit\n".to_vec(), t, "edit")
+                .check_in(ids[2], b"child edit\n".to_vec(), &*clock, "edit")
                 .unwrap();
-            child.delete_node(ids[3]).unwrap();
-            let (extra, _) = child.add_node(true);
+            child.delete_node(ids[3], &*clock).unwrap();
+            let (extra, _) = child.add_node(true, &*clock);
             child
-                .add_link(LinkPt::current(extra, 0), LinkPt::current(ids[4], 0))
+                .add_link(
+                    LinkPt::current(extra, 0),
+                    LinkPt::current(ids[4], 0),
+                    &*clock,
+                )
                 .unwrap();
-            let owner = child.attribute_index("owner");
+            let owner = child.attribute_index("owner", &*clock);
             child
-                .set_node_attr(ids[5], owner, Value::str("child"))
+                .set_node_attr(ids[5], owner, Value::str("child"), &*clock)
                 .unwrap();
 
             let policy = ConflictPolicy::Fail;
             let report = if whole_record {
                 ham.auto_txn(|ham| {
-                    let report = merge_context(ham.graph_mut(MAIN_CONTEXT)?, &child, fork, policy)?;
+                    let time = clock.stamp();
+                    let parent = ham.graph_mut(MAIN_CONTEXT)?;
+                    let report = merge_context(parent, &child, fork, policy, time)?;
                     let mut gw = Writer::new();
                     child.encode(&mut gw);
                     ham.push_redo(RedoOp::MergeForeign {
                         into: MAIN_CONTEXT,
                         policy: policy_tag(policy),
                         fork_time: fork,
+                        time: Some(time),
                         graph: gw.into_bytes(),
                     });
                     Ok(report)
                 })
             } else {
                 ham.merge_foreign(MAIN_CONTEXT, &child, fork, policy)
+                    .map(|(report, _)| report)
             }
             .unwrap();
             assert_eq!(report.nodes_deleted, vec![ids[3]]);

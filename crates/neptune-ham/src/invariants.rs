@@ -28,8 +28,7 @@ pub const RULE_DELTA_CHAIN: &str = "delta-chain";
 pub const RULE_LINK_OFFSET: &str = "link-offset";
 /// Rule name: a live link's endpoint node is missing or dead.
 pub const RULE_DANGLING_ENDPOINT: &str = "dangling-endpoint";
-/// Rule name: a context forked from a missing context, or from a point in
-/// the future of its parent's clock.
+/// Rule name: a context forked from a missing context.
 pub const RULE_CONTEXT_PARTITION: &str = "context-partition";
 /// Rule name: a versioned history's entries are not strictly increasing in
 /// time (or carry the reserved time 0).
@@ -275,30 +274,17 @@ pub(crate) fn thread_violations(
     let mut out = Vec::new();
     for ctx in ids {
         let thread = &threads[&ctx];
-        if let Some((parent, fork_time)) = thread.forked_from {
-            if parent.0 % shard_count != shard_index {
-                // Foreign parent: it lives on another shard, so neither its
-                // existence nor its clock can be judged from this map.
-                out.extend(graph_violations(ctx, &thread.graph));
-                continue;
-            }
-            match threads.get(&parent) {
-                None => out.push(Violation {
+        // Only the parent's existence is checked: the fork point is the
+        // store clock at the fork, which may be past every time the parent
+        // recorded. A foreign parent lives on another shard, so even that
+        // cannot be judged from this map.
+        if let Some((parent, _)) = thread.forked_from {
+            if parent.0 % shard_count == shard_index && !threads.contains_key(&parent) {
+                out.push(Violation {
                     rule: RULE_CONTEXT_PARTITION,
                     entity: format!("context {}", ctx.0),
                     detail: format!("forked from context {}, which no longer exists", parent.0),
-                }),
-                Some(pt) if fork_time > pt.graph.now() => out.push(Violation {
-                    rule: RULE_CONTEXT_PARTITION,
-                    entity: format!("context {}", ctx.0),
-                    detail: format!(
-                        "forked at time {}, beyond parent context {}'s clock {}",
-                        fork_time.0,
-                        parent.0,
-                        pt.graph.now().0
-                    ),
-                }),
-                Some(_) => {}
+                });
             }
         }
         out.extend(graph_violations(ctx, &thread.graph));
@@ -313,6 +299,7 @@ mod tests {
     use crate::types::{LinkPt, NodeIndex, ProjectId, Protections, MAIN_CONTEXT};
     use crate::value::Value;
     use neptune_storage::codec::{Decode, Encode, Writer};
+    use std::sync::atomic::AtomicU64;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir =
@@ -362,10 +349,11 @@ mod tests {
     #[test]
     fn retargeted_endpoint_dangles() {
         let mut graph = HamGraph::new(ProjectId(1));
-        let (a, _) = graph.add_node(true);
-        let (b, _) = graph.add_node(true);
+        let clock = AtomicU64::new(1);
+        let (a, _) = graph.add_node(true, &clock);
+        let (b, _) = graph.add_node(true, &clock);
         let (l, _) = graph
-            .add_link(LinkPt::current(a, 0), LinkPt::current(b, 0))
+            .add_link(LinkPt::current(a, 0), LinkPt::current(b, 0), &clock)
             .unwrap();
         // Corruption: the destination end now names a node that was never
         // created (what a decoded-but-damaged snapshot can produce).
@@ -390,7 +378,8 @@ mod tests {
         let rewound = Versioned::<bool>::from_bytes(w.as_slice()).unwrap();
 
         let mut graph = HamGraph::new(ProjectId(1));
-        let (a, _) = graph.add_node(true);
+        let clock = AtomicU64::new(1);
+        let (a, _) = graph.add_node(true, &clock);
         graph.node_mut(a).unwrap().alive = rewound;
         let violations = graph_violations(MAIN_CONTEXT, &graph);
         assert!(
@@ -404,7 +393,8 @@ mod tests {
     #[test]
     fn demon_marking_an_uninterned_attribute_is_flagged() {
         let mut graph = HamGraph::new(ProjectId(1));
-        let (a, _) = graph.add_node(true);
+        let clock = AtomicU64::new(1);
+        let (a, _) = graph.add_node(true, &clock);
         let now = graph.now();
         graph.node_mut(a).unwrap().demons.set(
             crate::demons::Event::NodeModified,

@@ -114,14 +114,20 @@ pub struct Node {
 }
 
 impl Node {
-    /// Create a node. `keep_history = true` makes it an archive (the
-    /// `addNode` Boolean operand); otherwise it is a file node.
-    pub fn new(id: NodeIndex, now: Time, keep_history: bool) -> Node {
+    /// Create a node whose first version holds `contents`. `keep_history =
+    /// true` makes it an archive (the `addNode` Boolean operand); otherwise
+    /// it is a file node.
+    pub fn new(
+        id: NodeIndex,
+        now: Time,
+        keep_history: bool,
+        contents: impl Into<Arc<[u8]>>,
+    ) -> Node {
         let contents = if keep_history {
-            NodeContents::Archive(Archive::new(Vec::new(), now.0))
+            NodeContents::Archive(Archive::new(contents, now.0))
         } else {
             NodeContents::File {
-                data: Arc::from(&[][..]),
+                data: contents.into(),
                 time: now,
             }
         };
@@ -315,7 +321,7 @@ mod tests {
 
     #[test]
     fn archive_node_keeps_history() {
-        let mut n = Node::new(NodeIndex(1), Time(1), true);
+        let mut n = Node::new(NodeIndex(1), Time(1), true, Vec::new());
         assert!(n.is_archive());
         n.modify(b"v2 contents".to_vec(), Time(5), "edit").unwrap();
         n.modify(b"v3 contents".to_vec(), Time(9), "edit").unwrap();
@@ -328,7 +334,7 @@ mod tests {
 
     #[test]
     fn file_node_has_no_history() {
-        let mut n = Node::new(NodeIndex(2), Time(1), false);
+        let mut n = Node::new(NodeIndex(2), Time(1), false, Vec::new());
         assert!(!n.is_archive());
         n.modify(b"only current".to_vec(), Time(5), "edit").unwrap();
         assert_eq!(&n.contents_at(Time::CURRENT).unwrap()[..], b"only current");
@@ -341,7 +347,7 @@ mod tests {
 
     #[test]
     fn versions_split_major_minor() {
-        let mut n = Node::new(NodeIndex(3), Time(1), true);
+        let mut n = Node::new(NodeIndex(3), Time(1), true, Vec::new());
         n.modify(b"x".to_vec(), Time(2), "content edit").unwrap();
         n.record_minor(Time(3), "attribute set");
         n.record_minor(Time(3), "coalesced");
@@ -354,7 +360,7 @@ mod tests {
 
     #[test]
     fn existence_follows_alive_history() {
-        let mut n = Node::new(NodeIndex(4), Time(5), true);
+        let mut n = Node::new(NodeIndex(4), Time(5), true, Vec::new());
         assert!(!n.exists_at(Time(4)));
         assert!(n.exists_at(Time(5)));
         n.alive.delete(Time(9));
@@ -365,7 +371,7 @@ mod tests {
 
     #[test]
     fn attach_link_dedupes() {
-        let mut n = Node::new(NodeIndex(7), Time(1), true);
+        let mut n = Node::new(NodeIndex(7), Time(1), true, Vec::new());
         n.attach_link(LinkIndex(1));
         n.attach_link(LinkIndex(1));
         n.attach_link(LinkIndex(2));
@@ -374,7 +380,7 @@ mod tests {
 
     #[test]
     fn codec_roundtrip() {
-        let mut n = Node::new(NodeIndex(8), Time(1), true);
+        let mut n = Node::new(NodeIndex(8), Time(1), true, Vec::new());
         n.modify(b"hello\nworld\n".to_vec(), Time(2), "edit")
             .unwrap();
         n.attrs.set(
@@ -387,13 +393,13 @@ mod tests {
         let decoded = Node::from_bytes(&n.to_bytes()).unwrap();
         assert_eq!(decoded, n);
 
-        let f = Node::new(NodeIndex(9), Time(1), false);
+        let f = Node::new(NodeIndex(9), Time(1), false, Vec::new());
         assert_eq!(Node::from_bytes(&f.to_bytes()).unwrap(), f);
     }
 
     #[test]
     fn v2_encoding_carries_the_archive_index() {
-        let mut n = Node::new(NodeIndex(10), Time(1), true);
+        let mut n = Node::new(NodeIndex(10), Time(1), true, Vec::new());
         for i in 0..40u64 {
             n.modify(format!("draft {i}\n").into_bytes(), Time(i + 2), "edit")
                 .unwrap();
@@ -410,7 +416,7 @@ mod tests {
 
     #[test]
     fn legacy_v1_archive_tag_still_decodes() {
-        let mut n = Node::new(NodeIndex(11), Time(1), true);
+        let mut n = Node::new(NodeIndex(11), Time(1), true, Vec::new());
         n.modify(b"v2 contents".to_vec(), Time(2), "edit").unwrap();
         // Re-encode by hand with the pre-index tag 0 layout, as a store
         // written before the format bump would contain.

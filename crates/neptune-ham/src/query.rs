@@ -281,6 +281,7 @@ fn query_from_candidates(
 mod tests {
     use super::*;
     use crate::types::{LinkPt, ProjectId};
+    use std::sync::atomic::AtomicU64;
 
     /// Build the paper-style document tree:
     ///
@@ -293,14 +294,16 @@ mod tests {
     /// ```
     fn document_graph() -> (HamGraph, Vec<NodeIndex>) {
         let mut g = HamGraph::new(ProjectId(1));
-        let doc = g.attribute_index("document");
-        let icon = g.attribute_index("icon");
-        let rel = g.attribute_index("relation");
+        let clock = AtomicU64::new(1);
+        let doc = g.attribute_index("document", &clock);
+        let icon = g.attribute_index("icon", &clock);
+        let rel = g.attribute_index("relation", &clock);
         let mut ids = Vec::new();
         for name in ["root", "sec1", "sec2", "sub1", "sub2"] {
-            let (id, _) = g.add_node(true);
-            g.set_node_attr(id, doc, Value::str("paper")).unwrap();
-            g.set_node_attr(id, icon, Value::str(name)).unwrap();
+            let (id, _) = g.add_node(true, &clock);
+            g.set_node_attr(id, doc, Value::str("paper"), &clock)
+                .unwrap();
+            g.set_node_attr(id, icon, Value::str(name), &clock).unwrap();
             ids.push(id);
         }
         let edges = [(0usize, 1usize, 10u64), (0, 2, 20), (1, 3, 5), (2, 4, 7)];
@@ -309,9 +312,11 @@ mod tests {
                 .add_link(
                     LinkPt::current(ids[from], offset),
                     LinkPt::current(ids[to], 0),
+                    &clock,
                 )
                 .unwrap();
-            g.set_link_attr(l, rel, Value::str("isPartOf")).unwrap();
+            g.set_link_attr(l, rel, Value::str("isPartOf"), &clock)
+                .unwrap();
         }
         (g, ids)
     }
@@ -339,12 +344,17 @@ mod tests {
     #[test]
     fn linearize_respects_link_predicate() {
         let (mut g, ids) = document_graph();
+        let clock = AtomicU64::new(g.now().0);
         // Add a cross-reference link that should not be traversed.
-        let rel = g.attribute_index("relation");
+        let rel = g.attribute_index("relation", &clock);
         let (xref, _) = g
-            .add_link(LinkPt::current(ids[0], 1), LinkPt::current(ids[4], 0))
+            .add_link(
+                LinkPt::current(ids[0], 1),
+                LinkPt::current(ids[4], 0),
+                &clock,
+            )
             .unwrap();
-        g.set_link_attr(xref, rel, Value::str("references"))
+        g.set_link_attr(xref, rel, Value::str("references"), &clock)
             .unwrap();
 
         let only_structure = Predicate::parse("relation = isPartOf").unwrap();
@@ -368,8 +378,10 @@ mod tests {
     #[test]
     fn linearize_filters_nodes() {
         let (mut g, ids) = document_graph();
-        let skip = g.attribute_index("skip");
-        g.set_node_attr(ids[2], skip, Value::Bool(true)).unwrap();
+        let clock = AtomicU64::new(g.now().0);
+        let skip = g.attribute_index("skip", &clock);
+        g.set_node_attr(ids[2], skip, Value::Bool(true), &clock)
+            .unwrap();
         let pred = Predicate::parse("not exists(skip)").unwrap();
         let result =
             linearize_graph(&g, ids[0], Time::CURRENT, &pred, &Predicate::True, &[], &[]).unwrap();
@@ -380,9 +392,14 @@ mod tests {
     #[test]
     fn linearize_handles_cycles() {
         let (mut g, ids) = document_graph();
+        let clock = AtomicU64::new(g.now().0);
         // sub1 -> root creates a cycle.
-        g.add_link(LinkPt::current(ids[3], 0), LinkPt::current(ids[0], 0))
-            .unwrap();
+        g.add_link(
+            LinkPt::current(ids[3], 0),
+            LinkPt::current(ids[0], 0),
+            &clock,
+        )
+        .unwrap();
         let result = linearize_graph(
             &g,
             ids[0],
@@ -433,11 +450,15 @@ mod tests {
     #[test]
     fn query_returns_matching_nodes_and_connecting_links() {
         let (mut g, ids) = document_graph();
+        let clock = AtomicU64::new(g.now().0);
         // Tag a subset.
-        let kind = g.attribute_index("kind");
-        g.set_node_attr(ids[0], kind, Value::str("sec")).unwrap();
-        g.set_node_attr(ids[1], kind, Value::str("sec")).unwrap();
-        g.set_node_attr(ids[2], kind, Value::str("sec")).unwrap();
+        let kind = g.attribute_index("kind", &clock);
+        g.set_node_attr(ids[0], kind, Value::str("sec"), &clock)
+            .unwrap();
+        g.set_node_attr(ids[1], kind, Value::str("sec"), &clock)
+            .unwrap();
+        g.set_node_attr(ids[2], kind, Value::str("sec"), &clock)
+            .unwrap();
         let pred = Predicate::parse("kind = sec").unwrap();
         let result = get_graph_query(&g, Time::CURRENT, &pred, &Predicate::True, &[], &[]).unwrap();
         assert_eq!(result.node_ids(), vec![ids[0], ids[1], ids[2]]);
@@ -448,9 +469,11 @@ mod tests {
     #[test]
     fn query_index_and_scan_agree() {
         let (mut g, ids) = document_graph();
-        let kind = g.attribute_index("kind");
+        let clock = AtomicU64::new(g.now().0);
+        let kind = g.attribute_index("kind", &clock);
         for &id in &ids[..3] {
-            g.set_node_attr(id, kind, Value::str("sec")).unwrap();
+            g.set_node_attr(id, kind, Value::str("sec"), &clock)
+                .unwrap();
         }
         let pred = Predicate::parse("kind = sec and exists(icon)").unwrap();
         let fast = get_graph_query(&g, Time::CURRENT, &pred, &Predicate::True, &[], &[]).unwrap();
@@ -463,9 +486,10 @@ mod tests {
     #[test]
     fn query_at_historical_time() {
         let (mut g, ids) = document_graph();
+        let clock = AtomicU64::new(g.now().0);
         let t_before = g.now();
-        let status = g.attribute_index("status");
-        g.set_node_attr(ids[0], status, Value::str("final"))
+        let status = g.attribute_index("status", &clock);
+        g.set_node_attr(ids[0], status, Value::str("final"), &clock)
             .unwrap();
         let pred = Predicate::parse("status = final").unwrap();
         let now = get_graph_query(&g, Time::CURRENT, &pred, &Predicate::True, &[], &[]).unwrap();
@@ -477,12 +501,13 @@ mod tests {
     #[test]
     fn historical_query_prunes_late_objects_but_agrees_with_scan() {
         let (mut g, ids) = document_graph();
+        let clock = AtomicU64::new(g.now().0);
         let t_mid = g.now();
         // Objects created after t_mid: the temporal index must exclude
         // them from historical candidates without changing any result.
         for _ in 0..10 {
-            let (n, _) = g.add_node(true);
-            g.add_link(LinkPt::current(ids[0], 1), LinkPt::current(n, 0))
+            let (n, _) = g.add_node(true, &clock);
+            g.add_link(LinkPt::current(ids[0], 1), LinkPt::current(n, 0), &clock)
                 .unwrap();
         }
         let fast =
@@ -499,8 +524,9 @@ mod tests {
     #[test]
     fn query_excludes_deleted_objects() {
         let (mut g, ids) = document_graph();
+        let clock = AtomicU64::new(g.now().0);
         let t_before = g.now();
-        g.delete_node(ids[1]).unwrap();
+        g.delete_node(ids[1], &clock).unwrap();
         let all = get_graph_query(
             &g,
             Time::CURRENT,

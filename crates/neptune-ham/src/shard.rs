@@ -15,6 +15,9 @@
 //! * **A global commit sequence** — one shared `AtomicU64` stamped into
 //!   every commit record, totally ordering commits across shards without
 //!   coordinating them.
+//! * **The store clock** — one shared `AtomicU64` every operation on every
+//!   shard draws its `Time` from, so fork points and version times compare
+//!   across contexts wherever they live.
 //! * **Cross-shard transactions** (fork onto / merge from another shard)
 //!   — the minority path: shard locks are taken in ascending index order
 //!   (= ascending lockcheck rank, so inversions panic in debug builds),
@@ -332,12 +335,12 @@ impl ShardedHam {
 
     fn assemble(directory: PathBuf, project_id: ProjectId, mut hams: Vec<Ham>) -> ShardedHam {
         let count = hams.len();
-        let commit_seq = hams[0].commit_seq_handle();
+        let (commit_seq, clock) = hams[0].counters();
         let mut next_context = 1;
         let mut next_txn = 1;
         for (k, ham) in hams.iter_mut().enumerate() {
             ham.set_shard_identity(k, count);
-            ham.attach_commit_seq(Arc::clone(&commit_seq));
+            ham.attach_counters(Arc::clone(&commit_seq), Arc::clone(&clock));
             next_context = next_context.max(ham.next_context_hint());
             next_txn = next_txn.max(ham.next_txn_hint());
         }
@@ -524,120 +527,73 @@ impl ShardedHam {
         }
         let locks: BTreeSet<usize> = [parent_shard, child_shard].into_iter().collect();
         let mut guards = self.lock_ascending(&locks);
+        let (p, c) = if parent_shard < child_shard {
+            (0, 1)
+        } else {
+            (1, 0)
+        };
         // The fork time is read under both locks: a concurrent merge may
         // advance it between the peek above and taking the locks. The
         // parent context itself can never change (merges re-fork from the
         // same parent), so the lock set stays valid.
-        let (_, fork_time) = {
-            let child_g = guards
-                .iter()
-                .find(|(k, _)| *k == child_shard)
-                .expect("child shard locked");
-            child_g
+        let (_, fork_time) =
+            guards[c]
                 .1
                 .context_forked_from(child)?
                 .ok_or(HamError::TransactionState {
                     reason: "cannot merge the main context",
-                })?
-        };
-        let child_export = {
-            let child_g = guards
-                .iter()
-                .find(|(k, _)| *k == child_shard)
-                .expect("child shard locked");
-            child_g.1.export_graph(child)?.0
-        };
-        // An open explicit transaction absorbs the merge instead of the
-        // immediate two-phase commit below: both shards join it, the two
-        // halves defer into their per-shard transactions, and
-        // commit_transaction later stamps one shared sequence (plus the
-        // cross-log entry) for the whole logical transaction — so
-        // abort_transaction rolls the merge back atomically, matching the
-        // unsharded machine.
+                })?;
+        let child_export = guards[c].1.export_graph(child)?.0;
+        // Both halves run in per-shard transactions. An open explicit
+        // transaction absorbs them: commit_transaction later stamps one
+        // shared sequence (plus the cross-log entry) for the whole logical
+        // transaction, so abort_transaction rolls the merge back
+        // atomically, matching the unsharded machine. Otherwise they are
+        // the merge's own, committed below.
         let mut deferred = false;
         for (k, guard) in guards.iter_mut() {
             deferred = self.join_txn(*k, guard)?;
         }
-        if deferred {
-            let report = {
-                let parent_g = guards
-                    .iter_mut()
-                    .find(|(k, _)| *k == parent_shard)
-                    .expect("parent shard locked");
-                parent_g
-                    .1
-                    .merge_foreign(parent, &child_export, fork_time, policy)?
-            };
-            let new_fork = {
-                let parent_g = guards
-                    .iter()
-                    .find(|(k, _)| *k == parent_shard)
-                    .expect("parent shard locked");
-                parent_g.1.graph(parent)?.now()
-            };
-            let child_g = guards
-                .iter_mut()
-                .find(|(k, _)| *k == child_shard)
-                .expect("child shard locked");
-            child_g.1.set_fork_point(child, parent, new_fork)?;
-            return Ok(report);
+        if !deferred {
+            for (_, guard) in guards.iter_mut() {
+                guard.begin_transaction()?;
+            }
         }
-        let seq = self.commit_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let mask = (1u64 << parent_shard) | (1u64 << child_shard);
-        self.push_cross_entry(CrossEntry { seq, mask });
-
-        // Phase 1: the parent folds the child in.
-        let parent_result: Result<(MergeReport, Time)> = {
-            let parent_g = guards
-                .iter_mut()
-                .find(|(k, _)| *k == parent_shard)
-                .expect("parent shard locked");
-            (|| {
-                parent_g.1.begin_transaction()?;
-                let report =
-                    match parent_g
-                        .1
-                        .merge_foreign(parent, &child_export, fork_time, policy)
-                    {
-                        Ok(r) => r,
-                        Err(e) => {
-                            let _ = parent_g.1.abort_transaction();
-                            return Err(e);
-                        }
-                    };
-                parent_g.1.force_commit_seq(seq);
-                parent_g.1.commit_transaction()?;
-                let new_fork = parent_g.1.graph(parent)?.now();
-                Ok((report, new_fork))
-            })()
-        };
-        let (report, new_fork) = match parent_result {
-            Ok(v) => v,
+        // The parent folds the child in; the child re-forks at the merge's
+        // time.
+        let halves = (|| {
+            let (report, time) =
+                guards[p]
+                    .1
+                    .merge_foreign(parent, &child_export, fork_time, policy)?;
+            guards[c].1.set_fork_point(child, parent, time)?;
+            Ok(report)
+        })();
+        if deferred {
+            return halves;
+        }
+        let report = match halves {
+            Ok(report) => report,
             Err(e) => {
-                // Nothing committed anywhere: retract the pair.
-                self.remove_cross_entry(seq);
+                for (_, guard) in guards.iter_mut() {
+                    let _ = guard.abort_transaction();
+                }
                 return Err(e);
             }
         };
-
-        // Phase 2: the child re-forks from the merge point.
-        let child_result: Result<()> = {
-            let child_g = guards
-                .iter_mut()
-                .find(|(k, _)| *k == child_shard)
-                .expect("child shard locked");
-            (|| {
-                child_g.1.begin_transaction()?;
-                if let Err(e) = child_g.1.set_fork_point(child, parent, new_fork) {
-                    let _ = child_g.1.abort_transaction();
-                    return Err(e);
-                }
-                child_g.1.force_commit_seq(seq);
-                child_g.1.commit_transaction()?;
-                Ok(())
-            })()
-        };
-        if let Err(e) = child_result {
+        let seq = self.commit_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let mask = (1u64 << parent_shard) | (1u64 << child_shard);
+        self.push_cross_entry(CrossEntry { seq, mask });
+        // The parent's half commits first. If it fails, nothing committed
+        // anywhere: the child's half is aborted and the pair retracted.
+        guards[p].1.force_commit_seq(seq);
+        if let Err(e) = guards[p].1.commit_transaction() {
+            let _ = guards[c].1.abort_transaction();
+            self.remove_cross_entry(seq);
+            return Err(e);
+        }
+        guards[c].1.force_commit_seq(seq);
+        if let Err(e) = guards[c].1.commit_transaction() {
             // The parent half is durable; the pair is now two independent
             // transactions (the child still forks from the old point, which
             // remains valid history on the parent). Stop advertising the
@@ -1078,7 +1034,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(p, MAIN_CONTEXT);
-        let parent_now = mv.view_for(MAIN_CONTEXT).context_now(MAIN_CONTEXT).unwrap();
+        let parent_now = mv.view_for(MAIN_CONTEXT).graph(MAIN_CONTEXT).unwrap().now();
         assert!(
             t <= parent_now,
             "fork time {t:?} beyond parent clock {parent_now:?}"
@@ -1201,7 +1157,7 @@ mod tests {
         let ctxs = fork_onto_every_shard(&ham);
         let before: Vec<_> = ctxs
             .iter()
-            .map(|&c| ham.read_view(c).context_now(c).unwrap())
+            .map(|&c| ham.read_view(c).graph(c).unwrap().now())
             .collect();
         ham.begin_transaction().unwrap();
         for &ctx in &ctxs {
@@ -1211,7 +1167,7 @@ mod tests {
         ham.abort_transaction().unwrap();
         for (&ctx, &t) in ctxs.iter().zip(&before) {
             assert_eq!(
-                ham.read_view(ctx).context_now(ctx).unwrap(),
+                ham.read_view(ctx).graph(ctx).unwrap().now(),
                 t,
                 "abort must rewind {ctx:?} on its shard"
             );
@@ -1252,8 +1208,9 @@ mod tests {
         let contexts_before = ham.contexts();
         let main_before = ham
             .read_view(MAIN_CONTEXT)
-            .context_now(MAIN_CONTEXT)
-            .unwrap();
+            .graph(MAIN_CONTEXT)
+            .unwrap()
+            .now();
         let fork_before = ham
             .read_view(child)
             .context_forked_from(child)
@@ -1280,8 +1237,9 @@ mod tests {
         );
         assert_eq!(
             ham.read_view(MAIN_CONTEXT)
-                .context_now(MAIN_CONTEXT)
-                .unwrap(),
+                .graph(MAIN_CONTEXT)
+                .unwrap()
+                .now(),
             main_before,
             "the parent half of the merge must roll back"
         );
@@ -1310,8 +1268,9 @@ mod tests {
         assert!(ham.contexts().contains(&kept));
         assert!(
             ham.read_view(MAIN_CONTEXT)
-                .context_now(MAIN_CONTEXT)
+                .graph(MAIN_CONTEXT)
                 .unwrap()
+                .now()
                 > main_before
         );
         let seqs: BTreeSet<u64> = [MAIN_CONTEXT, child]
@@ -1337,7 +1296,7 @@ mod tests {
         let ctxs = fork_onto_every_shard(&ham);
         let before: Vec<Time> = ctxs
             .iter()
-            .map(|&c| ham.read_view(c).context_now(c).unwrap())
+            .map(|&c| ham.read_view(c).graph(c).unwrap().now())
             .collect();
         ham.begin_transaction().unwrap();
         for &ctx in &ctxs {
@@ -1355,7 +1314,7 @@ mod tests {
         assert!(vfs.injected() > 0, "the armed fault must actually fire");
         for (&ctx, &t) in ctxs.iter().zip(&before) {
             assert_eq!(
-                ham.read_view(ctx).context_now(ctx).unwrap(),
+                ham.read_view(ctx).graph(ctx).unwrap().now(),
                 t,
                 "no shard may durably commit a failed logical transaction ({ctx:?})"
             );
@@ -1426,7 +1385,7 @@ mod tests {
                 .context_forked_from(child)
                 .unwrap()
                 .unwrap();
-            let parent_now = mv.view_for(p).context_now(p).unwrap();
+            let parent_now = mv.view_for(p).graph(p).unwrap().now();
             assert!(
                 t <= parent_now,
                 "torn read: fork {t:?} > parent clock {parent_now:?}"

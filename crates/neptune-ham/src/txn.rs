@@ -137,7 +137,7 @@ pub enum RedoOp {
         /// Assigned time.
         time: Time,
     },
-    /// `getAttributeIndex` interned a new name (clock-advancing).
+    /// `getAttributeIndex` interned a new name (which takes a time).
     InternAttr {
         /// Context operated on.
         context: ContextId,
@@ -185,7 +185,7 @@ pub enum RedoOp {
         id: ContextId,
         /// The context it was forked from.
         from: ContextId,
-        /// Fork time (in the parent's clock).
+        /// Fork time: the store clock at the fork.
         time: Time,
     },
     /// `mergeContext` folded a child thread back into its parent.
@@ -197,6 +197,10 @@ pub enum RedoOp {
         /// Conflict policy tag (see [`crate::context::ConflictPolicy`]):
         /// 0 = fail, 1 = prefer child, 2 = prefer parent.
         policy: u8,
+        /// The merge's one time, which is also the child's new fork point.
+        /// `None` in records written before the store clock (tag 14),
+        /// which replay at the parent's newest time + 1.
+        time: Option<Time>,
     },
     /// `destroyContext` discarded a version thread.
     DestroyContext {
@@ -212,7 +216,7 @@ pub enum RedoOp {
         id: ContextId,
         /// The (foreign) context it was forked from.
         from: ContextId,
-        /// Fork time (in the parent's clock).
+        /// Fork time: the store clock at the fork.
         time: Time,
         /// Encoded [`crate::graph::HamGraph`] snapshot of the parent at the
         /// fork point.
@@ -227,23 +231,26 @@ pub enum RedoOp {
         into: ContextId,
         /// Conflict policy tag (see [`crate::context::ConflictPolicy`]).
         policy: u8,
-        /// The child's fork time in the parent's clock.
+        /// The child's fork point.
         fork_time: Time,
+        /// The merge's one time, as in [`RedoOp::MergeContext`] (`None`:
+        /// written before the store clock, tag 17).
+        time: Option<Time>,
         /// Encoded [`crate::graph::HamGraph`] of the (foreign) child as
         /// [`crate::graph::HamGraph::merge_delta`] restricts it: the
-        /// objects changed since the fork, with the child's clock and
+        /// objects changed since the fork, with the child's counters and
         /// tables. Older logs carry the whole child graph; both replay
         /// through the same merge to the same parent.
         graph: Vec<u8>,
     },
     /// A cross-shard `mergeContext`, child side: after the parent shard
-    /// folded the child in, re-fork the child at the parent's new clock.
+    /// folded the child in, re-fork the child at the merge's time.
     RefixFork {
         /// The re-forked child context on this shard.
         child: ContextId,
         /// The (foreign) parent context.
         into: ContextId,
-        /// The new fork time (in the parent's clock).
+        /// The new fork time: the merge's time.
         time: Time,
     },
 }
@@ -265,10 +272,12 @@ impl RedoOp {
             RedoOp::SetNodeDemon { .. } => 11,
             RedoOp::ChangeProtection { .. } => 12,
             RedoOp::CreateContext { .. } => 13,
-            RedoOp::MergeContext { .. } => 14,
+            RedoOp::MergeContext { time: None, .. } => 14,
+            RedoOp::MergeContext { time: Some(_), .. } => 19,
             RedoOp::DestroyContext { .. } => 15,
             RedoOp::AdoptContext { .. } => 16,
-            RedoOp::MergeForeign { .. } => 17,
+            RedoOp::MergeForeign { time: None, .. } => 17,
+            RedoOp::MergeForeign { time: Some(_), .. } => 20,
             RedoOp::RefixFork { .. } => 18,
         }
     }
@@ -444,10 +453,14 @@ impl Encode for RedoOp {
                 child,
                 into,
                 policy,
+                time,
             } => {
                 child.encode(w);
                 into.encode(w);
                 w.put_u8(*policy);
+                if let Some(time) = time {
+                    time.encode(w);
+                }
             }
             RedoOp::DestroyContext { id } => {
                 id.encode(w);
@@ -467,11 +480,15 @@ impl Encode for RedoOp {
                 into,
                 policy,
                 fork_time,
+                time,
                 graph,
             } => {
                 into.encode(w);
                 w.put_u8(*policy);
                 fork_time.encode(w);
+                if let Some(time) = time {
+                    time.encode(w);
+                }
                 w.put_bytes(graph);
             }
             RedoOp::RefixFork { child, into, time } => {
@@ -570,10 +587,11 @@ impl Decode for RedoOp {
                 from: ContextId::decode(r)?,
                 time: Time::decode(r)?,
             },
-            14 => RedoOp::MergeContext {
+            tag @ (14 | 19) => RedoOp::MergeContext {
                 child: ContextId::decode(r)?,
                 into: ContextId::decode(r)?,
                 policy: r.get_u8()?,
+                time: timed(tag == 19, r)?,
             },
             15 => RedoOp::DestroyContext {
                 id: ContextId::decode(r)?,
@@ -584,10 +602,11 @@ impl Decode for RedoOp {
                 time: Time::decode(r)?,
                 graph: r.get_bytes()?.to_vec(),
             },
-            17 => RedoOp::MergeForeign {
+            tag @ (17 | 20) => RedoOp::MergeForeign {
                 into: ContextId::decode(r)?,
                 policy: r.get_u8()?,
                 fork_time: Time::decode(r)?,
+                time: timed(tag == 20, r)?,
                 graph: r.get_bytes()?.to_vec(),
             },
             18 => RedoOp::RefixFork {
@@ -603,6 +622,11 @@ impl Decode for RedoOp {
             }
         })
     }
+}
+
+/// The merge time a record with a timed tag carries.
+fn timed(timed: bool, r: &mut Reader<'_>) -> StorageResult<Option<Time>> {
+    timed.then(|| Time::decode(r)).transpose()
 }
 
 /// An in-flight transaction.
@@ -719,6 +743,13 @@ mod tests {
                 child: ContextId(2),
                 into: ContextId(0),
                 policy: 1,
+                time: None,
+            },
+            RedoOp::MergeContext {
+                child: ContextId(2),
+                into: ContextId(0),
+                policy: 1,
+                time: Some(Time(21)),
             },
             RedoOp::DestroyContext { id: ContextId(2) },
             RedoOp::AdoptContext {
@@ -731,6 +762,14 @@ mod tests {
                 into: ContextId(4),
                 policy: 2,
                 fork_time: Time(20),
+                time: None,
+                graph: vec![5, 6, 7],
+            },
+            RedoOp::MergeForeign {
+                into: ContextId(4),
+                policy: 2,
+                fork_time: Time(20),
+                time: Some(Time(22)),
                 graph: vec![5, 6, 7],
             },
             RedoOp::RefixFork {

@@ -402,11 +402,6 @@ impl CommittedView {
         self.shard
     }
 
-    /// The logical clock of `context` as of this snapshot.
-    pub fn context_now(&self, context: ContextId) -> Result<Time> {
-        Ok(self.graph(context)?.now())
-    }
-
     /// How long ago this view was published — the staleness a reader still
     /// holding it observes.
     pub fn age(&self) -> std::time::Duration {

@@ -9,11 +9,12 @@
 //! * merging a child's `merge_delta` is merging the whole child;
 //! * `Versioned<T>` behaves like an append-only map from time to value.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use neptune_ham::context::{merge_context, ConflictPolicy};
 use neptune_ham::demons::{DemonSpec, Event};
-use neptune_ham::graph::HamGraph;
+use neptune_ham::graph::{HamGraph, Stamp};
 use neptune_ham::ham::Ham;
 use neptune_ham::history::Versioned;
 use neptune_ham::predicate::Predicate;
@@ -71,9 +72,10 @@ fn gen_ops(rng: &mut XorShift, min: usize, max: usize) -> Vec<GraphOp> {
 
 const ATTR_NAMES: [&str; 4] = ["document", "contentType", "status", "owner"];
 
-/// Apply an op, mapping arbitrary indices onto live objects; unmatched ops
-/// become no-ops so every generated sequence is valid.
-fn apply(graph: &mut HamGraph, op: &GraphOp) {
+/// Apply an op, drawing its time from `clock`, mapping arbitrary indices
+/// onto live objects; unmatched ops become no-ops so every generated
+/// sequence is valid.
+fn apply(graph: &mut HamGraph, clock: &AtomicU64, op: &GraphOp) {
     let live_nodes: Vec<NodeIndex> = graph
         .nodes()
         .filter(|n| n.exists_at(Time::CURRENT))
@@ -86,12 +88,12 @@ fn apply(graph: &mut HamGraph, op: &GraphOp) {
         .collect();
     match op {
         GraphOp::AddNode(keep) => {
-            graph.add_node(*keep);
+            graph.add_node(*keep, clock);
         }
         GraphOp::DeleteNode(i) => {
             if !live_nodes.is_empty() {
                 let id = live_nodes[i % live_nodes.len()];
-                graph.delete_node(id).unwrap();
+                graph.delete_node(id, clock).unwrap();
             }
         }
         GraphOp::AddLink(a, b, offset) => {
@@ -99,14 +101,18 @@ fn apply(graph: &mut HamGraph, op: &GraphOp) {
                 let from = live_nodes[a % live_nodes.len()];
                 let to = live_nodes[b % live_nodes.len()];
                 graph
-                    .add_link(LinkPt::current(from, *offset), LinkPt::current(to, 0))
+                    .add_link(
+                        LinkPt::current(from, *offset),
+                        LinkPt::current(to, 0),
+                        clock,
+                    )
                     .unwrap();
             }
         }
         GraphOp::DeleteLink(i) => {
             if !live_links.is_empty() {
                 let id = live_links[i % live_links.len()];
-                graph.delete_link(id).unwrap();
+                graph.delete_link(id, clock).unwrap();
             }
         }
         GraphOp::ModifyNode(i, contents) => {
@@ -114,29 +120,24 @@ fn apply(graph: &mut HamGraph, op: &GraphOp) {
                 let id = live_nodes[i % live_nodes.len()];
                 // Only archive nodes accept historical modification here.
                 if graph.node(id).unwrap().is_archive() {
-                    let now = graph.tick();
-                    graph
-                        .node_mut(id)
-                        .unwrap()
-                        .modify(contents.clone(), now, "prop")
-                        .unwrap();
+                    graph.check_in(id, contents.clone(), clock, "prop").unwrap();
                 }
             }
         }
         GraphOp::SetAttr(i, a, v) => {
             if !live_nodes.is_empty() {
                 let id = live_nodes[i % live_nodes.len()];
-                let attr = graph.attribute_index(ATTR_NAMES[*a as usize]);
+                let attr = graph.attribute_index(ATTR_NAMES[*a as usize], clock);
                 graph
-                    .set_node_attr(id, attr, Value::Int(*v as i64))
+                    .set_node_attr(id, attr, Value::Int(*v as i64), clock)
                     .unwrap();
             }
         }
         GraphOp::DeleteAttr(i, a) => {
             if !live_nodes.is_empty() {
                 let id = live_nodes[i % live_nodes.len()];
-                let attr = graph.attribute_index(ATTR_NAMES[*a as usize]);
-                let _ = graph.delete_node_attr(id, attr);
+                let attr = graph.attribute_index(ATTR_NAMES[*a as usize], clock);
+                let _ = graph.delete_node_attr(id, attr, clock);
             }
         }
     }
@@ -182,9 +183,10 @@ fn history_is_immutable() {
     for _ in 0..64 {
         let ops = gen_ops(&mut rng, 1, 40);
         let mut graph = HamGraph::new(ProjectId(1));
+        let clock = AtomicU64::new(1);
         let mut checkpoints: Vec<(Time, String)> = Vec::new();
         for op in &ops {
-            apply(&mut graph, op);
+            apply(&mut graph, &clock, op);
             let now = graph.now();
             checkpoints.push((now, observe(&graph, now)));
         }
@@ -477,8 +479,9 @@ fn graph_codec_is_faithful() {
     for _ in 0..64 {
         let ops = gen_ops(&mut rng, 1, 30);
         let mut graph = HamGraph::new(ProjectId(7));
+        let clock = AtomicU64::new(1);
         for op in &ops {
-            apply(&mut graph, op);
+            apply(&mut graph, &clock, op);
         }
         let decoded = HamGraph::from_bytes(&graph.to_bytes()).unwrap();
         assert_eq!(&decoded, &graph);
@@ -495,8 +498,9 @@ fn indexed_query_equals_scan() {
     for _ in 0..64 {
         let ops = gen_ops(&mut rng, 1, 40);
         let mut graph = HamGraph::new(ProjectId(3));
+        let clock = AtomicU64::new(1);
         for op in &ops {
-            apply(&mut graph, op);
+            apply(&mut graph, &clock, op);
         }
         for v in 0..4u8 {
             let pred = Predicate::parse(&format!("document = {v}")).unwrap();
@@ -571,22 +575,25 @@ const POLICIES: [ConflictPolicy; 3] = [
     ConflictPolicy::PreferParent,
 ];
 
-/// Merge `child` into copies of `parent` three ways: whole, as its
-/// `merge_delta`, and as that delta after an encode/decode round trip (what
-/// WAL replay merges). All three must give the same report, or the same
-/// error, and the same parent bytes. Returns the whole merge's outcome.
+/// Merge `child` into copies of `parent` three ways, each at one time drawn
+/// from `clock`: whole, as its `merge_delta`, and as that delta after an
+/// encode/decode round trip (what WAL replay merges). All three must give
+/// the same report, or the same error, and the same parent bytes. Returns
+/// the whole merge's outcome.
 fn merge_alike(
     parent: &HamGraph,
     child: &HamGraph,
     fork: Time,
     policy: ConflictPolicy,
+    clock: &AtomicU64,
     what: &str,
 ) -> (
     HamGraph,
     neptune_ham::Result<neptune_ham::context::MergeReport>,
 ) {
+    let now = clock.stamp();
     let mut whole = parent.clone();
-    let expected = merge_context(&mut whole, child, fork, policy);
+    let expected = merge_context(&mut whole, child, fork, policy, now);
     let delta = child.merge_delta(parent, fork);
     assert!(
         delta.nodes().count() <= child.nodes().count()
@@ -596,7 +603,7 @@ fn merge_alike(
     let replayed = HamGraph::from_bytes(&delta.to_bytes()).unwrap();
     for (how, input) in [("delta", &delta), ("decoded delta", &replayed)] {
         let mut merged = parent.clone();
-        let got = merge_context(&mut merged, input, fork, policy);
+        let got = merge_context(&mut merged, input, fork, policy, now);
         assert_eq!(
             format!("{got:?}"),
             format!("{expected:?}"),
@@ -611,15 +618,16 @@ fn merge_alike(
 }
 
 /// Seeded fork/edit/merge scripts: a base graph, divergent edits in parent
-/// and child, a merge, then a second round from a re-fork at the parent's
-/// clock (the child keeps its own). Every merge agrees whole and as a delta.
+/// and child, a merge, then a second round from the re-fork at the merge's
+/// time. Every merge agrees whole and as a delta.
 #[test]
 fn merge_delta_merges_like_the_whole_child() {
     let mut rng = XorShift::new(0xA006);
     for case in 0..96 {
         let mut base = HamGraph::new(ProjectId(5));
+        let clock = AtomicU64::new(1);
         for op in gen_ops(&mut rng, 1, 30) {
-            apply(&mut base, &op);
+            apply(&mut base, &clock, &op);
         }
         let child_ops = gen_ops(&mut rng, 1, 30);
         let parent_ops = gen_ops(&mut rng, 1, 8);
@@ -627,58 +635,64 @@ fn merge_delta_merges_like_the_whole_child() {
         let parent_edits = rng.chance(1, 2);
         for policy in POLICIES {
             let what = format!("case {case}");
-            let fork = base.now();
+            let fork = fork_point(&clock);
             let mut parent = base.clone();
             let mut child = base.clone();
             for op in &child_ops {
-                apply(&mut child, op);
+                apply(&mut child, &clock, op);
             }
             if parent_edits {
                 for op in &parent_ops {
-                    apply(&mut parent, op);
+                    apply(&mut parent, &clock, op);
                 }
             }
-            let (merged, first) = merge_alike(&parent, &child, fork, policy, &what);
+            let (merged, first) = merge_alike(&parent, &child, fork, policy, &clock, &what);
             if first.is_err() {
                 continue;
             }
-            let refork = merged.now();
+            let refork = fork_point(&clock);
             for op in &again_ops {
-                apply(&mut child, op);
+                apply(&mut child, &clock, op);
             }
-            let _ = merge_alike(&merged, &child, refork, policy, &format!("{what}, again"));
+            let again = format!("{what}, again");
+            let _ = merge_alike(&merged, &child, refork, policy, &clock, &again);
         }
     }
 }
 
-/// A parent with archive nodes a, b, c (a and b with contents), a link
-/// a -> b, and a "status" attribute on a and on the link.
-fn merge_base() -> (HamGraph, [NodeIndex; 3], LinkIndex) {
-    let mut g = HamGraph::new(ProjectId(8));
-    let ids = [g.add_node(true).0, g.add_node(true).0, g.add_node(true).0];
-    for (id, text) in ids.iter().zip([&b"node a\n"[..], b"node b\n"]) {
-        let now = g.tick();
-        g.node_mut(*id)
-            .unwrap()
-            .modify(text.to_vec(), now, "init")
-            .unwrap();
-    }
-    let (link, _) = g
-        .add_link(LinkPt::current(ids[0], 0), LinkPt::current(ids[1], 0))
-        .unwrap();
-    let status = g.attribute_index("status");
-    g.set_node_attr(ids[0], status, Value::str("draft"))
-        .unwrap();
-    g.set_link_attr(link, status, Value::str("draft")).unwrap();
-    (g, ids, link)
+/// A fork point: the store clock's current value.
+fn fork_point(clock: &AtomicU64) -> Time {
+    Time(clock.load(Ordering::Relaxed))
 }
 
-fn edit(graph: &mut HamGraph, id: NodeIndex, text: &str) {
-    let now = graph.tick();
+/// A parent with archive nodes a, b, c (a and b with contents), a link
+/// a -> b, and a "status" attribute on a and on the link; and the store
+/// clock it drew its times from.
+fn merge_base() -> (HamGraph, AtomicU64, [NodeIndex; 3], LinkIndex) {
+    let mut g = HamGraph::new(ProjectId(8));
+    let clock = AtomicU64::new(1);
+    let ids = [(); 3].map(|_| g.add_node(true, &clock).0);
+    for (id, text) in ids.iter().zip([&b"node a\n"[..], b"node b\n"]) {
+        g.check_in(*id, text.to_vec(), &clock, "init").unwrap();
+    }
+    let (link, _) = g
+        .add_link(
+            LinkPt::current(ids[0], 0),
+            LinkPt::current(ids[1], 0),
+            &clock,
+        )
+        .unwrap();
+    let status = g.attribute_index("status", &clock);
+    g.set_node_attr(ids[0], status, Value::str("draft"), &clock)
+        .unwrap();
+    g.set_link_attr(link, status, Value::str("draft"), &clock)
+        .unwrap();
+    (g, clock, ids, link)
+}
+
+fn edit(graph: &mut HamGraph, clock: &AtomicU64, id: NodeIndex, text: &str) {
     graph
-        .node_mut(id)
-        .unwrap()
-        .modify(text.as_bytes().to_vec(), now, "edit")
+        .check_in(id, text.as_bytes().to_vec(), clock, "edit")
         .unwrap();
 }
 
@@ -688,29 +702,30 @@ fn merge_each_policy(
     parent: &HamGraph,
     child: &HamGraph,
     fork: Time,
+    clock: &AtomicU64,
     what: &str,
 ) -> Vec<neptune_ham::Result<neptune_ham::context::MergeReport>> {
     POLICIES
         .iter()
-        .map(|&policy| merge_alike(parent, child, fork, policy, what).1)
+        .map(|&policy| merge_alike(parent, child, fork, policy, clock, what).1)
         .collect()
 }
 
 #[test]
 fn merge_delta_keeps_the_ends_of_new_links() {
-    let (parent, [a, b, c], _) = merge_base();
-    let fork = parent.now();
+    let (parent, clock, [a, b, c], _) = merge_base();
+    let fork = fork_point(&clock);
     let mut child = parent.clone();
     // A new node linked to unchanged c, and a new link between two
     // unchanged pre-fork nodes.
-    let (d, _) = child.add_node(true);
+    let (d, _) = child.add_node(true, &clock);
     child
-        .add_link(LinkPt::current(d, 0), LinkPt::current(c, 0))
+        .add_link(LinkPt::current(d, 0), LinkPt::current(c, 0), &clock)
         .unwrap();
     child
-        .add_link(LinkPt::current(a, 0), LinkPt::current(c, 0))
+        .add_link(LinkPt::current(a, 0), LinkPt::current(c, 0), &clock)
         .unwrap();
-    for report in merge_each_policy(&parent, &child, fork, "new links") {
+    for report in merge_each_policy(&parent, &child, fork, &clock, "new links") {
         assert_eq!(report.unwrap().links_added.len(), 2);
     }
     let delta = child.merge_delta(&parent, fork);
@@ -720,71 +735,429 @@ fn merge_delta_keeps_the_ends_of_new_links() {
 
 #[test]
 fn merge_delta_carries_deletions() {
-    let (parent, [_, b, _], link) = merge_base();
-    let fork = parent.now();
+    let (parent, clock, [_, b, _], link) = merge_base();
+    let fork = fork_point(&clock);
 
     let mut child = parent.clone();
-    child.delete_node(b).unwrap();
-    for report in merge_each_policy(&parent, &child, fork, "node deleted") {
+    child.delete_node(b, &clock).unwrap();
+    for report in merge_each_policy(&parent, &child, fork, &clock, "node deleted") {
         assert_eq!(report.unwrap().nodes_deleted, vec![b]);
     }
 
     let mut child = parent.clone();
-    child.delete_link(link).unwrap();
-    for report in merge_each_policy(&parent, &child, fork, "link deleted") {
+    child.delete_link(link, &clock).unwrap();
+    for report in merge_each_policy(&parent, &child, fork, &clock, "link deleted") {
         assert_eq!(report.unwrap().links_deleted, vec![link]);
     }
 }
 
 #[test]
 fn merge_delta_carries_attribute_deletions() {
-    let (parent, [a, _, _], link) = merge_base();
-    let fork = parent.now();
+    let (parent, clock, [a, _, _], link) = merge_base();
+    let fork = fork_point(&clock);
     let mut child = parent.clone();
-    let status = child.attribute_index("status");
-    child.delete_node_attr(a, status).unwrap();
-    child.delete_link_attr(link, status).unwrap();
-    for report in merge_each_policy(&parent, &child, fork, "attribute deleted") {
+    let status = child.attribute_index("status", &clock);
+    child.delete_node_attr(a, status, &clock).unwrap();
+    child.delete_link_attr(link, status, &clock).unwrap();
+    for report in merge_each_policy(&parent, &child, fork, &clock, "attribute deleted") {
         assert_eq!(report.unwrap().attrs_changed, 2);
     }
 }
 
 #[test]
 fn merge_delta_reports_a_change_to_a_node_the_parent_deleted() {
-    let (mut parent, [a, _, _], _) = merge_base();
-    let fork = parent.now();
+    let (mut parent, clock, [a, _, _], _) = merge_base();
+    let fork = fork_point(&clock);
     let mut child = parent.clone();
-    edit(&mut child, a, "child edit\n");
-    parent.delete_node(a).unwrap();
-    let outcomes = merge_each_policy(&parent, &child, fork, "deleted in parent");
+    edit(&mut child, &clock, a, "child edit\n");
+    parent.delete_node(a, &clock).unwrap();
+    let outcomes = merge_each_policy(&parent, &child, fork, &clock, "deleted in parent");
     assert!(outcomes[0].is_err(), "Fail refuses the merge");
     for report in &outcomes[1..] {
         assert_eq!(report.as_ref().unwrap().conflicts.len(), 1);
     }
 }
 
-/// Item-14 shape: the parent's clock runs ahead, the child merges, is
-/// re-forked at the parent's later clock, then edits and deletes a node
-/// with times below that fork point. A delta that chose deletions by time
-/// would drop b's deletion here; the merge's deletion test reads only
-/// liveness, so the delta must too.
+/// The lost-edit shape: the parent runs ahead, the child merges, is re-forked at
+/// the merge's time, then edits one node and deletes another. Both drew
+/// their times from the store clock after the re-fork, so the second merge
+/// sees both changes; the deletion comes from the liveness test, which the
+/// delta must follow too.
 #[test]
 fn merge_delta_matches_a_second_merge_after_a_refork() {
-    let (mut parent, [a, b, c], _) = merge_base();
-    let fork = parent.now();
+    let (mut parent, clock, [a, b, c], _) = merge_base();
+    let fork = fork_point(&clock);
     let mut child = parent.clone();
     for i in 0..20 {
-        edit(&mut parent, c, &format!("parent edit {i}\n"));
+        edit(&mut parent, &clock, c, &format!("parent edit {i}\n"));
     }
-    edit(&mut child, a, "child edit 1\n");
-    let (parent, first) = merge_alike(&parent, &child, fork, ConflictPolicy::Fail, "first");
+    edit(&mut child, &clock, a, "child edit 1\n");
+    let (parent, first) = merge_alike(&parent, &child, fork, ConflictPolicy::Fail, &clock, "first");
     assert_eq!(first.unwrap().nodes_modified, vec![a]);
 
-    let refork = parent.now();
-    edit(&mut child, a, "child edit 2\n");
-    child.delete_node(b).unwrap();
-    assert!(child.now() < refork, "the child's times lag the new fork");
-    for report in merge_each_policy(&parent, &child, refork, "second") {
-        assert_eq!(report.unwrap().nodes_deleted, vec![b]);
+    let refork = fork_point(&clock);
+    assert_eq!(
+        parent.now(),
+        refork,
+        "the re-fork point is the merge's time"
+    );
+    edit(&mut child, &clock, a, "child edit 2\n");
+    child.delete_node(b, &clock).unwrap();
+    assert!(
+        child.now() > refork,
+        "the child's new times pass the re-fork"
+    );
+    for report in merge_each_policy(&parent, &child, refork, &clock, "second") {
+        let report = report.unwrap();
+        assert_eq!(report.nodes_modified, vec![a]);
+        assert_eq!(report.nodes_deleted, vec![b]);
+    }
+}
+
+/// One step of a fork/edit/merge stream over MAIN's nodes. `ctx` picks
+/// MAIN (0) or a live child; numbers are resolved against what is live.
+#[derive(Debug, Clone, Copy)]
+enum StreamOp {
+    Fork,
+    Edit { ctx: usize, node: usize },
+    SetAttr { ctx: usize, node: usize, value: i64 },
+    Merge { child: usize },
+}
+
+const STREAM_NODES: usize = 4;
+
+fn gen_stream(rng: &mut XorShift, len: usize) -> Vec<StreamOp> {
+    let mut ops = vec![StreamOp::Fork];
+    for _ in 1..len {
+        let (ctx, node) = (
+            rng.below(4) as usize,
+            rng.below(STREAM_NODES as u64) as usize,
+        );
+        ops.push(match rng.below(10) {
+            0 => StreamOp::Fork,
+            1..=3 => StreamOp::Merge {
+                child: rng.below(3) as usize,
+            },
+            4..=6 => StreamOp::Edit { ctx, node },
+            _ => StreamOp::SetAttr {
+                ctx,
+                node,
+                value: rng.below(5) as i64,
+            },
+        });
+    }
+    ops
+}
+
+/// A context as the reference sees it: contents and "status" per node.
+#[derive(Debug, Clone, PartialEq)]
+struct ModelContext {
+    contents: Vec<String>,
+    status: Vec<Option<i64>>,
+}
+
+/// A child in the reference: its state, and what each side changed since
+/// its fork as flags — no times anywhere.
+#[derive(Debug, Clone)]
+struct ModelChild {
+    state: ModelContext,
+    child_content: [bool; STREAM_NODES],
+    child_attr: [bool; STREAM_NODES],
+    parent_content: [bool; STREAM_NODES],
+    parent_attr: [bool; STREAM_NODES],
+}
+
+impl ModelChild {
+    fn forked(main: &ModelContext) -> ModelChild {
+        ModelChild {
+            state: main.clone(),
+            child_content: [false; STREAM_NODES],
+            child_attr: [false; STREAM_NODES],
+            parent_content: [false; STREAM_NODES],
+            parent_attr: [false; STREAM_NODES],
+        }
+    }
+}
+
+/// What a merge reports, reduced to what the reference predicts:
+/// `(nodes modified, attributes changed, conflicts)`, or `None` for a
+/// refused merge.
+type MergeOutcome = Option<(Vec<usize>, usize, usize)>;
+
+/// The reference merge: node by node, contents then "status", exactly the
+/// precedence `merge_context` promises. Applies a successful merge to the
+/// model and re-forks the child.
+fn model_merge(
+    main: &mut ModelContext,
+    children: &mut [ModelChild],
+    k: usize,
+    policy: ConflictPolicy,
+) -> MergeOutcome {
+    let child = &children[k];
+    let (mut modified, mut attrs, mut conflicts) = (Vec::new(), Vec::new(), 0);
+    for i in 0..STREAM_NODES {
+        for (changed, parent_changed, out) in [
+            (
+                child.child_content[i],
+                child.parent_content[i],
+                &mut modified,
+            ),
+            (child.child_attr[i], child.parent_attr[i], &mut attrs),
+        ] {
+            if !changed {
+                continue;
+            }
+            let apply = !parent_changed
+                || match policy {
+                    ConflictPolicy::Fail => return None,
+                    ConflictPolicy::PreferChild => true,
+                    ConflictPolicy::PreferParent => false,
+                };
+            conflicts += usize::from(parent_changed);
+            if apply {
+                out.push(i);
+            }
+        }
+    }
+    let state = children[k].state.clone();
+    for &i in &modified {
+        main.contents[i] = state.contents[i].clone();
+    }
+    for &i in &attrs {
+        main.status[i] = state.status[i];
+    }
+    for (j, other) in children.iter_mut().enumerate() {
+        if j == k {
+            *other = ModelChild {
+                state: other.state.clone(),
+                ..ModelChild::forked(main)
+            };
+            continue;
+        }
+        for &i in &modified {
+            other.parent_content[i] = true;
+        }
+        for &i in &attrs {
+            other.parent_attr[i] = true;
+        }
+    }
+    Some((modified, attrs.len(), conflicts))
+}
+
+/// Every context's current contents and "status", read from the store.
+fn observed(ham: &ShardedHam, ctx: ContextId, nodes: &[NodeIndex]) -> ModelContext {
+    let mut guard = ham.lock_home(ctx).unwrap();
+    let status = guard.get_attribute_index(ctx, "status").unwrap();
+    let mut out = ModelContext {
+        contents: Vec::new(),
+        status: Vec::new(),
+    };
+    for &node in nodes {
+        let opened = guard
+            .read_node(ctx, node, Time::CURRENT, &[status])
+            .unwrap();
+        out.contents
+            .push(String::from_utf8(opened.contents.to_vec()).unwrap());
+        out.status.push(opened.values[0].as_ref().map(|v| match v {
+            Value::Int(n) => *n,
+            other => panic!("status {other:?}"),
+        }));
+    }
+    out
+}
+
+/// A context's version times after a stream: its first fork point (`None`
+/// for MAIN), its fork point now, and per node the times of its check-ins
+/// and attribute changes.
+type StreamTimes = (ContextId, Option<Time>, Option<Time>, Vec<Vec<Time>>);
+
+/// Run `ops` under `policy` on a fresh store of `nshards`, checking every
+/// merge report and, at the end, every context against the reference.
+/// Returns every context's times and the times merges wrote at.
+fn run_stream(
+    nshards: usize,
+    ops: &[StreamOp],
+    policy: ConflictPolicy,
+    what: &str,
+) -> (Vec<StreamTimes>, Vec<Time>) {
+    let dir = std::env::temp_dir().join(format!(
+        "neptune-prop-stream-{nshards}-{}-{}",
+        what.replace([' ', ','], "-"),
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (ham, _, _) = ShardedHam::create(&dir, Protections::DEFAULT, nshards).unwrap();
+    let mut main = ModelContext {
+        contents: (0..STREAM_NODES).map(|i| format!("node {i}\n")).collect(),
+        status: vec![None; STREAM_NODES],
+    };
+    let nodes: Vec<NodeIndex> = {
+        let mut guard = ham.lock_home(MAIN_CONTEXT).unwrap();
+        guard.get_attribute_index(MAIN_CONTEXT, "status").unwrap();
+        main.contents
+            .iter()
+            .map(|text| {
+                let (id, t) = guard.add_node(MAIN_CONTEXT, true).unwrap();
+                guard
+                    .modify_node(MAIN_CONTEXT, id, t, text.clone().into_bytes(), &[])
+                    .unwrap();
+                id
+            })
+            .collect()
+    };
+    let mut ids: Vec<ContextId> = Vec::new();
+    let mut first_forks = vec![None];
+    let mut children: Vec<ModelChild> = Vec::new();
+    let mut merge_times = Vec::new();
+    for (step, op) in ops.iter().enumerate() {
+        let at = |ctx: usize| (ctx % (ids.len() + 1)).checked_sub(1);
+        match *op {
+            StreamOp::Fork if ids.len() < 3 => {
+                let id = ham.create_context(MAIN_CONTEXT).unwrap();
+                ids.push(id);
+                first_forks.push(Some(forked_from_time(&ham, id)));
+                children.push(ModelChild::forked(&main));
+            }
+            StreamOp::Fork => {}
+            StreamOp::Edit { ctx, node } => {
+                let text = format!("edit {step}\n");
+                let context = at(ctx).map_or(MAIN_CONTEXT, |k| ids[k]);
+                let mut guard = ham.lock_home(context).unwrap();
+                let opened = guard
+                    .read_node(context, nodes[node], Time::CURRENT, &[])
+                    .unwrap();
+                guard
+                    .modify_node(
+                        context,
+                        nodes[node],
+                        opened.current_time,
+                        text.clone().into_bytes(),
+                        &[],
+                    )
+                    .unwrap();
+                match at(ctx) {
+                    None => {
+                        main.contents[node] = text;
+                        children
+                            .iter_mut()
+                            .for_each(|c| c.parent_content[node] = true);
+                    }
+                    Some(k) => {
+                        children[k].state.contents[node] = text;
+                        children[k].child_content[node] = true;
+                    }
+                }
+            }
+            StreamOp::SetAttr { ctx, node, value } => {
+                let context = at(ctx).map_or(MAIN_CONTEXT, |k| ids[k]);
+                let mut guard = ham.lock_home(context).unwrap();
+                let status = guard.get_attribute_index(context, "status").unwrap();
+                guard
+                    .set_node_attribute_value(context, nodes[node], status, Value::Int(value))
+                    .unwrap();
+                match at(ctx) {
+                    None => {
+                        main.status[node] = Some(value);
+                        children.iter_mut().for_each(|c| c.parent_attr[node] = true);
+                    }
+                    Some(k) => {
+                        children[k].state.status[node] = Some(value);
+                        children[k].child_attr[node] = true;
+                    }
+                }
+            }
+            StreamOp::Merge { child } => {
+                if ids.is_empty() {
+                    continue;
+                }
+                let k = child % ids.len();
+                let got = ham.merge_context(ids[k], policy).map(|r| {
+                    assert!(r.nodes_added.is_empty() && r.nodes_deleted.is_empty());
+                    let modified = r.nodes_modified.iter();
+                    let modified = modified.map(|id| nodes.iter().position(|n| n == id).unwrap());
+                    (modified.collect(), r.attrs_changed, r.conflicts.len())
+                });
+                let expected = model_merge(&mut main, &mut children, k, policy);
+                assert_eq!(
+                    got.ok(),
+                    expected,
+                    "{what}, step {step}: merge of child {k}"
+                );
+                if expected.is_some() {
+                    merge_times.push(forked_from_time(&ham, ids[k]));
+                }
+            }
+        }
+    }
+    assert_eq!(observed(&ham, MAIN_CONTEXT, &nodes), main, "{what}: MAIN");
+    for (k, &ctx) in ids.iter().enumerate() {
+        assert_eq!(
+            observed(&ham, ctx, &nodes),
+            children[k].state,
+            "{what}: child {k}"
+        );
+    }
+    let times = std::iter::once(MAIN_CONTEXT)
+        .chain(ids.iter().copied())
+        .zip(first_forks)
+        .map(|(ctx, first_fork)| {
+            let guard = ham.lock_home(ctx).unwrap();
+            let graph = guard.graph(ctx).unwrap();
+            let per_node = nodes
+                .iter()
+                .map(|&n| {
+                    let node = graph.node(n).unwrap();
+                    let mut t: Vec<Time> = node.versions().0.iter().map(|v| v.time).collect();
+                    t.extend(node.attrs.change_times());
+                    t
+                })
+                .collect();
+            let fork = guard.context_forked_from(ctx).unwrap().map(|(_, t)| t);
+            (ctx, first_fork, fork, per_node)
+        })
+        .collect();
+    drop(ham);
+    let _ = std::fs::remove_dir_all(&dir);
+    (times, merge_times)
+}
+
+fn forked_from_time(ham: &ShardedHam, ctx: ContextId) -> Time {
+    let guard = ham.lock_shard(ham.shard_of(ctx));
+    guard.context_forked_from(ctx).unwrap().unwrap().1
+}
+
+/// Fork/edit/merge streams, merging the same children again and again,
+/// under each policy at 1 and 8 shards: every merge report equals the
+/// reference's, which knows only what each side edited since the fork, and
+/// every context ends as the reference says. One script hands out the same
+/// times at 1 and at 8 shards, and no two versions share a time unless one
+/// merge wrote both.
+#[test]
+fn repeated_merges_match_a_reference_that_tracks_edits_as_flags() {
+    let mut rng = XorShift::new(0xA007);
+    for seed in 0..6 {
+        let ops = gen_stream(&mut rng, 70);
+        for policy in POLICIES {
+            let what = format!("stream {seed}, {policy:?}");
+            let (one, merges) = run_stream(1, &ops, policy, &what);
+            let (eight, _) = run_stream(8, &ops, policy, &what);
+            assert_eq!(one, eight, "{what}: times differ between 1 and 8 shards");
+
+            // A child's versions up to its first fork point are MAIN's.
+            let mut seen: std::collections::HashMap<Time, usize> = Default::default();
+            for (_, first_fork, _, per_node) in &one {
+                for &t in per_node.iter().flatten() {
+                    if !first_fork.is_some_and(|f| t <= f) {
+                        *seen.entry(t).or_default() += 1;
+                    }
+                }
+            }
+            for (t, count) in seen {
+                assert!(
+                    count == 1 || merges.contains(&t),
+                    "{what}: {count} versions share {t:?}, which no merge wrote"
+                );
+            }
+        }
     }
 }

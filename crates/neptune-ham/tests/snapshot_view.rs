@@ -97,15 +97,16 @@ fn old_view_is_stable_across_commit_checkpoint_and_rollback() {
     assert!(neptune_ham::invariants::view_violations(&after_abort).is_empty());
 }
 
-/// An abort rewinds the version clock, so a later edit re-binds the same
-/// `(node, time)` to different bytes. The aborted bytes were read — and so
-/// kept as an anchor — inside the transaction; nothing may serve them
-/// afterwards, and a view published before the abort must keep answering
-/// from its own world. The anchors sit inside the archives they describe:
-/// the abort drops the machine's copies, anchors and all, for the view's,
-/// and the views' archives are never touched.
+/// The store clock never rewinds, so an abort leaves a gap: a later edit
+/// gets a time past the aborted ones, and a read at an aborted time
+/// resolves to the version committed before it. The aborted bytes were
+/// read — and so kept as an anchor — inside the transaction; nothing may
+/// serve them afterwards, and a view published before the abort must keep
+/// answering from its own world. The anchors sit inside the archives they
+/// describe: the abort drops the machine's copies, anchors and all, for
+/// the view's, and the views' archives are never touched.
 #[test]
-fn rebinding_a_version_time_after_abort_keeps_every_world_apart() {
+fn an_abort_leaves_a_gap_and_keeps_every_world_apart() {
     let (mut ham, _, _) = Ham::create_graph(tmpdir("rebind"), Protections::DEFAULT).unwrap();
     let (node, t0) = ham.add_node(MAIN_CONTEXT, true).unwrap();
     let t1 = ham
@@ -133,20 +134,24 @@ fn rebinding_a_version_time_after_abort_keeps_every_world_apart() {
     let doomed = ham
         .modify_node(MAIN_CONTEXT, node, t2, &b"doomed"[..], &[])
         .unwrap();
-    ham.modify_node(MAIN_CONTEXT, node, doomed, &b"doomed too"[..], &[])
+    let doomed_too = ham
+        .modify_node(MAIN_CONTEXT, node, doomed, &b"doomed too"[..], &[])
         .unwrap();
     assert_eq!(&read(&ham, doomed)[..], b"doomed");
     assert_eq!(&read(&ham, doomed)[..], b"doomed");
     ham.abort_transaction().unwrap();
 
-    // The same times are handed out again, bound to different bytes.
+    // The aborted times are not handed out again.
     let kept = ham
         .modify_node(MAIN_CONTEXT, node, t2, &b"kept"[..], &[])
         .unwrap();
-    assert_eq!(kept, doomed, "the abort must have rewound the clock");
+    assert!(kept > doomed_too, "the abort must not rewind the clock");
     ham.modify_node(MAIN_CONTEXT, node, kept, &b"kept too"[..], &[])
         .unwrap();
 
+    // A read at an aborted time sees what was committed before it.
+    assert_eq!(&read(&ham, doomed)[..], b"v2");
+    assert_eq!(&view_read(&ham.committed_view(), doomed)[..], b"v2");
     assert_eq!(&read(&ham, kept)[..], b"kept");
     assert_eq!(&view_read(&ham.committed_view(), kept)[..], b"kept");
     // The old view never had a version at that time: it resolves down to
