@@ -7,7 +7,8 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Architecture lint: the named invariant rules (vfs-bypass, lock-order,
-# panic-path, metric hygiene — DESIGN.md §13) over every crate's source.
+# panic-path, parse-path, metric-name, span-parent — DESIGN.md §13) over
+# every crate's source.
 # Runs before the test gate so violations fail fast; suppress intentional
 # exceptions with `// neptune-lint: allow(rule): reason`.
 cargo run -q -p neptune-lint

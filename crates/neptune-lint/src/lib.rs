@@ -19,7 +19,6 @@
 //! | `lock-order` | neptune-server | gate before HAM, never the reverse; no blocking calls under a held HAM guard |
 //! | `panic-path` | neptune-server (minus client.rs) | no `unwrap`/`expect`/panic macros/indexing in request-handling code |
 //! | `metric-name` | whole workspace | metric literals match `neptune_<crate>_<noun>_<unit>` |
-//! | `rpc-histogram` | neptune-server/proto.rs | every `Request` variant keyed to its exact name in `name()` and classified in `is_read_only()` |
 //! | `span-parent` | neptune-server/server.rs | the request-scoped trace root (`request_root`) is opened exactly once per request dispatch |
 //!
 //! ## Suppression

@@ -1,4 +1,4 @@
-//! Metrics hygiene, two rules.
+//! Metrics hygiene.
 //!
 //! `metric-name`: every metric-name string literal (anything starting
 //! `neptune_`) follows `neptune_<crate>_<noun>_<unit>` (DESIGN.md §10) —
@@ -7,17 +7,8 @@
 //! are skipped: their crate segment is filled at runtime. The
 //! `neptune-lint` crate itself is exempt (its sources name the convention
 //! in order to check it).
-//!
-//! `rpc-histogram`: the per-RPC latency histogram family
-//! `neptune_server_rpc_ns{op=...}` is keyed by `Request::name()`, so a
-//! variant whose `name()` arm returns the wrong string silently splits or
-//! merges histogram series — rustc cannot catch that, only the string can
-//! be checked. Every variant must also appear in `is_read_only()` (the
-//! match is wildcard-free by design; this lint makes the convention
-//! machine-checked even if someone adds a `_ =>` arm later).
 
-use crate::tokutil::text;
-use crate::{lexer::Token, Finding, Kind, SourceFile};
+use crate::{Finding, Kind, SourceFile};
 
 /// Crate segments allowed in metric names (`neptune_<crate>_...`).
 const CRATE_SEGMENTS: &[&str] = &[
@@ -96,196 +87,4 @@ fn validate_metric_name(name: &str) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-pub fn run_rpc_histogram(file: &SourceFile) -> Vec<Finding> {
-    if file.crate_name != "neptune-server" || file.file_name != "proto.rs" {
-        return Vec::new();
-    }
-    let toks = &file.tokens;
-    let Some(variants) = enum_variants(toks, "Request") else {
-        return Vec::new();
-    };
-    let name_arms = fn_match_arms(toks, "name");
-    let read_only_idents = fn_body_idents(toks, "is_read_only");
-    let mut findings = Vec::new();
-    for v in &variants {
-        match name_arms.iter().find(|(ident, _, _)| ident == &v.name) {
-            None => findings.push(Finding {
-                rule: "rpc-histogram",
-                path: file.rel_path.clone(),
-                line: v.line,
-                col: v.col,
-                message: format!(
-                    "Request::{} has no arm in Request::name(); its rpc latency \
-                     histogram (`neptune_server_rpc_ns{{op=..}}`) would never be keyed",
-                    v.name
-                ),
-            }),
-            Some((_, s, line)) if s != &v.name => findings.push(Finding {
-                rule: "rpc-histogram",
-                path: file.rel_path.clone(),
-                line: *line,
-                col: 1,
-                message: format!(
-                    "Request::{} is keyed as \"{s}\" in Request::name(); the histogram \
-                     op label must match the variant name exactly",
-                    v.name
-                ),
-            }),
-            _ => {}
-        }
-        if !read_only_idents.iter().any(|i| i == &v.name) {
-            findings.push(Finding {
-                rule: "rpc-histogram",
-                path: file.rel_path.clone(),
-                line: v.line,
-                col: v.col,
-                message: format!(
-                    "Request::{} is not classified in Request::is_read_only(); every \
-                     variant needs an explicit read/write decision (DESIGN.md \u{a7}9)",
-                    v.name
-                ),
-            });
-        }
-    }
-    findings
-}
-
-struct Variant {
-    name: String,
-    line: u32,
-    col: u32,
-}
-
-/// The variants of `enum <name> { ... }`, skipping payloads and attributes.
-fn enum_variants(toks: &[Token], name: &str) -> Option<Vec<Variant>> {
-    let mut i = 0;
-    // Find `enum <name> {`.
-    loop {
-        if i >= toks.len() {
-            return None;
-        }
-        if toks[i].kind == Kind::Ident
-            && toks[i].text == "enum"
-            && text(toks, i + 1) == name
-            && text(toks, i + 2) == "{"
-        {
-            i += 3;
-            break;
-        }
-        i += 1;
-    }
-    let mut variants = Vec::new();
-    let mut expecting_variant = true;
-    while i < toks.len() {
-        let t = &toks[i];
-        match (t.kind, t.text.as_str()) {
-            (Kind::Punct, "}") => break,
-            // Attributes on a variant.
-            (Kind::Punct, "#") if text(toks, i + 1) == "[" => {
-                i = skip_balanced(toks, i + 1, "[", "]");
-                continue;
-            }
-            (Kind::Ident, _) if expecting_variant => {
-                variants.push(Variant {
-                    name: t.text.clone(),
-                    line: t.line,
-                    col: t.col,
-                });
-                expecting_variant = false;
-                i += 1;
-                // Skip the payload.
-                match text(toks, i) {
-                    "{" => i = skip_balanced(toks, i, "{", "}"),
-                    "(" => i = skip_balanced(toks, i, "(", ")"),
-                    _ => {}
-                }
-            }
-            (Kind::Punct, ",") => {
-                expecting_variant = true;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    Some(variants)
-}
-
-/// Arms of the match inside `fn <name>`: `(variant_ident, string, line)`.
-fn fn_match_arms(toks: &[Token], fn_name: &str) -> Vec<(String, String, u32)> {
-    let Some((start, end)) = fn_body(toks, fn_name) else {
-        return Vec::new();
-    };
-    let mut arms = Vec::new();
-    let mut i = start;
-    while i < end {
-        // `Ident [{ .. } | (..)] => "str"` — also tolerates a leading
-        // `Request ::` path qualifier.
-        if toks[i].kind == Kind::Ident {
-            let ident = toks[i].text.clone();
-            let mut j = i + 1;
-            match text(toks, j) {
-                "{" => j = skip_balanced(toks, j, "{", "}"),
-                "(" => j = skip_balanced(toks, j, "(", ")"),
-                _ => {}
-            }
-            if text(toks, j) == "=>" && toks.get(j + 1).is_some_and(|t| t.kind == Kind::Str) {
-                arms.push((ident, toks[j + 1].text.clone(), toks[j + 1].line));
-                i = j + 2;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    arms
-}
-
-/// All identifiers appearing in the body of `fn <name>`.
-fn fn_body_idents(toks: &[Token], fn_name: &str) -> Vec<String> {
-    let Some((start, end)) = fn_body(toks, fn_name) else {
-        return Vec::new();
-    };
-    toks[start..end]
-        .iter()
-        .filter(|t| t.kind == Kind::Ident)
-        .map(|t| t.text.clone())
-        .collect()
-}
-
-/// Token range of the `{ ... }` body of `fn <name>` (exclusive of braces).
-fn fn_body(toks: &[Token], fn_name: &str) -> Option<(usize, usize)> {
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].kind == Kind::Ident && toks[i].text == "fn" && text(toks, i + 1) == fn_name {
-            // Scan to the opening brace of the body.
-            let mut j = i + 2;
-            while j < toks.len() && text(toks, j) != "{" {
-                j += 1;
-            }
-            let close = skip_balanced(toks, j, "{", "}");
-            return Some((j + 1, close.saturating_sub(1)));
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Index just past the group opened at `open_idx` (which must hold `open`).
-fn skip_balanced(toks: &[Token], open_idx: usize, open: &str, close: &str) -> usize {
-    let mut depth = 0i32;
-    let mut i = open_idx;
-    while i < toks.len() {
-        let t = &toks[i].text;
-        if t == open {
-            depth += 1;
-        } else if t == close {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    i
 }

@@ -34,10 +34,6 @@ pub const ALL_RULES: &[(&str, &str)] = &[
         "metric name literals match neptune_<crate>_<noun>_<unit> (DESIGN.md \u{a7}10)",
     ),
     (
-        "rpc-histogram",
-        "every Request variant is keyed to its exact name in Request::name() (the rpc latency histogram key) and classified in is_read_only()",
-    ),
-    (
         "span-parent",
         "neptune-server/server.rs opens the request-scoped trace root (request_root) exactly once per request dispatch (DESIGN.md \u{a7}10)",
     ),
@@ -51,7 +47,6 @@ pub fn run_all(file: &SourceFile) -> Vec<Finding> {
     findings.extend(panic_path::run(file));
     findings.extend(parse_path::run(file));
     findings.extend(metrics::run_metric_name(file));
-    findings.extend(metrics::run_rpc_histogram(file));
     findings.extend(span_parent::run(file));
     findings
 }

@@ -51,7 +51,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use neptune_ham::predicate::Predicate;
-use neptune_ham::types::Time;
+use neptune_ham::types::{ContextId, Time};
 use neptune_ham::{CommittedView, Ham, MultiView, ShardedHam};
 use neptune_obs::lockcheck;
 
@@ -568,39 +568,34 @@ fn execute_batch(
         // either entirely visible or entirely absent, and there is no
         // gate, no shard lock, and no waiting on a foreign transaction.
         let mv = shared.load_multi_view();
-        let inflight = scoped_gauge!("neptune_server_read_ops_inflight");
-        let mut responses = Vec::with_capacity(elements.len());
-        let mut bounced = false;
-        for element in &elements {
-            if let Some(err) = element_error(element) {
-                responses.push(err);
-                continue;
-            }
-            let op = element.name();
-            let start = Instant::now();
-            let served = match element.context_id() {
-                Some(context) => dispatch_read(mv.view_for(context), element.clone()),
-                None => Ok(global_read(shared, &mv, element.clone())),
-            };
-            match served {
-                Ok(response) => {
+        // An element whose nodeOpened demon must fire sends the whole batch
+        // to the exclusive path. Deciding that before serving anything
+        // records each element once, on the path whose answer is sent.
+        let bounces = elements.iter().any(|element| {
+            element
+                .context_id()
+                .is_some_and(|context| must_bounce(mv.view_for(context), element))
+        });
+        if !bounces {
+            let _inflight = scoped_gauge!("neptune_server_read_ops_inflight");
+            let responses = elements
+                .iter()
+                .map(|element| {
+                    if let Some(err) = element_error(element) {
+                        return err;
+                    }
+                    let start = Instant::now();
+                    let response = match element.context_id() {
+                        Some(context) => read_view(mv.view_for(context), element),
+                        None => read_global(shared, &mv, element),
+                    };
                     count!("neptune_server_reads_lockfree_total");
-                    observe_rpc(op, start.elapsed(), &response);
-                    responses.push(response);
-                }
-                Err(_) => {
-                    // A nodeOpened demon must fire: rerun the whole batch
-                    // on the write path. The reads already served are
-                    // side-effect-free, so discarding them is safe.
-                    bounced = true;
-                    break;
-                }
-            }
-        }
-        if !bounced {
+                    observe_rpc(element.name(), start.elapsed(), &response);
+                    response
+                })
+                .collect();
             return Response::Batch(responses);
         }
-        drop(inflight);
         count!("neptune_server_read_bounces_total");
     }
     // Exclusive path: one gate wait and one writer registration amortized
@@ -648,7 +643,6 @@ fn execute_inner(
     conn: &mut ConnState,
     request: Request,
 ) -> Response {
-    let mut request = request;
     if request.is_read_only() && !conn.owns_txn {
         let inflight = scoped_gauge!("neptune_server_read_ops_inflight");
         let served = match request.context_id() {
@@ -656,27 +650,19 @@ fn execute_inner(
                 // Context-scoped read: one lock-free load of the home
                 // shard's published snapshot.
                 let view = shared.load_view(context);
-                dispatch_read(&view, request)
+                (!must_bounce(&view, &request)).then(|| read_view(&view, &request))
             }
-            None => {
-                // Global read (ListContexts, Verify, …): assemble a
-                // consistent multi-shard snapshot.
-                let mv = shared.load_multi_view();
-                Ok(global_read(shared, &mv, request))
-            }
+            // Global read (ListContexts, Verify, …): assemble a consistent
+            // multi-shard snapshot.
+            None => Some(read_global(shared, &shared.load_multi_view(), &request)),
         };
-        match served {
-            Ok(response) => {
-                count!("neptune_server_reads_lockfree_total");
-                return response;
-            }
-            Err(bounced) => {
-                // A nodeOpened demon must fire: retry on the write path.
-                drop(inflight);
-                count!("neptune_server_read_bounces_total");
-                request = bounced;
-            }
+        if let Some(response) = served {
+            count!("neptune_server_reads_lockfree_total");
+            return response;
         }
+        // A nodeOpened demon must fire: retry on the write path.
+        drop(inflight);
+        count!("neptune_server_read_bounces_total");
     }
     let deadline = Instant::now() + shared.lock_timeout;
     let mut gate = match wait_for_gate(shared, conn_id, deadline) {
@@ -781,254 +767,204 @@ fn result_to_response(r: neptune_ham::Result<Response>) -> Response {
     }
 }
 
-/// Age of the freshest shard snapshot — "time since the last commit
-/// anywhere", which is what the staleness gauge means on a sharded store.
-fn multi_view_age(mv: &MultiView) -> Duration {
-    (0..mv.shard_count())
-        .map(|k| mv.view(k).age())
-        .min()
-        .unwrap_or(Duration::ZERO)
+/// Whether `request` must leave the lock-free path: an `OpenNode` whose
+/// `nodeOpened` demon is registered. Firing a demon mutates state, so it
+/// cannot run against an immutable view.
+fn must_bounce(view: &CommittedView, request: &Request) -> bool {
+    matches!(*request, Request::OpenNode { context, node, .. }
+        if view.open_demon_registered(context, node))
 }
 
-/// Serve a read-only request that is not scoped to a single context
-/// (`Request::context_id()` returned `None`) against a consistent
-/// multi-shard snapshot. Infallible: none of these can bounce to the
-/// exclusive path.
-fn global_read(shared: &Shared, mv: &MultiView, request: Request) -> Response {
-    use Request as Q;
-    use Response as A;
-    match request {
-        Q::ListContexts => A::Contexts(mv.contexts()),
-        // Verify scans on-disk files, which is only safe against quiescent
-        // files — verify_sharded takes each shard's lock (one at a time)
-        // for its scan phase, the one "read" here that is not lock-free.
-        Q::Verify => A::Findings(neptune_check::verify_sharded(&shared.ham)),
-        Q::CacheStats => cache_stats_response(),
-        Q::Metrics => metrics_response(multi_view_age(mv)),
-        Q::Ping => A::Ok,
-        Q::FlightDump => flight_dump_response(),
-        Q::Trace { trace_id } => trace_response(trace_id),
-        Q::ObsControl { setting } => obs_control_response(setting),
-        _ => A::Error("internal: non-global request routed to the global read path".into()),
+/// Serve a context-scoped read from a published view.
+fn read_view(view: &CommittedView, request: &Request) -> Response {
+    result_to_response(serve_view(view, request))
+}
+
+/// Serve a global read from a published multi-shard view.
+fn read_global(shared: &Shared, mv: &MultiView, request: &Request) -> Response {
+    let source = Global {
+        ham: &shared.ham,
+        published: Some(mv),
+    };
+    match serve_global(&source, request) {
+        Ok(Some(response)) => response,
+        Ok(None) => misrouted(request),
+        Err(e) => Response::Error(e.to_string()),
     }
 }
 
-/// Dispatch on the exclusive path: machine-level operations go to the
-/// sharded coordinator; context-scoped operations lock the context's home
-/// shard and run against that machine alone. Callers have already passed
-/// the gate (and either hold it or are registered as an active writer).
+/// Dispatch on the exclusive path: machine-level and global requests go to
+/// the sharded coordinator; context-scoped operations lock the context's
+/// home shard and run against that machine alone. Callers have already
+/// passed the gate (and either hold it or are registered as an active
+/// writer).
 fn dispatch_exclusive(shared: &Shared, request: Request) -> Response {
-    use Request as Q;
-    use Response as A;
-    match request {
-        Q::CreateContext { from } => {
-            result_to_response(shared.ham.create_context(from).map(A::Context))
+    let live = Global {
+        ham: &shared.ham,
+        published: None,
+    };
+    let result = match serve_global(&live, &request).transpose() {
+        Some(served) => served,
+        None => match request.context_id() {
+            Some(context) => match shared.ham.lock_home(context) {
+                Ok(mut guard) => serve_shard(&mut guard, request),
+                Err(e) => Err(e),
+            },
+            // Transaction control and batches never get here.
+            None => Ok(misrouted(&request)),
+        },
+    };
+    result_to_response(result)
+}
+
+/// A request that reached a dispatcher its class does not route to. The
+/// routing makes this unreachable, but a misrouted request must degrade to
+/// an error the client can read, not a panic (DESIGN.md §13).
+fn misrouted(request: &Request) -> Response {
+    Response::Error(format!("internal: {} misrouted", request.name()))
+}
+
+/// What a `global` or `machine` request is served from: the published
+/// multi-shard view on the lock-free path, or the live shards on the
+/// exclusive path, where a transaction owner sees its own uncommitted
+/// contexts.
+struct Global<'a> {
+    ham: &'a ShardedHam,
+    published: Option<&'a MultiView>,
+}
+
+impl Global<'_> {
+    fn contexts(&self) -> Vec<ContextId> {
+        match self.published {
+            Some(mv) => mv.contexts(),
+            None => self.ham.live_contexts(),
         }
-        Q::MergeContext { child, policy } => {
-            result_to_response(shared.ham.merge_context(child, policy).map(A::Merged))
-        }
-        Q::DestroyContext { id } => {
-            result_to_response(shared.ham.destroy_context(id).map(|_| A::Ok))
-        }
-        Q::Checkpoint => result_to_response(shared.ham.checkpoint().map(|_| A::Ok)),
-        Q::ListContexts => A::Contexts(shared.ham.live_contexts()),
-        Q::Verify => A::Findings(neptune_check::verify_sharded(&shared.ham)),
-        Q::CacheStats => cache_stats_response(),
-        Q::Metrics => metrics_response(multi_view_age(&shared.ham.multi_view())),
-        Q::Ping => A::Ok,
-        Q::FlightDump => flight_dump_response(),
-        Q::Trace { trace_id } => trace_response(trace_id),
-        Q::ObsControl { setting } => obs_control_response(setting),
-        Q::BeginTransaction | Q::CommitTransaction | Q::AbortTransaction => {
-            A::Error("internal: transaction control reached dispatch".into())
-        }
-        Q::Batch(..) => A::Error("internal: batch reached element dispatch".into()),
-        request => {
-            let Some(context) = request.context_id() else {
-                return A::Error("internal: unrouted machine-scoped request".into());
-            };
-            match shared.ham.lock_home(context) {
-                Ok(mut guard) => dispatch(&mut guard, request),
-                Err(e) => A::Error(e.to_string()),
-            }
+    }
+
+    /// Age of the freshest shard snapshot — "time since the last commit
+    /// anywhere", which is what the staleness gauge means on a sharded
+    /// store.
+    fn snapshot_age(&self) -> Duration {
+        let age = |mv: &MultiView| {
+            (0..mv.shard_count())
+                .map(|k| mv.view(k).age())
+                .min()
+                .unwrap_or(Duration::ZERO)
+        };
+        match self.published {
+            Some(mv) => age(mv),
+            None => age(&self.ham.multi_view()),
         }
     }
 }
 
-/// Serve a read-only request against a published committed snapshot.
-///
-/// Returns `Err(request)` when the request turns out to need the exclusive
-/// path after all (an `OpenNode` whose `nodeOpened` demon is registered —
-/// firing a demon mutates state, so it cannot run against an immutable
-/// view). The match is exhaustive so adding a `Request` variant forces an
-/// explicit classification here as well as in [`Request::is_read_only`].
-fn dispatch_read(view: &CommittedView, request: Request) -> std::result::Result<Response, Request> {
-    use Request as Q;
-    use Response as A;
-    if let Q::OpenNode { context, node, .. } = &request {
-        if view.open_demon_registered(*context, *node) {
-            return Err(request);
+/// Generate the dispatchers from the request table
+/// (`crate::proto::requests!`, which documents the grammar):
+/// `serve_view` serves the `read` rows from a published view,
+/// `serve_shard` the `read` and `write` rows on a locked home shard, and
+/// `serve_global` the `global` and `machine` rows (`Ok(None)` for any
+/// other). Transaction control and batches are `execute_inner`'s and
+/// `execute_batch`'s own. Metavariables are named as in `proto::protocol!`.
+macro_rules! dispatchers {
+    (@shard_read $ham:ident, $m:pat_param, $call:expr) => {{
+        let $m: &Ham = $ham;
+        $call
+    }};
+    (@shard_read $ham:ident, $m:pat_param, $call:expr, $x:pat_param, $exclusive:expr) => {{
+        let $x = $ham;
+        $exclusive
+    }};
+    (
+        read { $(
+            $(#[$rd:meta])*
+            $rv:ident { $( $(#[$rfd:meta])* $rf:ident : $rt:ty ),* $(,)? }
+            = $rtag:literal => |$rm:pat_param| $rc:expr $(, |$rx:pat_param| $rxc:expr)?;
+        )* }
+        global { $(
+            $(#[$gd:meta])*
+            $gv:ident $({ $( $(#[$gfd:meta])* $gf:ident : $gt:ty ),* $(,)? })?
+            = $gtag:literal => |$gs:pat_param| $gc:expr;
+        )* }
+        write { $(
+            $(#[$wd:meta])*
+            $wv:ident { $( $(#[$wfd:meta])* $wf:ident : $wt:ty ),* $(,)? }
+            = $wtag:literal => |$wh:pat_param| $wc:expr;
+        )* }
+        machine { $(
+            $(#[$md:meta])*
+            $mv:ident $({ $( $(#[$mfd:meta])* $mf:ident : $mt:ty ),* $(,)? })?
+            = $mtag:literal $(@$route:ident)? => |$ms:pat_param| $mc:expr;
+        )* }
+        txn { $( $(#[$td:meta])* $tv:ident = $ttag:literal; )* }
+        batch { $(#[$bd:meta])* $bv:ident = $btag:literal; }
+    ) => {
+        fn serve_view(view: &CommittedView, request: &Request) -> neptune_ham::Result<Response> {
+            Ok(match *request {
+                $(
+                    Request::$rv { $( ref $rf ),* } => {
+                        let $rm = view;
+                        $rc
+                    }
+                )*
+                _ => misrouted(request),
+            })
         }
+
+        fn serve_shard(ham: &mut Ham, request: Request) -> neptune_ham::Result<Response> {
+            Ok(match request {
+                $(
+                    Request::$rv { $( ref $rf ),* } => dispatchers!(
+                        @shard_read ham, $rm, $rc $(, $rx, $rxc)?
+                    ),
+                )*
+                $(
+                    Request::$wv { $( $wf ),* } => {
+                        let $wh = ham;
+                        $wc
+                    }
+                )*
+                _ => misrouted(&request),
+            })
+        }
+
+        fn serve_global(
+            source: &Global<'_>,
+            request: &Request,
+        ) -> neptune_ham::Result<Option<Response>> {
+            Ok(Some(match *request {
+                $(
+                    Request::$gv $({ $( ref $gf ),* })? => {
+                        let $gs = source;
+                        $gc
+                    }
+                )*
+                $(
+                    Request::$mv $({ $( ref $mf ),* })? => {
+                        let $ms = source;
+                        $mc
+                    }
+                )*
+                _ => return Ok(None),
+            }))
+        }
+    };
+}
+
+crate::proto::requests!(dispatchers);
+
+/// `openNode`'s answer.
+fn opened(node: neptune_ham::ham::OpenedNode) -> Response {
+    Response::Opened {
+        contents: node.contents,
+        link_pts: node.link_pts,
+        values: node.values,
+        current_time: node.current_time,
     }
-    let result: neptune_ham::Result<Response> = (|| {
-        Ok(match request {
-            Q::LinearizeGraph {
-                context,
-                start,
-                time,
-                node_pred,
-                link_pred,
-                node_attrs,
-                link_attrs,
-            } => {
-                let np = parse_pred(&node_pred)?;
-                let lp = parse_pred(&link_pred)?;
-                A::SubGraph(view.linearize_graph(
-                    context,
-                    start,
-                    time,
-                    &np,
-                    &lp,
-                    &node_attrs,
-                    &link_attrs,
-                )?)
-            }
-            Q::GetGraphQuery {
-                context,
-                time,
-                node_pred,
-                link_pred,
-                node_attrs,
-                link_attrs,
-            } => {
-                let np = parse_pred(&node_pred)?;
-                let lp = parse_pred(&link_pred)?;
-                A::SubGraph(view.get_graph_query(
-                    context,
-                    time,
-                    &np,
-                    &lp,
-                    &node_attrs,
-                    &link_attrs,
-                )?)
-            }
-            Q::OpenNode {
-                context,
-                node,
-                time,
-                attrs,
-            } => {
-                let opened = view.read_node(context, node, time, &attrs)?;
-                A::Opened {
-                    contents: opened.contents,
-                    link_pts: opened.link_pts,
-                    values: opened.values,
-                    current_time: opened.current_time,
-                }
-            }
-            Q::GetNodeTimeStamp { context, node } => {
-                A::Time(view.get_node_time_stamp(context, node)?)
-            }
-            Q::GetNodeVersions { context, node } => {
-                let (major, minor) = view.get_node_versions(context, node)?;
-                A::Versions(major, minor)
-            }
-            Q::GetNodeDifferences {
-                context,
-                node,
-                time1,
-                time2,
-            } => A::Differences(view.get_node_differences(context, node, time1, time2)?),
-            Q::GetToNode {
-                context,
-                link,
-                time,
-            } => {
-                let (n, t) = view.get_to_node(context, link, time)?;
-                A::NodeAt(n, t)
-            }
-            Q::GetFromNode {
-                context,
-                link,
-                time,
-            } => {
-                let (n, t) = view.get_from_node(context, link, time)?;
-                A::NodeAt(n, t)
-            }
-            Q::GetAttributes { context, time } => {
-                A::Attributes(view.get_attributes(context, time)?)
-            }
-            Q::GetAttributeValues {
-                context,
-                attr,
-                time,
-            } => A::Values(view.get_attribute_values(context, attr, time)?),
-            Q::GetNodeAttributeValue {
-                context,
-                node,
-                attr,
-                time,
-            } => A::Value(view.get_node_attribute_value(context, node, attr, time)?),
-            Q::GetNodeAttributes {
-                context,
-                node,
-                time,
-            } => A::AttrTriples(view.get_node_attributes(context, node, time)?),
-            Q::GetLinkAttributeValue {
-                context,
-                link,
-                attr,
-                time,
-            } => A::Value(view.get_link_attribute_value(context, link, attr, time)?),
-            Q::GetLinkAttributes {
-                context,
-                link,
-                time,
-            } => A::AttrTriples(view.get_link_attributes(context, link, time)?),
-            Q::GetGraphDemons { context, time } => A::Demons(view.get_graph_demons(context, time)?),
-            Q::GetNodeDemons {
-                context,
-                node,
-                time,
-            } => A::Demons(view.get_node_demons(context, node, time)?),
-            Q::ListContexts => A::Contexts(view.contexts()),
-            Q::Ping => A::Ok,
-            Q::Verify => A::Findings(neptune_check::verify_view(view)),
-            Q::CacheStats => cache_stats_response(),
-            Q::Metrics => metrics_response(view.age()),
-            Q::FlightDump => flight_dump_response(),
-            Q::Trace { trace_id } => trace_response(trace_id),
-            Q::ObsControl { setting } => obs_control_response(setting),
-            Q::AddNode { .. }
-            | Q::DeleteNode { .. }
-            | Q::AddLink { .. }
-            | Q::CopyLink { .. }
-            | Q::DeleteLink { .. }
-            | Q::ModifyNode { .. }
-            | Q::ChangeNodeProtection { .. }
-            | Q::GetAttributeIndex { .. }
-            | Q::SetNodeAttributeValue { .. }
-            | Q::DeleteNodeAttribute { .. }
-            | Q::SetLinkAttributeValue { .. }
-            | Q::DeleteLinkAttribute { .. }
-            | Q::SetGraphDemonValue { .. }
-            | Q::SetNodeDemon { .. }
-            | Q::BeginTransaction
-            | Q::CommitTransaction
-            | Q::AbortTransaction
-            | Q::CreateContext { .. }
-            | Q::MergeContext { .. }
-            | Q::DestroyContext { .. }
-            | Q::Checkpoint => {
-                // Unreachable by Request::is_read_only's classification,
-                // but a misrouted request must degrade to an error the
-                // client can read, not a panic (DESIGN.md §13).
-                A::Error("internal: mutating request routed to the read dispatcher".into())
-            }
-            Q::Batch(..) => A::Error("internal: batch routed to the read dispatcher".into()),
-        })
-    })();
-    Ok(result_to_response(result))
+}
+
+/// The answer of an operation that returns nothing the client needs.
+fn done<T>(_: T) -> Response {
+    Response::Ok
 }
 
 /// The anchor caches' process-wide counters: they live inside the archives,
@@ -1054,259 +990,8 @@ fn metrics_response(snapshot_age: Duration) -> Response {
     Response::Metrics(registry.expose())
 }
 
-/// Translate a request into a HAM call (exclusive path).
-fn dispatch(ham: &mut Ham, request: Request) -> Response {
-    use Request as Q;
-    use Response as A;
-    let result: neptune_ham::Result<Response> = (|| {
-        Ok(match request {
-            Q::AddNode {
-                context,
-                keep_history,
-            } => {
-                let (id, t) = ham.add_node(context, keep_history)?;
-                A::NodeCreated(id, t)
-            }
-            Q::DeleteNode { context, node } => {
-                ham.delete_node(context, node)?;
-                A::Ok
-            }
-            Q::AddLink { context, from, to } => {
-                let (id, t) = ham.add_link(context, from, to)?;
-                A::LinkCreated(id, t)
-            }
-            Q::CopyLink {
-                context,
-                link,
-                time,
-                keep_source,
-                pt,
-            } => {
-                let (id, t) = ham.copy_link(context, link, time, keep_source, pt)?;
-                A::LinkCreated(id, t)
-            }
-            Q::DeleteLink { context, link } => {
-                ham.delete_link(context, link)?;
-                A::Ok
-            }
-            Q::LinearizeGraph {
-                context,
-                start,
-                time,
-                node_pred,
-                link_pred,
-                node_attrs,
-                link_attrs,
-            } => {
-                let np = parse_pred(&node_pred)?;
-                let lp = parse_pred(&link_pred)?;
-                A::SubGraph(ham.linearize_graph(
-                    context,
-                    start,
-                    time,
-                    &np,
-                    &lp,
-                    &node_attrs,
-                    &link_attrs,
-                )?)
-            }
-            Q::GetGraphQuery {
-                context,
-                time,
-                node_pred,
-                link_pred,
-                node_attrs,
-                link_attrs,
-            } => {
-                let np = parse_pred(&node_pred)?;
-                let lp = parse_pred(&link_pred)?;
-                A::SubGraph(ham.get_graph_query(
-                    context,
-                    time,
-                    &np,
-                    &lp,
-                    &node_attrs,
-                    &link_attrs,
-                )?)
-            }
-            Q::OpenNode {
-                context,
-                node,
-                time,
-                attrs,
-            } => {
-                let opened = ham.open_node(context, node, time, &attrs)?;
-                A::Opened {
-                    contents: opened.contents,
-                    link_pts: opened.link_pts,
-                    values: opened.values,
-                    current_time: opened.current_time,
-                }
-            }
-            Q::ModifyNode {
-                context,
-                node,
-                time,
-                contents,
-                link_pts,
-            } => A::Time(ham.modify_node(context, node, time, contents, &link_pts)?),
-            Q::GetNodeTimeStamp { context, node } => {
-                A::Time(ham.get_node_time_stamp(context, node)?)
-            }
-            Q::ChangeNodeProtection {
-                context,
-                node,
-                protections,
-            } => {
-                ham.change_node_protection(context, node, protections)?;
-                A::Ok
-            }
-            Q::GetNodeVersions { context, node } => {
-                let (major, minor) = ham.get_node_versions(context, node)?;
-                A::Versions(major, minor)
-            }
-            Q::GetNodeDifferences {
-                context,
-                node,
-                time1,
-                time2,
-            } => A::Differences(ham.get_node_differences(context, node, time1, time2)?),
-            Q::GetToNode {
-                context,
-                link,
-                time,
-            } => {
-                let (n, t) = ham.get_to_node(context, link, time)?;
-                A::NodeAt(n, t)
-            }
-            Q::GetFromNode {
-                context,
-                link,
-                time,
-            } => {
-                let (n, t) = ham.get_from_node(context, link, time)?;
-                A::NodeAt(n, t)
-            }
-            Q::GetAttributes { context, time } => A::Attributes(ham.get_attributes(context, time)?),
-            Q::GetAttributeValues {
-                context,
-                attr,
-                time,
-            } => A::Values(ham.get_attribute_values(context, attr, time)?),
-            Q::GetAttributeIndex { context, name } => {
-                A::AttrIndex(ham.get_attribute_index(context, &name)?)
-            }
-            Q::SetNodeAttributeValue {
-                context,
-                node,
-                attr,
-                value,
-            } => {
-                ham.set_node_attribute_value(context, node, attr, value)?;
-                A::Ok
-            }
-            Q::DeleteNodeAttribute {
-                context,
-                node,
-                attr,
-            } => {
-                ham.delete_node_attribute(context, node, attr)?;
-                A::Ok
-            }
-            Q::GetNodeAttributeValue {
-                context,
-                node,
-                attr,
-                time,
-            } => A::Value(ham.get_node_attribute_value(context, node, attr, time)?),
-            Q::GetNodeAttributes {
-                context,
-                node,
-                time,
-            } => A::AttrTriples(ham.get_node_attributes(context, node, time)?),
-            Q::SetLinkAttributeValue {
-                context,
-                link,
-                attr,
-                value,
-            } => {
-                ham.set_link_attribute_value(context, link, attr, value)?;
-                A::Ok
-            }
-            Q::DeleteLinkAttribute {
-                context,
-                link,
-                attr,
-            } => {
-                ham.delete_link_attribute(context, link, attr)?;
-                A::Ok
-            }
-            Q::GetLinkAttributeValue {
-                context,
-                link,
-                attr,
-                time,
-            } => A::Value(ham.get_link_attribute_value(context, link, attr, time)?),
-            Q::GetLinkAttributes {
-                context,
-                link,
-                time,
-            } => A::AttrTriples(ham.get_link_attributes(context, link, time)?),
-            Q::SetGraphDemonValue {
-                context,
-                event,
-                demon,
-            } => {
-                ham.set_graph_demon_value(context, event, demon)?;
-                A::Ok
-            }
-            Q::GetGraphDemons { context, time } => A::Demons(ham.get_graph_demons(context, time)?),
-            Q::SetNodeDemon {
-                context,
-                node,
-                event,
-                demon,
-            } => {
-                ham.set_node_demon(context, node, event, demon)?;
-                A::Ok
-            }
-            Q::GetNodeDemons {
-                context,
-                node,
-                time,
-            } => A::Demons(ham.get_node_demons(context, node, time)?),
-            Q::CreateContext { .. }
-            | Q::MergeContext { .. }
-            | Q::DestroyContext { .. }
-            | Q::ListContexts
-            | Q::Checkpoint
-            | Q::Verify
-            | Q::CacheStats
-            | Q::Metrics
-            | Q::FlightDump
-            | Q::Trace { .. }
-            | Q::ObsControl { .. } => {
-                // Machine-level operations must go through the sharded
-                // coordinator (`dispatch_exclusive` intercepts them before
-                // this per-shard dispatcher); running one against a single
-                // shard would corrupt the global context-id space.
-                A::Error("internal: machine-scoped request routed to a single shard".into())
-            }
-            Q::Ping => A::Ok,
-            Q::BeginTransaction | Q::CommitTransaction | Q::AbortTransaction => {
-                // execute_inner consumes these before dispatch; degrade to
-                // an error rather than panicking if that routing changes.
-                A::Error("internal: transaction control reached dispatch".into())
-            }
-            Q::Batch(..) => A::Error("internal: batch reached element dispatch".into()),
-        })
-    })();
-    result_to_response(result)
-}
-
 /// Serve [`Request::FlightDump`]: snapshot every retained trace. Touches
-/// only process-global observability state (as do the two helpers below),
-/// so both dispatchers route here and neither needs the HAM.
+/// only process-global observability state, as do the two helpers below.
 fn flight_dump_response() -> Response {
     let traces = neptune_obs::recorder()
         .dump()

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use neptune_ham::types::{Protections, Time, MAIN_CONTEXT};
-use neptune_ham::Ham;
+use neptune_ham::{DemonSpec, Event, Ham};
 use neptune_server::{serve, Client, Request, Response};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -187,6 +187,63 @@ fn read_batch_during_foreign_txn_is_lock_free() {
     // The frame layer counted traffic in both directions.
     assert!(sample(&text, "neptune_server_bytes_in_total").unwrap_or(0.0) > 0.0);
     assert!(sample(&text, "neptune_server_bytes_out_total").unwrap_or(0.0) > 0.0);
+    server.stop();
+}
+
+#[test]
+fn bounced_read_batch_records_each_element_once() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    if !neptune_obs::enabled() {
+        return;
+    }
+    neptune_obs::registry().reset();
+
+    let server = start("bounce-once");
+    let mut c = Client::connect(server.addr()).unwrap();
+    let (node, _) = c.add_node(MAIN_CONTEXT, true).unwrap();
+    c.set_node_demon(
+        MAIN_CONTEXT,
+        node,
+        Event::NodeOpened,
+        Some(DemonSpec::notify("opened", "seen")),
+    )
+    .unwrap();
+
+    let registry = neptune_obs::registry();
+    let stamps = registry.histogram(&neptune_obs::labeled(
+        "neptune_server_rpc_ns",
+        "op",
+        "GetNodeTimeStamp",
+    ));
+    let lock_free = registry.counter("neptune_server_reads_lockfree_total");
+    let bounces = registry.counter("neptune_server_read_bounces_total");
+    let before = (stamps.count(), lock_free.get(), bounces.get());
+
+    // The OpenNode must fire its demon, so the whole batch reruns on the
+    // exclusive path: the timestamp read served before the bounce must be
+    // recorded once, by the run whose answer the client gets, and never
+    // as a lock-free read.
+    let responses = c
+        .batch(vec![
+            Request::GetNodeTimeStamp {
+                context: MAIN_CONTEXT,
+                node,
+            },
+            open_req(node),
+        ])
+        .unwrap();
+    assert!(matches!(responses[0], Response::Time(_)), "{responses:?}");
+    assert!(
+        matches!(responses[1], Response::Opened { .. }),
+        "{responses:?}"
+    );
+    assert_eq!(
+        stamps.count(),
+        before.0 + 1,
+        "GetNodeTimeStamp observations"
+    );
+    assert_eq!(lock_free.get(), before.1, "lock-free reads");
+    assert_eq!(bounces.get(), before.2 + 1, "read bounces");
     server.stop();
 }
 
