@@ -586,7 +586,9 @@ fn execute_batch(
                     }
                     let start = Instant::now();
                     let response = match element.context_id() {
-                        Some(context) => read_view(mv.view_for(context), element),
+                        Some(context) => {
+                            result_to_response(serve_view(mv.view_for(context), element))
+                        }
                         None => read_global(shared, &mv, element),
                     };
                     count!("neptune_server_reads_lockfree_total");
@@ -650,7 +652,8 @@ fn execute_inner(
                 // Context-scoped read: one lock-free load of the home
                 // shard's published snapshot.
                 let view = shared.load_view(context);
-                (!must_bounce(&view, &request)).then(|| read_view(&view, &request))
+                (!must_bounce(&view, &request))
+                    .then(|| result_to_response(serve_view(&view, &request)))
             }
             // Global read (ListContexts, Verify, …): assemble a consistent
             // multi-shard snapshot.
@@ -773,11 +776,6 @@ fn result_to_response(r: neptune_ham::Result<Response>) -> Response {
 fn must_bounce(view: &CommittedView, request: &Request) -> bool {
     matches!(*request, Request::OpenNode { context, node, .. }
         if view.open_demon_registered(context, node))
-}
-
-/// Serve a context-scoped read from a published view.
-fn read_view(view: &CommittedView, request: &Request) -> Response {
-    result_to_response(serve_view(view, request))
 }
 
 /// Serve a global read from a published multi-shard view.
