@@ -33,7 +33,7 @@ cargo test
 # history must also be history the invariant rules accept.
 cargo test -p neptune-ham --features strict-invariants --lib \
     --test snapshot_view --test failure_injection --test properties \
-    --test sharded_checkpoint
+    --test sharded_checkpoint --test fork_references
 cargo test --features neptune-ham/strict-invariants --test history_sharing
 
 # Fault-injection sweep, second seed. The workspace run above already

@@ -1264,3 +1264,203 @@ fn sharded_recovery_short_write() {
 fn sharded_recovery_fail_sync() {
     sharded_sweep(FaultKind::FailSync);
 }
+
+// ===========================================================================
+// Forks logged by reference across checkpoints and faults
+// ===========================================================================
+//
+// A fork onto a higher shard logs a reference to its parent, which recovery
+// resolves against the parent's shard as it stood at the fork. So a parent
+// shard folds only after every shard holding such a reference has folded;
+// and a fork from a shard whose log is poisoned logs the parent's graph.
+// Each cell ends in reopens whose every context's encoded graph and fork
+// point equal the live store.
+
+/// Each live context's encoded graph and fork point, by context id.
+type ContextBytes = BTreeMap<u64, (Vec<u8>, Option<(neptune_ham::ContextId, Time)>)>;
+
+fn context_bytes(sharded: &ShardedHam) -> ContextBytes {
+    use neptune_storage::codec::Encode;
+    sharded
+        .live_contexts()
+        .into_iter()
+        .map(|c| {
+            let guard = sharded.lock_shard(sharded.shard_of(c));
+            let graph = guard.graph(c).unwrap().to_bytes();
+            (c.0, (graph, guard.context_forked_from(c).unwrap()))
+        })
+        .collect()
+}
+
+/// Three shards: MAIN with a few nodes on shard 0, forks by reference onto
+/// shards 1 and 2 that each edit, and MAIN edited after them, so MAIN's
+/// shard holds commits past both forks. Nothing is folded yet.
+fn store_with_fork_refs(dir: &Path, vfs: &FaultVfs) -> ShardedHam {
+    let (sharded, _, _) =
+        ShardedHam::create_with(Arc::new(vfs.clone()), dir, Protections::DEFAULT, 3).unwrap();
+    let edit = |ctx, text: &str| {
+        let mut guard = sharded.lock_home(ctx).unwrap();
+        let (node, t) = guard.add_node(ctx, true).unwrap();
+        guard
+            .modify_node(ctx, node, t, text.as_bytes().to_vec(), &[])
+            .unwrap();
+    };
+    edit(MAIN_CONTEXT, "before the forks");
+    for shard in 1..3 {
+        let child = sharded.create_context(MAIN_CONTEXT).unwrap();
+        assert_eq!(sharded.shard_of(child), shard);
+        edit(child, "in a private world");
+    }
+    edit(MAIN_CONTEXT, "after the forks");
+    sharded
+}
+
+fn wal_len(dir: &Path, shard: usize) -> u64 {
+    std::fs::metadata(neptune_ham::shard::shard_dir(dir, shard).join(WAL_FILE))
+        .map(|m| m.len())
+        .unwrap_or(0)
+}
+
+/// Reopen `dir` with the production filesystem and require every context
+/// to equal `live`.
+fn assert_reopens_equal(dir: &Path, live: &ContextBytes, what: &str) {
+    let (reopened, _, _) =
+        ShardedHam::open(dir).unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"));
+    assert!(
+        context_bytes(&reopened) == *live,
+        "{what}: the reopened store differs from the live one"
+    );
+}
+
+/// A power cut at every I/O step of a checkpoint over a store with forks
+/// by reference, including the one after the children's shards folded and
+/// before MAIN's did: every durable image reopens to the live store.
+#[test]
+fn fork_refs_survive_a_crash_at_every_checkpoint_step() {
+    let mut between = 0;
+    for at in 0.. {
+        let dir = tmpdir(&format!("forkref-cut-{at}"));
+        let vfs = FaultVfs::new();
+        let sharded = store_with_fork_refs(&dir, &vfs);
+        let live = context_bytes(&sharded);
+        let unfolded = wal_len(&dir, 0);
+        vfs.arm(FaultKind::PowerCut, at);
+        let result = sharded.checkpoint();
+        drop(sharded);
+        if vfs.injected() == 0 {
+            result.unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            break;
+        }
+        vfs.materialize_durable(&dir).unwrap();
+        let children_folded = (1..3).all(|k| wal_len(&dir, k) < 64);
+        if children_folded && wal_len(&dir, 0) == unfolded {
+            between += 1;
+        }
+        assert_reopens_equal(&dir, &live, &format!("power cut at {at}"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(
+        between > 0,
+        "no cut fell after the children's shards folded and before MAIN's"
+    );
+}
+
+/// A failed fsync anywhere in the first child shard's fold stops MAIN's
+/// shard from folding; both crash images reopen to the live store.
+#[test]
+fn a_failed_child_fold_keeps_the_parent_shard_unfolded() {
+    // The fsyncs of one child shard's fold, counted on a twin store.
+    let child_syncs = {
+        let dir = tmpdir("forkref-count");
+        let vfs = FaultVfs::new();
+        let sharded = store_with_fork_refs(&dir, &vfs);
+        vfs.clear_op_log();
+        sharded.lock_shard(1).checkpoint().unwrap();
+        let syncs = vfs
+            .op_log()
+            .iter()
+            .filter(|op| op.starts_with("sync"))
+            .count();
+        drop(sharded);
+        let _ = std::fs::remove_dir_all(&dir);
+        syncs as u64
+    };
+    assert!(child_syncs > 0);
+    for at in 0..child_syncs {
+        let what = format!("fail_sync at {at} of the child's fold");
+        let dir = tmpdir(&format!("forkref-sync-{at}"));
+        let vfs = FaultVfs::new();
+        let sharded = store_with_fork_refs(&dir, &vfs);
+        let live = context_bytes(&sharded);
+        let unfolded = wal_len(&dir, 0);
+        vfs.arm(FaultKind::FailSync, at);
+        assert!(
+            sharded.checkpoint().is_err(),
+            "{what}: checkpoint succeeded"
+        );
+        assert_eq!(vfs.injected(), 1, "{what}");
+        assert_eq!(
+            wal_len(&dir, 0),
+            unfolded,
+            "{what}: MAIN's shard folded past a reference its holder failed to fold"
+        );
+        drop(sharded);
+        assert_reopens_equal(&dir, &live, &format!("{what}, working tree"));
+        vfs.power_off();
+        vfs.materialize_durable(&dir).unwrap();
+        assert_reopens_equal(&dir, &live, &format!("{what}, durable image"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A fork from a shard whose log is poisoned logs the parent's graph: the
+/// failed commit is still in that log's working tree, and a reference
+/// would let recovery clone it into the child.
+#[test]
+fn a_fork_from_a_poisoned_shard_logs_the_graph() {
+    let dir = tmpdir("forkref-poisoned");
+    let vfs = FaultVfs::new();
+    let (sharded, _, _) =
+        ShardedHam::create_with(Arc::new(vfs.clone()), &dir, Protections::DEFAULT, 2).unwrap();
+    let node = {
+        let mut main = sharded.lock_home(MAIN_CONTEXT).unwrap();
+        let (node, t) = main.add_node(MAIN_CONTEXT, true).unwrap();
+        main.modify_node(MAIN_CONTEXT, node, t, b"durable".to_vec(), &[])
+            .unwrap();
+        node
+    };
+    vfs.arm(FaultKind::FailSync, 0);
+    {
+        let mut main = sharded.lock_home(MAIN_CONTEXT).unwrap();
+        let t = main.get_node_time_stamp(MAIN_CONTEXT, node).unwrap();
+        assert!(main
+            .modify_node(MAIN_CONTEXT, node, t, b"never acknowledged".to_vec(), &[])
+            .is_err());
+    }
+    assert_eq!(vfs.injected(), 1);
+    let before = wal_len(&dir, 1);
+    let child = sharded.create_context(MAIN_CONTEXT).unwrap();
+    assert_eq!(sharded.shard_of(child), 1);
+    let graph_len = context_bytes(&sharded)[&MAIN_CONTEXT.0].0.len() as u64;
+    assert!(
+        wal_len(&dir, 1) - before > graph_len,
+        "a fork from a poisoned shard must log the parent's graph"
+    );
+    let live = context_bytes(&sharded);
+    drop(sharded);
+
+    // The working tree holds MAIN's failed commit, which recovery replays
+    // (its durability is unknown); the child must not have it.
+    {
+        let (reopened, _, _) = ShardedHam::open(&dir).unwrap();
+        assert!(
+            context_bytes(&reopened)[&child.0] == live[&child.0],
+            "working tree: the child differs from the live one"
+        );
+    }
+    vfs.power_off();
+    vfs.materialize_durable(&dir).unwrap();
+    assert_reopens_equal(&dir, &live, "durable image");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -101,6 +101,24 @@ pub enum HamError {
         /// Why it failed.
         reason: String,
     },
+    /// Recovery met a fork logged by reference that it cannot resolve to
+    /// the parent as it stood at the fork.
+    UnresolvedForkRef {
+        /// The forked context the record creates.
+        context: ContextId,
+        /// The parent it names.
+        parent: ContextId,
+        /// The commit sequence the record was logged under.
+        seq: u64,
+        /// Why the parent at that commit is not available.
+        reason: &'static str,
+    },
+    /// A checkpoint would fold this shard's log past forks that other
+    /// shards' logs still name by reference; those shards fold first.
+    UnfoldedForkRefs {
+        /// Bitmask of the shards holding such references.
+        holders: u64,
+    },
 }
 
 impl fmt::Display for HamError {
@@ -152,6 +170,22 @@ impl fmt::Display for HamError {
             HamError::Deleted { what, id } => write!(f, "{what} {id} has been deleted"),
             HamError::DemonFailed { name, reason } => {
                 write!(f, "demon '{name}' failed: {reason}")
+            }
+            HamError::UnresolvedForkRef {
+                context,
+                parent,
+                seq,
+                reason,
+            } => write!(
+                f,
+                "cannot replay the fork of {context} from {parent} logged at commit {seq}: {reason}"
+            ),
+            HamError::UnfoldedForkRefs { holders } => {
+                let shards: Vec<u32> = (0..64).filter(|k| holders >> k & 1 == 1).collect();
+                write!(
+                    f,
+                    "the logs of shards {shards:?} still fork from this shard by reference; fold them first"
+                )
             }
         }
     }

@@ -23,7 +23,7 @@ use neptune_storage::codec::{Decode, Encode, Reader, Writer};
 use neptune_storage::diff::Difference;
 use neptune_storage::snapshot::{read_snapshot_with, write_snapshot_with};
 use neptune_storage::vfs::{StdVfs, Vfs};
-use neptune_storage::wal::Wal;
+use neptune_storage::wal::{CommittedTxn, Wal};
 
 use crate::context::{merge_context, ConflictPolicy, MergeReport};
 use crate::demons::{DemonAction, DemonFireInfo, DemonRegistry, DemonSpec, Event, FireRecord};
@@ -31,6 +31,7 @@ use crate::error::{HamError, Result};
 use crate::graph::{HamGraph, Stamp};
 use crate::predicate::Predicate;
 use crate::query::SubGraph;
+use crate::shard::ForkRefs;
 use crate::txn::{ActiveTxn, RedoOp};
 use crate::types::{
     decode_protections, AttributeIndex, ContextId, LinkIndex, LinkPt, Machine, NodeIndex,
@@ -142,6 +143,11 @@ pub struct Ham {
     /// graph already keeps are the dirty bits. `Time(0)` means "mirror
     /// state unknown": the next checkpoint re-mirrors every node.
     mirrored_through: Time,
+    /// Which shards' logs still fork from which by reference; shared by
+    /// every shard of a [`crate::shard::ShardedHam`]. A checkpoint refuses
+    /// while other shards hold references into this one, and releases this
+    /// shard's own once its log is folded.
+    fork_refs: Arc<ForkRefs>,
 }
 
 impl std::fmt::Debug for Ham {
@@ -212,6 +218,7 @@ impl Ham {
             forced_seq: None,
             shard: (0, 1),
             mirrored_through: Time(0),
+            fork_refs: Arc::new(ForkRefs::new(1)),
         };
         ham.write_meta()?;
         ham.checkpoint()?;
@@ -266,6 +273,32 @@ impl Ham {
         project_id: ProjectId,
         directory: impl AsRef<Path>,
     ) -> Result<(Ham, ContextId)> {
+        let (mut ham, committed) = Ham::load_with(vfs, project_id, directory)?;
+        // One machine alone cannot resolve a fork logged by reference: its
+        // parent lives on another shard (`ShardedHam::open_with` does it).
+        for txn in committed {
+            ham.replay_txn(txn, &mut |context, parent, seq| {
+                Err(HamError::UnresolvedForkRef {
+                    context,
+                    parent,
+                    seq,
+                    reason: "the parent's shard is not open",
+                })
+            })?;
+        }
+        ham.finish_open()?;
+        Ok((ham, MAIN_CONTEXT))
+    }
+
+    /// The first half of opening a graph: the machine as its snapshot
+    /// holds it, and the committed transactions its log holds past the
+    /// snapshot, in log order, not yet replayed. [`Ham::replay_txn`] each
+    /// of them, then [`Ham::finish_open`].
+    pub(crate) fn load_with(
+        vfs: Arc<dyn Vfs>,
+        project_id: ProjectId,
+        directory: impl AsRef<Path>,
+    ) -> Result<(Ham, Vec<CommittedTxn>)> {
         let directory = directory.as_ref().to_path_buf();
         let (meta_pid, protections, meta_next_context, meta_next_txn) =
             read_meta(vfs.as_ref(), &directory)?;
@@ -284,7 +317,7 @@ impl Ham {
         // transaction a second time.
         let recovery = wal.recover_committed_after(state.boundary_lsn)?;
         wal.reserve_lsns_through(state.boundary_lsn);
-        // The mirror completed at the snapshot's MAIN time; replay below
+        // The mirror completed at the snapshot's MAIN time; replay
         // re-dirties exactly what postdates it. Two exceptions start from
         // "unknown" instead. Folded records still in the log mean a
         // checkpoint died after its snapshot rename and before truncating —
@@ -297,7 +330,7 @@ impl Ham {
         };
         let blobs = BlobStore::open_with(Arc::clone(&vfs), directory.join(NODES_DIR), protections)?;
         let view = CommittedView::new(1, state.last_seq, (0, 1), &state.threads, directory.clone());
-        let mut ham = Ham {
+        let ham = Ham {
             directory,
             vfs,
             project_id,
@@ -311,7 +344,7 @@ impl Ham {
             registry: DemonRegistry::new(),
             journal: Vec::new(),
             in_demon: false,
-            replaying: false,
+            replaying: true,
             published: Arc::new(Published::new(view)),
             view_epoch: 1,
             commit_seq: Arc::new(AtomicU64::new(state.last_seq)),
@@ -320,35 +353,60 @@ impl Ham {
             forced_seq: None,
             shard: (0, 1),
             mirrored_through,
+            fork_refs: Arc::new(ForkRefs::new(1)),
         };
-        // Replay committed transactions that postdate the snapshot.
-        ham.replaying = true;
-        for txn in recovery.committed {
-            ham.next_txn = ham.next_txn.max(txn.txn_id + 1);
-            for payload in txn.ops {
-                let op = RedoOp::from_bytes(&payload)?;
-                ham.apply_redo(op)?;
-            }
-            // Re-adopt the persisted sequence so post-recovery commits
-            // continue the global order.
-            ham.last_seq = ham.last_seq.max(txn.seq);
+        Ok((ham, recovery.committed))
+    }
+
+    /// [`Ham::load_with`] without knowing the `ProjectId`.
+    pub(crate) fn load_existing_with(
+        vfs: Arc<dyn Vfs>,
+        directory: impl AsRef<Path>,
+    ) -> Result<(Ham, Vec<CommittedTxn>)> {
+        let (pid, ..) = read_meta(vfs.as_ref(), directory.as_ref())?;
+        Ham::load_with(vfs, pid, directory)
+    }
+
+    /// Replay one committed transaction that postdates the snapshot.
+    /// `parent(context, from, seq)` resolves a fork logged by reference
+    /// (`RedoOp::ForkRef`) at commit `seq`: the graph of `from` as its
+    /// shard stood at that commit.
+    pub(crate) fn replay_txn(
+        &mut self,
+        txn: CommittedTxn,
+        parent: &mut dyn FnMut(ContextId, ContextId, u64) -> Result<HamGraph>,
+    ) -> Result<()> {
+        self.next_txn = self.next_txn.max(txn.txn_id + 1);
+        for payload in txn.ops {
+            let op = RedoOp::from_bytes(&payload)?;
+            self.apply_redo(op, &mut |context, from| parent(context, from, txn.seq))?;
         }
-        ham.commit_seq
-            .fetch_max(ham.last_seq, atomic::Ordering::Relaxed);
+        // Re-adopt the persisted sequence so post-recovery commits continue
+        // the global order.
+        self.last_seq = self.last_seq.max(txn.seq);
+        Ok(())
+    }
+
+    /// The last half of opening a graph, once every transaction has been
+    /// replayed: resume the counters, publish the recovered state and fire
+    /// `graphOpened`.
+    pub(crate) fn finish_open(&mut self) -> Result<()> {
+        self.commit_seq
+            .fetch_max(self.last_seq, atomic::Ordering::Relaxed);
         // Every time this store ever recorded is a context's newest time or
         // older, or a fork point: a fork may read a time an aborted
         // operation drew elsewhere, and that time must not be issued again.
-        let newest = ham.threads.values().flat_map(|t| {
+        let newest = self.threads.values().flat_map(|t| {
             let fork = t.forked_from.map(|(_, time)| time);
             std::iter::once(t.graph.now()).chain(fork)
         });
-        ham.clock = Arc::new(AtomicU64::new(newest.max().unwrap_or_default().0));
-        ham.replaying = false;
+        self.clock = Arc::new(AtomicU64::new(newest.max().unwrap_or_default().0));
+        self.replaying = false;
         // The placeholder epoch-1 view predates replay; republish so
         // lock-free readers see the recovered state.
-        ham.publish_view();
-        ham.fire(MAIN_CONTEXT, Event::GraphOpened, None, None)?;
-        Ok((ham, MAIN_CONTEXT))
+        self.publish_view();
+        self.fire(MAIN_CONTEXT, Event::GraphOpened, None, None)?;
+        Ok(())
     }
 
     /// Open a graph without knowing its `ProjectId` (directory inspection).
@@ -1198,6 +1256,11 @@ impl Ham {
     /// no return. The snapshot embeds the LSN boundary it folded, so a
     /// crash after the snapshot rename but before the truncation cannot
     /// double-apply replayed transactions.
+    ///
+    /// A shard whose commits other shards' logs still name as fork parents
+    /// by reference refuses with [`HamError::UnfoldedForkRefs`]: folding
+    /// would lose the parent as it stood at those forks.
+    /// [`crate::shard::ShardedHam::checkpoint`] folds those shards first.
     pub fn checkpoint(&mut self) -> Result<()> {
         let _span = neptune_obs::span!("ham.checkpoint");
         if self.txn.is_some() {
@@ -1212,6 +1275,10 @@ impl Ham {
         {
             count("neptune_ham_checkpoint_skipped_total", 1);
             return Ok(());
+        }
+        let holders = self.fork_refs.holders(self.shard.0 as usize);
+        if holders != 0 {
+            return Err(HamError::UnfoldedForkRefs { holders });
         }
         match self.checkpoint_side_effects() {
             Ok(through) => self.mirrored_through = through,
@@ -1231,6 +1298,8 @@ impl Ham {
             count("neptune_ham_checkpoint_failures_total", 1);
             return Err(e.into());
         }
+        // The log is folded: no fork reference it held is needed any more.
+        self.fork_refs.release(self.shard.0 as usize);
         #[cfg(feature = "strict-invariants")]
         self.assert_strict_invariants("checkpoint");
         Ok(())
@@ -1309,9 +1378,7 @@ impl Ham {
             }
             let graph = ham.thread(from)?.graph.clone();
             let fork_time = ham.clock_now();
-            ham.next_context = ham.next_context.max(id.0 + 1);
-            ham.threads
-                .insert(id, GraphThread::shared(graph, Some((from, fork_time))));
+            ham.install_fork(id, from, fork_time, graph);
             ham.push_redo(RedoOp::CreateContext {
                 id,
                 from,
@@ -1381,10 +1448,13 @@ impl Ham {
     // Cross-shard context surgery (driven by `crate::shard::ShardedHam`)
     // =====================================================================
     //
-    // Each op is journaled with enough state (including encoded foreign
-    // graphs) that this shard's WAL replays without consulting any other
-    // shard — per-shard recovery stays independent ("recovery fan-in" is
-    // simply opening every shard).
+    // A merge's records carry what they need (the parent half logs the
+    // child's encoded delta), so they replay without consulting any other
+    // shard. A fork onto a higher shard logs a reference instead
+    // (`RedoOp::ForkRef`) and replays against the parent's shard as it
+    // stood at the fork's commit: `ShardedHam::open_with` replays every
+    // shard's commits merged by commit sequence. Every other cross-shard
+    // fork logs the parent's whole graph (`RedoOp::AdoptContext`).
 
     /// A read-only export of `context`'s graph, cloned O(changes) thanks to
     /// the persistent node/link tries, with the store clock's value as the
@@ -1396,13 +1466,17 @@ impl Ham {
 
     /// Adopt a context forked on another shard: install `graph` (the parent
     /// shard's export) as context `id`, forked from the foreign context
-    /// `from` at `time`.
+    /// `from` at `time`. With `by_reference` the record names the parent
+    /// (`RedoOp::ForkRef`), and this shard holds a reference into the
+    /// parent's shard until its own log is folded; otherwise it carries the
+    /// encoded graph (`RedoOp::AdoptContext`).
     pub(crate) fn adopt_context(
         &mut self,
         id: ContextId,
         from: ContextId,
         time: Time,
         graph: HamGraph,
+        by_reference: bool,
     ) -> Result<()> {
         let _span = neptune_obs::span!("ham.adopt_context", "context {}", id.0);
         self.auto_txn(|ham| {
@@ -1411,20 +1485,42 @@ impl Ham {
                     reason: "context id already in use",
                 });
             }
-            let mut gw = Writer::new();
-            graph.encode(&mut gw);
-            let encoded = gw.into_bytes();
-            ham.next_context = ham.next_context.max(id.0 + 1);
-            ham.threads
-                .insert(id, GraphThread::shared(graph, Some((from, time))));
-            ham.push_redo(RedoOp::AdoptContext {
-                id,
-                from,
-                time,
-                graph: encoded,
-            });
+            let record = if by_reference {
+                // Held before the record can become durable, and whatever
+                // its commit's fate: a failed commit may still be on disk.
+                let parent_shard = (from.0 % u64::from(ham.shard.1)) as usize;
+                ham.fork_refs.hold(parent_shard, ham.shard.0 as usize);
+                RedoOp::ForkRef { id, from, time }
+            } else {
+                let mut gw = Writer::new();
+                graph.encode(&mut gw);
+                RedoOp::AdoptContext {
+                    id,
+                    from,
+                    time,
+                    graph: gw.into_bytes(),
+                }
+            };
+            ham.install_fork(id, from, time, graph);
+            count_fork_record(by_reference);
+            ham.push_redo(record);
             Ok(())
         })
+    }
+
+    /// Install `graph` as context `id`, forked from `from` at `time`.
+    fn install_fork(&mut self, id: ContextId, from: ContextId, time: Time, graph: HamGraph) {
+        self.next_context = self.next_context.max(id.0 + 1);
+        self.threads
+            .insert(id, GraphThread::shared(graph, Some((from, time))));
+    }
+
+    /// Whether a fork from a context of this shard may be logged by
+    /// reference: every commit this shard acknowledged is durable and no
+    /// transaction holds state the log does not. A poisoned log may hold a
+    /// failed commit that recovery would replay before the fork.
+    pub(crate) fn can_be_forked_by_reference(&self) -> bool {
+        !self.wal.is_poisoned() && self.txn.is_none()
     }
 
     /// Merge a foreign (other-shard) child graph into local context `into`.
@@ -1519,9 +1615,16 @@ impl Ham {
     }
 
     /// Declare this machine shard `index` of `count` (invariant rules use
-    /// this to recognize legitimately-foreign fork parents).
-    pub(crate) fn set_shard_identity(&mut self, index: usize, count: usize) {
+    /// this to recognize legitimately-foreign fork parents), sharing the
+    /// store's fork-reference table with its other shards.
+    pub(crate) fn set_shard_identity(
+        &mut self,
+        index: usize,
+        count: usize,
+        fork_refs: Arc<ForkRefs>,
+    ) {
         self.shard = (index as u32, count as u32);
+        self.fork_refs = fork_refs;
     }
 
     /// This machine's shard identity `(index, count)`; `(0, 1)` unsharded.
@@ -1809,8 +1912,13 @@ impl Ham {
     }
 
     /// Apply a logged operation during recovery: each op records the time
-    /// the log assigned it.
-    fn apply_redo(&mut self, op: RedoOp) -> Result<()> {
+    /// the log assigned it. `parent(context, from)` resolves a fork logged
+    /// by reference to the parent's graph at the fork.
+    fn apply_redo(
+        &mut self,
+        op: RedoOp,
+        parent: &mut dyn FnMut(ContextId, ContextId) -> Result<HamGraph>,
+    ) -> Result<()> {
         match op {
             RedoOp::AddNode {
                 context,
@@ -1938,11 +2046,8 @@ impl Ham {
                 }
             }
             RedoOp::CreateContext { id, from, time } => {
-                let parent = self.thread(from)?;
-                let graph = parent.graph.clone();
-                self.next_context = self.next_context.max(id.0 + 1);
-                self.threads
-                    .insert(id, GraphThread::shared(graph, Some((from, time))));
+                let graph = self.thread(from)?.graph.clone();
+                self.install_fork(id, from, time, graph);
             }
             RedoOp::MergeContext {
                 child,
@@ -1982,9 +2087,13 @@ impl Ham {
                 // never consults the (foreign) parent shard.
                 let mut r = Reader::new(&graph);
                 let graph = HamGraph::decode(&mut r)?;
-                self.next_context = self.next_context.max(id.0 + 1);
-                self.threads
-                    .insert(id, GraphThread::shared(graph, Some((from, time))));
+                self.install_fork(id, from, time, graph);
+            }
+            RedoOp::ForkRef { id, from, time } => {
+                // The parent as its shard stood at this record's commit: a
+                // clone of persistent tries, O(1).
+                let graph = parent(id, from)?;
+                self.install_fork(id, from, time, graph);
             }
             RedoOp::MergeForeign {
                 into,
@@ -2035,6 +2144,21 @@ impl Ham {
 pub(crate) fn count(key: &str, n: u64) {
     if neptune_obs::enabled() {
         neptune_obs::registry().counter(key).add(n);
+    }
+}
+
+/// Count a cross-shard fork's record by kind: a reference, or the
+/// parent's whole graph.
+fn count_fork_record(by_reference: bool) {
+    if neptune_obs::enabled() {
+        let kind = if by_reference { "reference" } else { "graph" };
+        neptune_obs::registry()
+            .counter(&neptune_obs::labeled(
+                "neptune_ham_fork_records_total",
+                "kind",
+                kind,
+            ))
+            .inc();
     }
 }
 

@@ -7,8 +7,11 @@
 //! shard `c % nshards` (its *home shard*) — so transactions touching
 //! disjoint shards validate, WAL-append, and epoch-publish with no shared
 //! lock at all. Each shard is a complete store (own snapshot, own WAL
-//! stream, own blob mirror, own `Published` view slot), so recovery
-//! "fan-in" is simply opening every shard.
+//! stream, own blob mirror, own `Published` view slot). Opening loads every
+//! shard's snapshot and committed transactions, then replays all shards'
+//! transactions merged by commit sequence, each shard's in its own order —
+//! the order in which a fork logged by reference finds its parent as it
+//! stood at the fork (see below).
 //!
 //! What crosses shards:
 //!
@@ -24,6 +27,15 @@
 //!   both halves stamp the *same* forced sequence, and the pair is noted
 //!   in a small in-memory [`CrossLog`] so readers can detect half-visible
 //!   pairs.
+//! * **Forks by reference** — a fork onto a higher shard, outside an
+//!   explicit transaction, from a shard whose log is healthy, logs
+//!   `(id, parent, fork time)` in the child's shard (`RedoOp::ForkRef`),
+//!   not the parent's graph. Its commit sequence is drawn under the
+//!   parent's shard lock, after every earlier parent commit synced, so the
+//!   parent's shard replayed up to that sequence is the parent at the
+//!   fork. The `ForkRefs` table keeps that true across checkpoints: a
+//!   shard folds only once every shard holding an unfolded reference into
+//!   it has folded (higher shards, so locks stay ascending).
 //! * **Consistent multi-shard reads** — [`ShardedHam::multi_view`]
 //!   assembles a vector of per-shard published views and retries (bounded,
 //!   counted) whenever the cross log shows a sequence published on one
@@ -48,6 +60,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use neptune_storage::codec::{Reader, Writer};
 use neptune_storage::snapshot::{read_snapshot_with, write_snapshot_with};
 use neptune_storage::vfs::{StdVfs, Vfs};
+use neptune_storage::wal::CommittedTxn;
 
 use crate::context::{ConflictPolicy, MergeReport};
 use crate::demons::DemonFireInfo;
@@ -101,6 +114,41 @@ struct CrossEntry {
 #[derive(Debug, Default)]
 struct CrossLog {
     entries: VecDeque<CrossEntry>,
+}
+
+/// Which shards' logs hold unfolded forks by reference into which:
+/// `holders[p]` has bit `c` set while shard `c`'s log may hold a
+/// `RedoOp::ForkRef` whose parent lives on shard `p`. Set under both shard
+/// locks before the record is committed, cleared when shard `c` folds its
+/// log, and rebuilt by recovery from the records it replays.
+#[derive(Debug)]
+pub(crate) struct ForkRefs {
+    holders: Vec<AtomicU64>,
+}
+
+impl ForkRefs {
+    pub(crate) fn new(nshards: usize) -> ForkRefs {
+        ForkRefs {
+            holders: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Shard `holder`'s log now holds a reference into shard `parent`.
+    pub(crate) fn hold(&self, parent: usize, holder: usize) {
+        self.holders[parent].fetch_or(1 << holder, Ordering::SeqCst);
+    }
+
+    /// Shard `holder` folded its log: it holds no reference any more.
+    pub(crate) fn release(&self, holder: usize) {
+        for mask in &self.holders {
+            mask.fetch_and(!(1 << holder), Ordering::SeqCst);
+        }
+    }
+
+    /// Bitmask of the shards holding references into shard `parent`.
+    pub(crate) fn holders(&self, parent: usize) -> u64 {
+        self.holders[parent].load(Ordering::SeqCst)
+    }
 }
 
 /// An explicit transaction spanning whichever shards its operations touch.
@@ -200,6 +248,8 @@ pub struct ShardedHam {
     /// Global context-id allocator: ids are handed out here (not by the
     /// shards) so a context's home shard is a pure function of its id.
     next_context: Mutex<u64>,
+    /// Unfolded forks by reference, shared with every shard.
+    fork_refs: Arc<ForkRefs>,
     cross_log: Mutex<CrossLog>,
     /// The active explicit transaction, if any. Writers must be externally
     /// serialized while one is open (the server's gate does this), exactly
@@ -291,14 +341,17 @@ impl ShardedHam {
             w.put_u64(nshards as u64);
             write_snapshot_with(vfs.as_ref(), directory.join(SHARDS_FILE), w.as_slice())?;
         }
-        let sharded = Self::assemble(directory, project_id, hams);
+        let fork_refs = Arc::new(ForkRefs::new(nshards));
+        let sharded = Self::assemble(directory, project_id, hams, fork_refs);
         Ok((sharded, project_id, created))
     }
 
     /// Open an existing store, sharded or not: `shards.meta` (absent ⇒ 1)
-    /// names the shard count; every shard recovers independently from its
-    /// own snapshot + WAL, and the global commit sequence resumes from the
-    /// maximum any shard persisted.
+    /// names the shard count. Every shard loads its own snapshot and the
+    /// committed transactions its WAL holds past it; then all of them
+    /// replay merged by commit sequence (see `replay_in_commit_order`),
+    /// and the global commit sequence resumes from the maximum any shard
+    /// persisted.
     pub fn open(directory: impl AsRef<Path>) -> Result<(ShardedHam, ContextId, ProjectId)> {
         Self::open_with(StdVfs::arc(), directory)
     }
@@ -311,16 +364,20 @@ impl ShardedHam {
         let directory = directory.as_ref().to_path_buf();
         let nshards = read_shard_count(vfs.as_ref(), &directory)?;
         let mut hams = Vec::with_capacity(nshards);
-        let mut project_id = ProjectId(0);
+        let mut logs = Vec::with_capacity(nshards);
         for k in 0..nshards {
-            let (ham, _, pid) =
-                Ham::open_existing_with(Arc::clone(&vfs), shard_dir(&directory, k))?;
-            if k == 0 {
-                project_id = pid;
-            }
+            let (ham, committed) =
+                Ham::load_existing_with(Arc::clone(&vfs), shard_dir(&directory, k))?;
             hams.push(ham);
+            logs.push(VecDeque::from(committed));
         }
-        let sharded = Self::assemble(directory, project_id, hams);
+        let fork_refs = Arc::new(ForkRefs::new(nshards));
+        replay_in_commit_order(&mut hams, logs, &fork_refs)?;
+        for ham in &mut hams {
+            ham.finish_open()?;
+        }
+        let project_id = hams[0].project_id();
+        let sharded = Self::assemble(directory, project_id, hams, fork_refs);
         Ok((sharded, MAIN_CONTEXT, project_id))
     }
 
@@ -330,16 +387,21 @@ impl ShardedHam {
     pub fn from_ham(ham: Ham) -> ShardedHam {
         let directory = ham.directory().to_path_buf();
         let project_id = ham.project_id();
-        Self::assemble(directory, project_id, vec![ham])
+        Self::assemble(directory, project_id, vec![ham], Arc::new(ForkRefs::new(1)))
     }
 
-    fn assemble(directory: PathBuf, project_id: ProjectId, mut hams: Vec<Ham>) -> ShardedHam {
+    fn assemble(
+        directory: PathBuf,
+        project_id: ProjectId,
+        mut hams: Vec<Ham>,
+        fork_refs: Arc<ForkRefs>,
+    ) -> ShardedHam {
         let count = hams.len();
         let (commit_seq, clock) = hams[0].counters();
         let mut next_context = 1;
         let mut next_txn = 1;
         for (k, ham) in hams.iter_mut().enumerate() {
-            ham.set_shard_identity(k, count);
+            ham.set_shard_identity(k, count, Arc::clone(&fork_refs));
             ham.attach_counters(Arc::clone(&commit_seq), Arc::clone(&clock));
             next_context = next_context.max(ham.next_context_hint());
             next_txn = next_txn.max(ham.next_txn_hint());
@@ -367,6 +429,7 @@ impl ShardedHam {
                 .collect(),
             commit_seq,
             next_context: Mutex::new(next_context),
+            fork_refs,
             cross_log: Mutex::new(CrossLog::default()),
             txn: Mutex::new(None),
             next_txn: AtomicU64::new(next_txn),
@@ -450,7 +513,9 @@ impl ShardedHam {
     /// Fork a new context from `from`. The id is allocated globally, so
     /// the child's home shard is `id % nshards` — usually a different
     /// shard than the parent's, which is what spreads independent work
-    /// across independent commit paths.
+    /// across independent commit paths. A fork onto a higher shard logs a
+    /// reference to the parent where it may (see the module docs); any
+    /// other cross-shard fork logs the parent's whole graph.
     pub fn create_context(&self, from: ContextId) -> Result<ContextId> {
         let parent_shard = self.shard_of(from);
         let id = {
@@ -474,12 +539,13 @@ impl ShardedHam {
         // cross-log entry is needed — there is no pair to tear.
         let locks: BTreeSet<usize> = [parent_shard, child_shard].into_iter().collect();
         let mut guards = self.lock_ascending(&locks);
-        let (graph, fork_time) = {
+        let (graph, fork_time, referable) = {
             let parent = guards
                 .iter()
                 .find(|(k, _)| *k == parent_shard)
                 .expect("parent shard locked");
-            parent.1.export_graph(from)?
+            let (graph, fork_time) = parent.1.export_graph(from)?;
+            (graph, fork_time, parent.1.can_be_forked_by_reference())
         };
         let child = guards
             .iter_mut()
@@ -492,7 +558,14 @@ impl ShardedHam {
         // machine. The commit counters move to commit_transaction in that
         // case, where the deferred work actually becomes durable.
         let deferred = self.join_txn(child_shard, &mut child.1)?;
-        child.1.adopt_context(id, from, fork_time, graph)?;
+        // By reference only where the parent's shard folds after the
+        // child's with locks ascending, where the fork commits now (a
+        // rolled-back transaction would leave its sequence unordered), and
+        // where every parent commit the fork saw is durable.
+        let by_reference = parent_shard < child_shard && !deferred && referable;
+        child
+            .1
+            .adopt_context(id, from, fork_time, graph, by_reference)?;
         if !deferred {
             count("neptune_ham_cross_shard_txns_total", 1);
             count_shard_commit(child_shard);
@@ -753,19 +826,48 @@ impl ShardedHam {
             .is_some()
     }
 
-    /// Checkpoint every shard (ascending, one at a time — shards fold
-    /// their WALs independently, and an idle shard costs no I/O). A failing
-    /// shard does not stop the later ones from folding; the first error is
-    /// returned once every shard has been attempted.
+    /// Checkpoint every shard (ascending, one at a time; an idle shard
+    /// costs no I/O). Each shard first folds the shards whose logs still
+    /// fork from it by reference (see `ShardedHam::fold`). Every shard is
+    /// attempted once, and a failing shard does not stop the shards it
+    /// holds no reference into from folding; the first error is returned
+    /// once every shard has been attempted.
     pub fn checkpoint(&self) -> Result<()> {
         let mut first_error = Ok(());
+        let mut attempted = 0u64;
         for k in 0..self.shards.len() {
-            let result = self.lock_shard(k).checkpoint();
+            if attempted >> k & 1 == 1 {
+                continue;
+            }
+            let result = self.fold(k, &mut attempted);
             if first_error.is_ok() {
                 first_error = result;
             }
         }
         first_error
+    }
+
+    /// Checkpoint shard `index`, having first folded every shard holding an
+    /// unfolded fork reference into it, each the same way. Holders sit on
+    /// higher shards, so locks are taken ascending, and holding `index`'s
+    /// lock throughout keeps new references into it from appearing. If a
+    /// holder fails to fold, or failed earlier in this checkpoint (bits of
+    /// `attempted`), `index` does not fold either.
+    fn fold(&self, index: usize, attempted: &mut u64) -> Result<()> {
+        let mut guard = self.lock_shard(index);
+        *attempted |= 1 << index;
+        for holder in index + 1..self.shards.len() {
+            // Read afresh: folding one holder may have folded others.
+            let holders = self.fork_refs.holders(index);
+            if holders >> holder & 1 == 0 {
+                continue;
+            }
+            if *attempted >> holder & 1 == 1 {
+                return Err(HamError::UnfoldedForkRefs { holders });
+            }
+            self.fold(holder, attempted)?;
+        }
+        guard.checkpoint()
     }
 
     // =====================================================================
@@ -931,6 +1033,61 @@ impl ShardedHam {
     }
 }
 
+/// Replay every shard's committed transactions (`logs[k]` for shard `k`,
+/// in its log order) merged by commit sequence: the next transaction
+/// replayed is always the one with the lowest sequence at the head of some
+/// shard's log (the lowest shard on a tie), so each shard keeps its own
+/// order. A fork logged by reference then clones its parent as the
+/// parent's shard stands at that point — the parent at the fork, because
+/// the fork's sequence was drawn under the parent's shard lock after every
+/// earlier parent commit had synced. If the parent's shard snapshot is
+/// already past the fork, the parent at the fork is gone, and replay fails
+/// with an error naming the record rather than clone a later parent.
+/// Every reference replayed is noted in `fork_refs`.
+fn replay_in_commit_order(
+    hams: &mut [Ham],
+    mut logs: Vec<VecDeque<CommittedTxn>>,
+    fork_refs: &ForkRefs,
+) -> Result<()> {
+    let n = hams.len();
+    let folded: Vec<u64> = hams.iter().map(Ham::last_commit_seq).collect();
+    while let Some(k) = (0..n)
+        .filter(|&k| !logs[k].is_empty())
+        .min_by_key(|&k| logs[k][0].seq)
+    {
+        let Some(txn) = logs[k].pop_front() else {
+            break;
+        };
+        let (lower, rest) = hams.split_at_mut(k);
+        rest[0].replay_txn(txn, &mut |context, parent, seq| {
+            let unresolved = |reason| HamError::UnresolvedForkRef {
+                context,
+                parent,
+                seq,
+                reason,
+            };
+            let p = (parent.0 % n as u64) as usize;
+            let Some(parent_ham) = lower.get(p) else {
+                return Err(unresolved(
+                    "the parent's shard does not precede the child's",
+                ));
+            };
+            if folded[p] > seq {
+                return Err(unresolved(
+                    "the parent's shard snapshot already holds later commits",
+                ));
+            }
+            let graph = parent_ham
+                .graph(parent)
+                .map_err(|_| unresolved("the parent does not exist at that commit"))?
+                .clone();
+            fork_refs.hold(p, k);
+            Ok(graph)
+        })?;
+    }
+    Ok(())
+}
+
 /// Read `shards.meta` (absent ⇒ 1 — v1 stores and unsharded creates).
 pub fn read_shard_count(vfs: &dyn Vfs, directory: &Path) -> Result<usize> {
     let path = directory.join(SHARDS_FILE);
@@ -1087,6 +1244,115 @@ mod tests {
             "merge appended {small} B at 100 nodes but {large} B at 2 000"
         );
         assert!(large < 8 * 1024, "a one-node merge appended {large} B");
+    }
+
+    /// MAIN with `nodes` nodes of 2 KiB, committed in one transaction, on a
+    /// two-shard store.
+    fn two_shards_with_main_of(name: &str, nodes: usize) -> (ShardedHam, PathBuf) {
+        let dir = tmpdir(name);
+        let (ham, _, _) = ShardedHam::create(&dir, Protections::DEFAULT, 2).unwrap();
+        ham.begin_transaction().unwrap();
+        {
+            let mut main = ham.lock_home(MAIN_CONTEXT).unwrap();
+            for i in 0..nodes {
+                let (node, t) = main.add_node(MAIN_CONTEXT, true).unwrap();
+                let body = vec![b'a' + (i % 26) as u8; 2048];
+                main.modify_node(MAIN_CONTEXT, node, t, body, &[]).unwrap();
+            }
+        }
+        ham.commit_transaction().unwrap();
+        (ham, dir)
+    }
+
+    fn wal_len(dir: &Path, shard: usize) -> u64 {
+        std::fs::metadata(shard_dir(dir, shard).join(crate::ham::WAL_FILE))
+            .unwrap()
+            .len()
+    }
+
+    /// A context's id, encoded graph and fork point.
+    type ContextBytes = (ContextId, Vec<u8>, Option<(ContextId, Time)>);
+
+    /// Every live context's encoded graph and fork point.
+    fn contexts_as_bytes(ham: &ShardedHam) -> Vec<ContextBytes> {
+        use neptune_storage::codec::Encode;
+        ham.live_contexts()
+            .into_iter()
+            .map(|c| {
+                let guard = ham.lock_home(c).unwrap();
+                let bytes = guard.graph(c).unwrap().to_bytes();
+                (c, bytes, guard.context_forked_from(c).unwrap())
+            })
+            .collect()
+    }
+
+    /// A fork from MAIN onto a higher shard logs a reference, not the
+    /// graph: it appends as many bytes to the child shard's WAL over a MAIN
+    /// of 2 000 nodes of 2 KiB as over one of 100. A fork onto a lower
+    /// shard still logs the parent's graph, and both reopen equal.
+    #[test]
+    fn cross_shard_fork_logs_the_same_bytes_whatever_the_graph_size() {
+        let appended = |nodes: usize| -> u64 {
+            let (ham, dir) = two_shards_with_main_of(&format!("xfork-bytes-{nodes}"), nodes);
+            let before = wal_len(&dir, 1);
+            let child = ham.create_context(MAIN_CONTEXT).unwrap();
+            assert_eq!(ham.shard_of(child), 1);
+            let after = wal_len(&dir, 1);
+            drop(ham);
+            let _ = std::fs::remove_dir_all(&dir);
+            after - before
+        };
+        let (small, large) = (appended(100), appended(2000));
+        assert_eq!(
+            small, large,
+            "a fork appended {small} B at 100 nodes but {large} B at 2 000"
+        );
+        assert!(large < 256, "a fork by reference appended {large} B");
+
+        // The fallback: a fork from shard 1 onto shard 0 carries the graph.
+        let (ham, dir) = two_shards_with_main_of("xfork-down", 100);
+        let child = ham.create_context(MAIN_CONTEXT).unwrap();
+        let before = wal_len(&dir, 0);
+        let grandchild = ham.create_context(child).unwrap();
+        assert_eq!(ham.shard_of(grandchild), 0);
+        assert!(
+            wal_len(&dir, 0) - before > 100 * 2048,
+            "a fork onto a lower shard must log the parent's graph"
+        );
+        let live = contexts_as_bytes(&ham);
+        drop(ham);
+        let (reopened, _, _) = ShardedHam::open(&dir).unwrap();
+        assert_eq!(contexts_as_bytes(&reopened), live);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard folds only after the shards whose logs fork from it by
+    /// reference: directly it refuses, through the store it folds them
+    /// first.
+    #[test]
+    fn a_parent_shard_folds_after_its_reference_holders() {
+        let (ham, dir) = two_shards_with_main_of("xfork-fold", 3);
+        let child = ham.create_context(MAIN_CONTEXT).unwrap();
+        assert_eq!(ham.shard_of(child), 1);
+        {
+            let mut main = ham.lock_home(MAIN_CONTEXT).unwrap();
+            main.add_node(MAIN_CONTEXT, true).unwrap();
+        }
+        let err = ham.lock_shard(0).checkpoint().unwrap_err();
+        assert!(
+            matches!(err, HamError::UnfoldedForkRefs { holders: 0b10 }),
+            "{err}"
+        );
+        ham.checkpoint().unwrap();
+        // Both logs are folded, the reference with them.
+        ham.lock_shard(0).checkpoint().unwrap();
+        let live = contexts_as_bytes(&ham);
+        drop(ham);
+        let (reopened, _, _) = ShardedHam::open(&dir).unwrap();
+        assert_eq!(contexts_as_bytes(&reopened), live);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

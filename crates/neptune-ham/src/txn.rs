@@ -207,10 +207,12 @@ pub enum RedoOp {
         /// The discarded context.
         id: ContextId,
     },
-    /// A cross-shard `createContext`: this shard adopted a context whose
-    /// parent lives on another shard. The record carries the parent graph's
-    /// encoded bytes so replay of this shard's log is self-contained — the
-    /// parent shard's log is never consulted.
+    /// A cross-shard `createContext` logged with the parent graph: this
+    /// shard adopted a context whose parent lives on another shard, and the
+    /// record carries the parent graph's encoded bytes, so replaying it
+    /// never consults the parent's shard. The fallback for forks that may
+    /// not log a [`RedoOp::ForkRef`]: onto a lower shard, inside an
+    /// explicit transaction, or from a shard whose log is poisoned.
     AdoptContext {
         /// The new context's id.
         id: ContextId,
@@ -221,6 +223,20 @@ pub enum RedoOp {
         /// Encoded [`crate::graph::HamGraph`] snapshot of the parent at the
         /// fork point.
         graph: Vec<u8>,
+    },
+    /// A cross-shard `createContext` logged by reference: this shard
+    /// adopted a context forked from `from`, which lives on a lower shard,
+    /// and the record names the parent instead of carrying its graph.
+    /// Recovery replays every shard's commits in commit-sequence order and
+    /// clones the parent as its shard stands at this record's commit. A
+    /// tag of its own, so a build that cannot resolve it refuses the log.
+    ForkRef {
+        /// The new context's id.
+        id: ContextId,
+        /// The (foreign) context it was forked from.
+        from: ContextId,
+        /// Fork time: the store clock at the fork.
+        time: Time,
     },
     /// A cross-shard `mergeContext`, parent side: fold an encoded foreign
     /// child graph into `into`. Self-contained for the same reason as
@@ -279,6 +295,7 @@ impl RedoOp {
             RedoOp::MergeForeign { time: None, .. } => 17,
             RedoOp::MergeForeign { time: Some(_), .. } => 20,
             RedoOp::RefixFork { .. } => 18,
+            RedoOp::ForkRef { .. } => 21,
         }
     }
 }
@@ -444,7 +461,7 @@ impl Encode for RedoOp {
                 node.encode(w);
                 protections.encode(w);
             }
-            RedoOp::CreateContext { id, from, time } => {
+            RedoOp::CreateContext { id, from, time } | RedoOp::ForkRef { id, from, time } => {
                 id.encode(w);
                 from.encode(w);
                 time.encode(w);
@@ -614,6 +631,11 @@ impl Decode for RedoOp {
                 into: ContextId::decode(r)?,
                 time: Time::decode(r)?,
             },
+            21 => RedoOp::ForkRef {
+                id: ContextId::decode(r)?,
+                from: ContextId::decode(r)?,
+                time: Time::decode(r)?,
+            },
             tag => {
                 return Err(StorageError::InvalidTag {
                     context: "RedoOp",
@@ -776,6 +798,11 @@ mod tests {
                 child: ContextId(9),
                 into: ContextId(4),
                 time: Time(25),
+            },
+            RedoOp::ForkRef {
+                id: ContextId(11),
+                from: ContextId(0),
+                time: Time(26),
             },
         ];
         for op in ops {

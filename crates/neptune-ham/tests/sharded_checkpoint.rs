@@ -23,11 +23,15 @@ fn a_failing_shard_does_not_stop_later_shards_from_folding() {
     let (sharded, _, _) =
         ShardedHam::create_with(Arc::new(vfs.clone()), &dir, Protections::DEFAULT, SHARDS).unwrap();
     // A commit on every shard: MAIN lives on shard 0, contexts 1 and 2 on
-    // shards 1 and 2.
+    // shards 1 and 2. Forked inside an explicit transaction, they log
+    // MAIN's graph rather than a reference to it, so no shard's fold waits
+    // on another's (a shard holding a reference folds before its parent's).
     let mut ctxs = vec![MAIN_CONTEXT];
+    sharded.begin_transaction().unwrap();
     for _ in 1..SHARDS {
         ctxs.push(sharded.create_context(MAIN_CONTEXT).unwrap());
     }
+    sharded.commit_transaction().unwrap();
     for ctx in ctxs {
         sharded.lock_home(ctx).unwrap().add_node(ctx, true).unwrap();
     }

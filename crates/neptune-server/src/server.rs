@@ -667,6 +667,11 @@ fn execute_inner(
         drop(inflight);
         count!("neptune_server_read_bounces_total");
     }
+    // Give up the CPU once before any gate or lock: a thread woken for this
+    // write may have preempted a lock-free read, which then finishes first
+    // instead of waiting out the write (EXPERIMENTS.md E17). With nothing
+    // else runnable the yield returns at once.
+    std::thread::yield_now();
     let deadline = Instant::now() + shared.lock_timeout;
     let mut gate = match wait_for_gate(shared, conn_id, deadline) {
         Ok(gate) => gate,

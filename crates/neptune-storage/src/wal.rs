@@ -173,6 +173,10 @@ pub struct Wal {
     frames: Vec<u8>,
     /// One `Op` payload being encoded, likewise kept.
     payload: Writer,
+    /// The records the open scanned, from the last `Checkpoint` on, kept
+    /// for the first recovery so it neither reads nor decodes the file
+    /// again. Dropped by that recovery or by the first write.
+    scanned: Option<Vec<WalRecord>>,
 }
 
 /// Largest write buffer a [`Wal`] keeps for the next commit. A transaction
@@ -231,10 +235,11 @@ impl Wal {
                 poisoned: false,
                 frames: Vec::new(),
                 payload: Writer::new(),
+                scanned: None,
             });
         }
 
-        let (records, valid_end) = Self::scan(&bytes)?;
+        let (mut records, valid_end) = Self::scan(&bytes)?;
         if valid_end < bytes.len() as u64 {
             // Torn tail: discard it.
             file.set_len(valid_end)?;
@@ -250,6 +255,8 @@ impl Wal {
             .rev()
             .take_while(|r| r.kind != RecordKind::Checkpoint)
             .count() as u64;
+        // Recovery starts at the last checkpoint; nothing before it is kept.
+        records.drain(..records.len() - unfolded as usize);
         Ok(Wal {
             file,
             path,
@@ -258,6 +265,7 @@ impl Wal {
             poisoned: false,
             frames: Vec::new(),
             payload: Writer::new(),
+            scanned: Some(records),
         })
     }
 
@@ -367,6 +375,7 @@ impl Wal {
 
     /// Claim the next LSN for a record about to be framed.
     fn next_record(&mut self) -> u64 {
+        self.scanned = None;
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         self.unfolded += 1;
@@ -483,9 +492,15 @@ impl Wal {
     /// transaction's global commit sequence (the first 8 LE bytes of its
     /// commit record's payload; 0 for pre-shard logs with empty commit
     /// payloads) and whether any record was skipped as already folded.
+    ///
+    /// The first call after [`Wal::open_with`] replays the records that
+    /// open already scanned; later calls read the file again.
     pub fn recover_committed_after(&mut self, boundary: u64) -> Result<Recovery> {
         let _span = neptune_obs::span!("storage.wal_recover");
-        let records = self.records()?;
+        let records = match self.scanned.take() {
+            Some(records) => records,
+            None => self.records()?,
+        };
         // Start from the last checkpoint, if any.
         let start = records
             .iter()
@@ -495,7 +510,7 @@ impl Wal {
         let mut pending: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
         let mut committed: Vec<CommittedTxn> = Vec::new();
         let mut skipped_folded = false;
-        for r in &records[start..] {
+        for r in records.into_iter().skip(start) {
             if r.lsn <= boundary {
                 skipped_folded = true;
                 continue;
@@ -505,7 +520,7 @@ impl Wal {
                     pending.insert(r.txn_id, Vec::new());
                 }
                 RecordKind::Op => {
-                    pending.entry(r.txn_id).or_default().push(r.payload.clone());
+                    pending.entry(r.txn_id).or_default().push(r.payload);
                 }
                 RecordKind::Commit => {
                     if let Some(ops) = pending.remove(&r.txn_id) {
@@ -566,6 +581,7 @@ impl Wal {
     /// have, with stale pre-checkpoint frames resurfacing after it.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.guard()?;
+        self.scanned = None;
         if let Err(e) = self.file.set_len(WAL_MAGIC.len() as u64) {
             self.poison();
             return Err(e.into());
