@@ -28,19 +28,26 @@ cargo test
 # neptune-ham suite with them armed so a violated invariant fails CI —
 # the unit tests, and the integration tests that abort and fail commits
 # (begin_transaction then asserts every live context thread is the
-# published view's, the precondition an abort restores from) — and the
-# root test of what a commit shares with the view before it: the shared
-# history must also be history the invariant rules accept.
+# published view's, the precondition an abort restores from), the node-file
+# checkpoints (a parent build's stores moving to node files, and the
+# checkpoint_mirror cells but its single-shard property, which destroys a
+# fork parent and trips `context-partition` until ROADMAP item 26) — and
+# the root test of what a commit shares with the view before it: the
+# shared history must also be history the invariant rules accept.
 cargo test -p neptune-ham --features strict-invariants --lib \
     --test snapshot_view --test failure_injection --test properties \
-    --test sharded_checkpoint --test fork_references
+    --test sharded_checkpoint --test fork_references --test parent_store \
+    --test golden_bytes
+cargo test -p neptune-ham --features strict-invariants --test checkpoint_mirror \
+    -- --skip nodes_dir_equals_main_after_every_checkpoint_single_shard
 cargo test --features neptune-ham/strict-invariants --test history_sharing
 
 # Fault-injection sweep, second seed. The workspace run above already
 # sweeps every fault kind across every I/O step of a 220-op workload at
 # the default seed; this pass rotates the seed over the same 220 ops, so
-# CI covers two full workloads per run (checkpoints mirror only what
-# changed, so the node population no longer multiplies the fault points;
+# CI covers two full workloads per run (a checkpoint writes node files
+# only for the nodes whose head changed, so the node population does not
+# multiply the fault points;
 # and a commit is one append and one sync, so it has 2 fault points where
 # Begin + op + Commit + sync had 4 — the cuts *inside* that one append
 # are swept byte by byte in wal.rs and frame by frame in

@@ -15,7 +15,8 @@
 //! * **File scan** ([`scan_files`]) — read-only checks of the on-disk
 //!   artifacts: snapshot magic/CRC, WAL frame CRCs. Runs *before* the store
 //!   is opened, because recovery truncates a torn WAL tail (losing the
-//!   evidence).
+//!   evidence). With the store open, [`scan_node_files`] checks MAIN's
+//!   node files against the machine.
 //! * **Semantic verification** ([`verify_ham`]) — with the store open,
 //!   re-validate the rules in [`neptune_ham::invariants`]: delta chains
 //!   replay to the stored head, link offsets stay within node contents at
@@ -37,7 +38,8 @@ mod store;
 
 pub use lint::{lint_modules, lint_project, KNOWN_LIBRARY_MODULES};
 pub use store::{
-    scan_files, verify_ham, verify_open_ham, verify_sharded, verify_store, verify_view,
+    scan_files, scan_node_files, verify_ham, verify_open_ham, verify_sharded, verify_store,
+    verify_view,
 };
 
 use neptune_storage::codec::{Decode, Encode, Reader, Writer};
@@ -56,6 +58,10 @@ pub const RULE_SNAPSHOT_CHECKSUM: &str = "snapshot-checksum";
 /// Rule name: a WAL frame fails its length/CRC check (torn tail after a
 /// crash, or corruption).
 pub const RULE_WAL_CHECKSUM: &str = "wal-checksum";
+/// Rule name: a node file the store names is missing, torn, fails its CRC
+/// or does not hold its node's contents — or `nodes/` holds a file no
+/// snapshot names.
+pub const RULE_NODE_FILE: &str = "node-file";
 /// Rule name: the store cannot be opened at all.
 pub const RULE_STORE_UNOPENABLE: &str = "store-unopenable";
 /// Rule name: a module imports a module that is neither in the project nor

@@ -2,14 +2,22 @@
 
 use std::path::Path;
 
-use neptune_ham::ham::{Ham, SNAPSHOT_FILE, WAL_FILE};
+use std::collections::BTreeSet;
+
+use neptune_ham::ham::{Ham, NODES_DIR, SNAPSHOT_FILE, WAL_FILE};
 use neptune_ham::invariants;
+use neptune_ham::node::NodeContents;
+use neptune_ham::types::{NodeIndex, Time, MAIN_CONTEXT};
 use neptune_ham::ShardedHam;
+use neptune_storage::blobstore::NodeFiles;
 use neptune_storage::checksum::crc32;
 use neptune_storage::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V1};
 use neptune_storage::wal::WAL_MAGIC;
 
-use crate::{Finding, Severity, RULE_SNAPSHOT_CHECKSUM, RULE_STORE_UNOPENABLE, RULE_WAL_CHECKSUM};
+use crate::{
+    Finding, Severity, RULE_NODE_FILE, RULE_SNAPSHOT_CHECKSUM, RULE_STORE_UNOPENABLE,
+    RULE_WAL_CHECKSUM,
+};
 
 /// Read-only scan of a graph directory's files: snapshot header and CRC,
 /// WAL frame CRCs.
@@ -176,6 +184,90 @@ fn scan_wal(directory: &Path, findings: &mut Vec<Finding>) {
     }
 }
 
+/// Check MAIN's node files against an open machine: every file it knows
+/// durable (each one its snapshot names, and any a checkpoint wrote since)
+/// exists, passes its CRC and decodes to its node's contents as of the head
+/// it is named by — the whole in-memory archive when that head is still
+/// the node's current one. A file in `nodes/` the machine does not know is
+/// reported as a warning: a checkpoint that failed after writing it leaves
+/// one until the next checkpoint or open removes it.
+pub fn scan_node_files(ham: &Ham) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let dir = ham.directory().join(NODES_DIR);
+    let mut error = |severity, entity: String, message: String| {
+        findings.push(Finding::new(severity, RULE_NODE_FILE, entity, message));
+    };
+    let files = match NodeFiles::open(&dir) {
+        Ok(files) => files,
+        Err(e) => {
+            error(
+                Severity::Critical,
+                NODES_DIR.into(),
+                format!("cannot open: {e}"),
+            );
+            return findings;
+        }
+    };
+    let known: BTreeSet<(NodeIndex, Time)> = ham.durable_node_files().collect();
+    let main = ham.graph(MAIN_CONTEXT).ok();
+    for &(node, head) in &known {
+        let entity = format!("{}/{}", NODES_DIR, NodeFiles::file_name(node.0, head.0));
+        let contents = match NodeContents::load(&files, node, head) {
+            Ok(contents) => contents,
+            Err(e) => {
+                error(Severity::Error, entity, e.to_string());
+                continue;
+            }
+        };
+        let Some(in_memory) = main.and_then(|main| main.node(node).ok()) else {
+            error(Severity::Error, entity, format!("MAIN holds no {node}"));
+            continue;
+        };
+        let agrees = if in_memory.current_time() == head {
+            &contents == in_memory.contents()
+        } else {
+            match &contents {
+                // The node moved on since: the file must be the history it
+                // grew from.
+                NodeContents::Archive(a) => a
+                    .checkout(head.0)
+                    .ok()
+                    .zip(in_memory.contents_at(head).ok())
+                    .is_some_and(|(file, mem)| file == mem),
+                // A file node keeps no history to compare against.
+                NodeContents::File { .. } => true,
+            }
+        };
+        if !agrees {
+            error(
+                Severity::Error,
+                entity,
+                format!("does not hold the contents of {node} as of {head}"),
+            );
+        }
+    }
+    match files.files() {
+        Ok(on_disk) => {
+            for (id, head) in on_disk {
+                if !known.contains(&(NodeIndex(id), Time(head))) {
+                    let name = NodeFiles::file_name(id, head);
+                    error(
+                        Severity::Warning,
+                        format!("{NODES_DIR}/{name}"),
+                        "a node file no snapshot names".into(),
+                    );
+                }
+            }
+        }
+        Err(e) => error(
+            Severity::Critical,
+            NODES_DIR.into(),
+            format!("cannot list: {e}"),
+        ),
+    }
+    findings
+}
+
 /// Run every in-memory integrity rule against an open machine. See
 /// [`neptune_ham::invariants`] for the rules.
 pub fn verify_ham(ham: &Ham) -> Vec<Finding> {
@@ -190,6 +282,7 @@ pub fn verify_ham(ham: &Ham) -> Vec<Finding> {
 /// a second WAL appender on it.
 pub fn verify_open_ham(ham: &Ham) -> Vec<Finding> {
     let mut findings = scan_files(ham.directory());
+    findings.extend(scan_node_files(ham));
     findings.extend(verify_ham(ham));
     findings.sort_by(|a, b| {
         b.severity
@@ -240,7 +333,10 @@ pub fn verify_store(directory: impl AsRef<Path>) -> Vec<Finding> {
     }
     if nshards == 1 {
         match Ham::open_existing(directory) {
-            Ok((ham, _, _)) => findings.extend(verify_ham(&ham)),
+            Ok((ham, _, _)) => {
+                findings.extend(scan_node_files(&ham));
+                findings.extend(verify_ham(&ham));
+            }
             Err(e) => findings.push(Finding::new(
                 Severity::Critical,
                 RULE_STORE_UNOPENABLE,
@@ -251,6 +347,9 @@ pub fn verify_store(directory: impl AsRef<Path>) -> Vec<Finding> {
     } else {
         match ShardedHam::open(directory) {
             Ok((sharded, _, _)) => {
+                for k in 0..sharded.shard_count() {
+                    findings.extend(scan_node_files(&sharded.lock_shard(k)));
+                }
                 findings.extend(sharded.violations().into_iter().map(Finding::from));
             }
             Err(e) => findings.push(Finding::new(
@@ -281,11 +380,12 @@ pub fn verify_store(directory: impl AsRef<Path>) -> Vec<Finding> {
 pub fn verify_sharded(sharded: &ShardedHam) -> Vec<Finding> {
     let mut findings = Vec::new();
     for k in 0..sharded.shard_count() {
-        let _guard = sharded.lock_shard(k);
+        let guard = sharded.lock_shard(k);
         findings.extend(scan_files(neptune_ham::shard::shard_dir(
             sharded.directory(),
             k,
         )));
+        findings.extend(scan_node_files(&guard));
     }
     findings.extend(sharded.violations().into_iter().map(Finding::from));
     findings.sort_by(|a, b| {

@@ -2,22 +2,51 @@
 //! damage it a specific way, and assert the exact rule that trips — plus
 //! the baseline that an undamaged store verifies clean.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use neptune_check::{
     verify_store, Severity, RULE_ARCHIVE_INDEX, RULE_CONTEXT_PARTITION, RULE_DELTA_CHAIN,
-    RULE_LINK_OFFSET, RULE_SNAPSHOT_CHECKSUM, RULE_STORE_UNOPENABLE, RULE_WAL_CHECKSUM,
+    RULE_LINK_OFFSET, RULE_NODE_FILE, RULE_SNAPSHOT_CHECKSUM, RULE_STORE_UNOPENABLE,
+    RULE_WAL_CHECKSUM,
 };
 use neptune_ham::demons::{DemonSpec, Event};
-use neptune_ham::ham::{Ham, SNAPSHOT_FILE, WAL_FILE};
-use neptune_ham::types::{LinkPt, Protections, Time, MAIN_CONTEXT};
+use neptune_ham::ham::{Ham, NODES_DIR, SNAPSHOT_FILE, WAL_FILE};
+use neptune_ham::types::{LinkPt, NodeIndex, Protections, Time, MAIN_CONTEXT};
 use neptune_ham::Value;
-use neptune_storage::snapshot::{read_snapshot, write_snapshot};
+use neptune_storage::snapshot::{frame, unframe, NODE_FILE_MAGIC};
+use neptune_storage::NodeFiles;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("neptune-check-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The one node file of MAIN's node `n` in the store at `dir`.
+fn node_file(dir: &Path, n: NodeIndex) -> PathBuf {
+    let nodes = dir.join(NODES_DIR);
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&nodes)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| NodeFiles::parse_name(name).is_some_and(|(id, _)| id == n.0))
+        .map(|name| nodes.join(name))
+        .collect();
+    assert_eq!(files.len(), 1, "one file for {n}: {files:?}");
+    files.remove(0)
+}
+
+/// The verified payload of the node file at `path`.
+fn read_node_payload(path: &Path) -> Vec<u8> {
+    let bytes = std::fs::read(path).unwrap();
+    unframe(&bytes, &[NODE_FILE_MAGIC], "node file")
+        .unwrap()
+        .to_vec()
+}
+
+/// Rewrite the node file at `path` around `payload`, with a fresh CRC, so
+/// only the semantic damage stays.
+fn write_node_payload(path: &Path, payload: &[u8]) {
+    std::fs::write(path, frame(NODE_FILE_MAGIC, payload)).unwrap();
 }
 
 /// A store exercising every subsystem: contents, links, attributes, a
@@ -190,23 +219,24 @@ fn flipped_delta_length_breaks_the_chain() {
     ham.checkpoint().unwrap();
     drop(ham);
 
-    // Surgery on the snapshot payload: a delta encodes as
-    // [target_len][op_count][op_tag][byte_len][literal...]; find the 65-byte
-    // literal and shrink the claimed target_len varint (65 = 0x41) by one.
-    // write_snapshot recomputes the CRC, so only the semantic damage stays.
-    let path = dir.join(SNAPSHOT_FILE);
-    let mut payload = read_snapshot(&path).unwrap();
+    // Surgery on the node file, which holds the archive: a delta encodes
+    // as [target_len][op_count][op_tag][byte_len][literal...]; find the
+    // 65-byte literal and shrink the claimed target_len varint (65 = 0x41)
+    // by one. The rewrite recomputes the CRC, so only the semantic damage
+    // stays.
+    let path = node_file(&dir, n);
+    let mut payload = read_node_payload(&path);
     let lit = payload
         .windows(v1.len())
         .position(|w| w == v1.as_slice())
-        .expect("v1 literal inside the snapshot");
+        .expect("v1 literal inside the node file");
     assert_eq!(
         &payload[lit - 4..lit],
         &[0x41, 0x01, 0x01, 0x41],
         "delta header before the literal"
     );
     payload[lit - 4] = 0x40; // target_len 65 -> 64
-    write_snapshot(&path, &payload).unwrap();
+    write_node_payload(&path, &payload);
 
     let findings = verify_store(&dir);
     let broken = findings
@@ -243,8 +273,8 @@ fn corrupted_persisted_anchor_is_caught_and_recovery_replays_around_it() {
     // persisted skip rung in the archive's index blob, appended after the
     // canonical fields. Tamper the middle of that second occurrence — the
     // rung decodes fine but fails its checksum on application.
-    let path = dir.join(SNAPSHOT_FILE);
-    let mut payload = read_snapshot(&path).unwrap();
+    let path = node_file(&dir, n);
+    let mut payload = read_node_payload(&path);
     let (tampered_at, literal) = versions
         .iter()
         .find_map(|(time, contents)| {
@@ -259,7 +289,7 @@ fn corrupted_persisted_anchor_is_caught_and_recovery_replays_around_it() {
         .expect("some version literal must be persisted in a skip rung");
     let (contents, hit) = literal;
     payload[hit + contents.len() / 2] ^= 0x01;
-    write_snapshot(&path, &payload).unwrap();
+    write_node_payload(&path, &payload);
 
     let findings = verify_store(&dir);
     let anchor = findings
@@ -289,6 +319,65 @@ fn corrupted_persisted_anchor_is_caught_and_recovery_replays_around_it() {
         let opened = ham.open_node(MAIN_CONTEXT, n, *time, &[]).unwrap();
         assert_eq!(opened.contents.as_ref(), expected.as_slice());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn flipped_node_file_byte_fails_open_naming_the_node() {
+    let dir = tmpdir("node-file-flip");
+    let mut ham = build_store(&dir);
+    ham.checkpoint().unwrap();
+    drop(ham);
+    let b = NodeIndex(2);
+    let path = node_file(&dir, b);
+    let mut bytes = std::fs::read(&path).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01;
+    std::fs::write(&path, bytes).unwrap();
+
+    let err = Ham::open_existing(&dir).unwrap_err().to_string();
+    assert!(
+        err.contains("node 2"),
+        "the error must name the node: {err}"
+    );
+    assert!(err.contains("checksum"), "{err}");
+    let findings = verify_store(&dir);
+    let unopenable = findings
+        .iter()
+        .find(|f| f.rule == RULE_STORE_UNOPENABLE)
+        .expect("store-unopenable finding");
+    assert!(unopenable.detail.contains("node 2"), "{unopenable}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn node_files_are_checked_against_the_open_machine() {
+    let dir = tmpdir("node-file-live");
+    let mut ham = build_store(&dir);
+    ham.checkpoint().unwrap();
+    assert_eq!(neptune_check::verify_open_ham(&ham), Vec::new());
+    // A file no snapshot names is reported, as a warning.
+    let stray = dir.join(NODES_DIR).join(NodeFiles::file_name(9, 9));
+    std::fs::write(&stray, frame(NODE_FILE_MAGIC, b"")).unwrap();
+    // A file the snapshot names that no longer holds its node's archive.
+    let a = node_file(&dir, NodeIndex(1));
+    let b = node_file(&dir, NodeIndex(2));
+    std::fs::copy(&b, &a).unwrap();
+    let findings = neptune_check::verify_open_ham(&ham);
+    let node_file_findings: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == RULE_NODE_FILE)
+        .map(|f| (f.severity, f.entity.clone()))
+        .collect();
+    let name = |p: &Path| format!("{NODES_DIR}/{}", p.file_name().unwrap().to_string_lossy());
+    assert_eq!(
+        node_file_findings,
+        vec![
+            (Severity::Error, name(&a)),
+            (Severity::Warning, name(&stray))
+        ],
+        "{findings:?}"
+    );
+    drop(ham);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

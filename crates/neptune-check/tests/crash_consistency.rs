@@ -21,17 +21,19 @@
 //! neptune-check --test crash_consistency`. Every assertion message carries
 //! the seed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use neptune_check::verify_store;
 use neptune_ham::context::ConflictPolicy;
 use neptune_ham::ham::{NODES_DIR, WAL_FILE};
+use neptune_ham::node::NodeContents;
 use neptune_ham::types::{LinkPt, NodeIndex, Protections, Time, MAIN_CONTEXT};
 use neptune_ham::{Ham, ShardedHam, Value};
 use neptune_storage::fault::{FaultKind, FaultVfs};
 use neptune_storage::testutil::XorShift;
+use neptune_storage::NodeFiles;
 
 /// Arm the flight recorder for the sweep: every fault cell runs under a
 /// `check.cell` trace root (so the HAM/storage spans of the ops leading up
@@ -105,8 +107,9 @@ const ATTRS: [&str; 3] = ["document", "status", "owner"];
 fn gen_op(rng: &mut XorShift) -> Op {
     // Node births and deaths are nearly balanced, which keeps the
     // fingerprints (every node at every historical time) small. A
-    // checkpoint re-mirrors only the nodes changed since the last one, so
-    // the population no longer multiplies the sweep's fault-point count.
+    // checkpoint writes node files only for the nodes changed since the
+    // last one, so the population does not multiply the sweep's
+    // fault-point count.
     match rng.below(48) {
         0..=5 => Op::AddNode(rng.chance(1, 2)),
         6..=15 => {
@@ -501,18 +504,24 @@ fn recovery_equivalence_power_cut() {
 // Checkpoint crash-point matrix
 // ===========================================================================
 
-/// `nodes/` against MAIN's current contents: no stray file, every live
-/// node's bytes, and — where the crash image kept them (`materialize_durable`
-/// does not) — the modes.
-fn assert_mirrored(ham: &Ham, modes: bool, what: &str) {
+/// What `nodes/` holds, by `(node id, head time)`: each file's decoded
+/// contents and — where asked (`materialize_durable` does not keep them) —
+/// its mode. A file that is not a node file fails the test.
+fn files_on_disk(
+    dir: &Path,
+    modes: bool,
+    what: &str,
+) -> BTreeMap<(u64, u64), (NodeContents, Option<u32>)> {
+    let nodes = dir.join(NODES_DIR);
+    let files = NodeFiles::open(&nodes).unwrap();
     let mut on_disk = BTreeMap::new();
-    for entry in std::fs::read_dir(ham.directory().join(NODES_DIR)).unwrap() {
+    for entry in std::fs::read_dir(&nodes).unwrap() {
         let entry = entry.unwrap();
         let name = entry.file_name().to_string_lossy().into_owned();
-        let id = name
-            .strip_suffix(".blob")
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        let (id, head) = NodeFiles::parse_name(&name)
             .unwrap_or_else(|| panic!("{what}: stray file {name} in nodes/"));
+        let contents = NodeContents::load(&files, NodeIndex(id), Time(head))
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
         #[cfg(unix)]
         let mode = {
             use std::os::unix::fs::PermissionsExt;
@@ -520,30 +529,55 @@ fn assert_mirrored(ham: &Ham, modes: bool, what: &str) {
         };
         #[cfg(not(unix))]
         let mode = None;
-        on_disk.insert(id, (std::fs::read(entry.path()).unwrap(), mode));
+        on_disk.insert((id, head), (contents, mode));
     }
+    on_disk
+}
+
+/// `nodes/` against MAIN: one file per node, named by its head and holding
+/// its contents, no stray file, and — where asked — the node's mode.
+fn assert_node_files(ham: &Ham, modes: bool, what: &str) {
     let in_main: BTreeMap<_, _> = ham
         .graph(MAIN_CONTEXT)
         .unwrap()
         .nodes()
-        .filter(|n| n.exists_at(Time::CURRENT))
         .map(|n| {
             let mode = (modes && cfg!(unix)).then_some(n.protections.mode);
-            let contents = n.contents_at(Time::CURRENT).unwrap().to_vec();
-            (n.id.0, (contents, mode))
+            ((n.id.0, n.current_time().0), (n.contents().clone(), mode))
         })
         .collect();
     assert_eq!(
-        on_disk, in_main,
-        "{what}: nodes/ is not MAIN's current contents"
+        files_on_disk(ham.directory(), modes, what),
+        in_main,
+        "{what}: nodes/ is not MAIN's node files"
     );
+}
+
+/// The op log of the checkpoint [`build_checkpoint_store`]'s store runs,
+/// from a dry run.
+fn checkpoint_ops(name: &str) -> Vec<String> {
+    let dir = tmpdir(name);
+    let vfs = FaultVfs::new();
+    let mut ham = build_checkpoint_store(&dir, &vfs);
+    vfs.clear_op_log();
+    ham.checkpoint().unwrap();
+    drop(ham);
+    let _ = std::fs::remove_dir_all(&dir);
+    vfs.op_log()
+}
+
+/// Whether an op-log entry touches a node file.
+fn on_node_file(op: &str) -> bool {
+    op.split_once(' ')
+        .is_some_and(|(_, name)| NodeFiles::parse_name(name).is_some())
 }
 
 /// Deterministic store with history, links, attributes, a forked context,
 /// and committed-but-not-checkpointed transactions — the state every
 /// checkpoint fault below must preserve. The checkpoint that follows is an
-/// *incremental* one: of the mirrored nodes it rewrites `a`, leaves `b`
-/// alone, removes `c`, and adds `d`.
+/// *incremental* one: it writes new files for `a` (edited) and `d` (new),
+/// leaves `b` (a protection change, chmod'ed at commit) and `c` (deleted:
+/// its history stays) alone, and unlinks `a`'s old head.
 fn build_checkpoint_store(dir: &Path, vfs: &FaultVfs) -> Ham {
     let (mut ham, _, _) =
         Ham::create_graph_with(Arc::new(vfs.clone()), dir, Protections::DEFAULT).unwrap();
@@ -591,14 +625,13 @@ fn build_checkpoint_store(dir: &Path, vfs: &FaultVfs) -> Ham {
     ham
 }
 
-/// Satellite: fault at every I/O step of the checkpoint pipeline — the
-/// snapshot write and rename, each blob-mirror put/chmod/delete, the blob
-/// directory fsync, and the WAL truncate/record/sync — and assert the
-/// store reopens to the same state with history intact, from both crash
-/// images, and that one more checkpoint then leaves `nodes/` complete:
-/// wherever the incremental mirror was cut short, recovery either replays
-/// the commits that re-dirty the unfinished nodes or (snapshot renamed,
-/// log not yet truncated) restarts the mirror from nothing.
+/// Fault at every I/O step of the checkpoint pipeline — each node file's
+/// create/append/sync/chmod, the `nodes/` fsync, the snapshot write and
+/// rename, the WAL truncate/record/sync and the unlinks of old heads — and
+/// assert the store reopens to the same state with history intact, from
+/// both crash images, and that one more checkpoint then leaves `nodes/`
+/// holding exactly MAIN's node files: whichever snapshot survived names
+/// only files durable before it, and open sweeps the rest.
 #[test]
 fn checkpoint_crash_point_matrix() {
     for kind in FaultKind::ALL {
@@ -629,7 +662,7 @@ fn checkpoint_crash_point_matrix() {
             // checkpointing the working tree first does not disturb it.
             let mut wham = wham;
             wham.checkpoint().unwrap();
-            assert_mirrored(&wham, true, &format!("{kind} at {at}: working tree"));
+            assert_node_files(&wham, true, &format!("{kind} at {at}: working tree"));
             drop(wham);
             vfs.power_off();
             vfs.materialize_durable(&dir).unwrap();
@@ -641,7 +674,7 @@ fn checkpoint_crash_point_matrix() {
             });
             assert_eq!(fingerprint(&dham), before, "{kind} at {at}: durable image");
             dham.checkpoint().unwrap();
-            assert_mirrored(&dham, false, &format!("{kind} at {at}: durable image"));
+            assert_node_files(&dham, false, &format!("{kind} at {at}: durable image"));
             drop(dham);
             let _ = std::fs::remove_dir_all(&dir);
             at += 1;
@@ -743,41 +776,35 @@ fn anchor_persistence_checkpoint_fault_sweep() {
 
 /// Regression: the WAL must not be truncated until every checkpoint side
 /// effect has succeeded. Before the reorder, `Ham::checkpoint` truncated
-/// the log and *then* mirrored blobs, so a mirror failure left the store
-/// with no way to retry from the full log.
+/// the log and *then* wrote per-node files, so a failure there left the
+/// store with no way to retry from the full log.
 #[test]
-fn blob_mirror_failure_leaves_wal_untruncated() {
-    // Dry run to locate the first blob-mirror write among the write-class
-    // operations a checkpoint issues.
-    let probe_dir = tmpdir("mirror-probe");
-    let probe_vfs = FaultVfs::new();
-    let mut probe = build_checkpoint_store(&probe_dir, &probe_vfs);
-    probe_vfs.clear_op_log();
-    probe.checkpoint().unwrap();
+fn node_file_failure_leaves_wal_untruncated() {
+    // Locate the first node-file write among the write-class operations a
+    // checkpoint issues.
     const WRITE_OPS: [&str; 5] = ["create", "append", "set_len", "remove", "set_permissions"];
-    let blob_put_at = probe_vfs
-        .op_log()
+    let put_at = checkpoint_ops("node-file-probe")
         .iter()
         .filter(|op| WRITE_OPS.iter().any(|w| op.starts_with(w)))
-        .position(|op| op.contains(".blob.tmp"))
-        .expect("checkpoint must mirror blobs") as u64;
-    drop(probe);
-    let _ = std::fs::remove_dir_all(&probe_dir);
+        .position(|op| on_node_file(op))
+        .expect("checkpoint must write node files") as u64;
 
-    let dir = tmpdir("mirror-keeps-wal");
+    let dir = tmpdir("node-file-keeps-wal");
     let vfs = FaultVfs::new();
     let mut ham = build_checkpoint_store(&dir, &vfs);
     let before = fingerprint(&ham);
     let wal_len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
     assert!(wal_len > 8, "expected committed records in the WAL");
 
-    vfs.arm(FaultKind::FailWrite, blob_put_at);
+    vfs.arm(FaultKind::FailWrite, put_at);
     let err = ham.checkpoint().unwrap_err();
     assert!(err.to_string().contains("injected fault"), "{err}");
     let log = vfs.op_log();
     assert!(
-        log.last().unwrap().contains(".blob.tmp"),
-        "fault was meant to hit the blob mirror, hit {:?}",
+        log.iter()
+            .rev()
+            .any(|op| op.starts_with("create") && on_node_file(op)),
+        "fault was meant to hit a node file, hit {:?}",
         log.last()
     );
     drop(ham);
@@ -785,52 +812,41 @@ fn blob_mirror_failure_leaves_wal_untruncated() {
     assert_eq!(
         std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(),
         wal_len,
-        "a failed blob mirror must leave the WAL untruncated"
+        "a failed node file must leave the WAL untruncated"
     );
-    // And the failure is recoverable: reopen, retry, verify. The failed
-    // attempt had already renamed its snapshot, so the retry cannot trust
-    // the snapshot's time as a watermark and mirrors from scratch.
+    // And the failure is recoverable: reopen, retry, verify.
     let (mut ham, _, _) = Ham::open_existing(&dir).unwrap();
     assert_eq!(fingerprint(&ham), before);
     ham.checkpoint().unwrap();
-    assert_mirrored(&ham, true, "retried checkpoint");
+    assert_node_files(&ham, true, "retried checkpoint");
     drop(ham);
     assert_clean(&dir, "retried checkpoint");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Fixture: a store whose previous checkpoint died mid-mirror — new
-/// snapshot durable, some blobs rewritten and some not, none of the renames
-/// durable, log untruncated. This is also what a crash of the pre-watermark
-/// binary leaves. The snapshot's time says nothing about `nodes/` here;
-/// the folded records still in the log give the state away, and the next
-/// checkpoint re-mirrors every node once, then goes back to incremental.
+/// A checkpoint cut by a power loss between two node files: the first
+/// file's data was synced but its directory entry never was, and the old
+/// snapshot is the durable one. The reopened store is the committed one,
+/// and its next checkpoint writes exactly the heads that snapshot does not
+/// name — then goes back to doing nothing when idle.
 #[test]
-fn store_whose_checkpoint_died_mid_mirror_is_re_mirrored_in_full() {
-    // Dry run to locate the second blob put of the checkpoint.
-    let probe_dir = tmpdir("mid-mirror-probe");
-    let probe_vfs = FaultVfs::new();
-    let mut probe = build_checkpoint_store(&probe_dir, &probe_vfs);
-    probe_vfs.clear_op_log();
-    probe.checkpoint().unwrap();
-    let second_put_at = probe_vfs
-        .op_log()
+fn a_checkpoint_cut_between_node_files_writes_what_its_snapshot_lacks() {
+    let ops = checkpoint_ops("cut-between-probe");
+    let second_put_at = ops
         .iter()
         .enumerate()
-        .filter(|(_, op)| op.starts_with("create") && op.ends_with(".blob.tmp"))
+        .filter(|(_, op)| op.starts_with("create") && on_node_file(op))
         .nth(1)
-        .expect("the checkpoint mirrors two nodes")
+        .expect("the checkpoint writes two node files")
         .0 as u64;
-    drop(probe);
-    let _ = std::fs::remove_dir_all(&probe_dir);
 
-    let dir = tmpdir("mid-mirror");
+    let dir = tmpdir("cut-between");
     let vfs = FaultVfs::new();
     let mut ham = build_checkpoint_store(&dir, &vfs);
     let before = fingerprint(&ham);
+    let (a, d) = (1, 4); // edited, and born after the first fold
     vfs.arm(FaultKind::PowerCut, second_put_at);
     ham.checkpoint().unwrap_err();
-    assert!(vfs.op_log().last().unwrap().ends_with(".blob.tmp"));
     drop(ham);
     vfs.materialize_durable(&dir).unwrap();
 
@@ -840,22 +856,157 @@ fn store_whose_checkpoint_died_mid_mirror_is_re_mirrored_in_full() {
     assert_eq!(fingerprint(&ham), before);
     vfs.clear_op_log();
     ham.checkpoint().unwrap();
-    let puts = vfs
+    let mut created: Vec<u64> = vfs
         .op_log()
         .iter()
-        .filter(|op| op.starts_with("rename") && op.ends_with(".blob"))
-        .count();
+        .filter(|op| op.starts_with("create") && on_node_file(op))
+        .filter_map(|op| NodeFiles::parse_name(op.split_once(' ').unwrap().1))
+        .map(|(id, _)| id)
+        .collect();
+    created.sort_unstable();
     assert_eq!(
-        puts,
-        live_nodes(&ham).len(),
-        "every live node is re-mirrored, not only those past the snapshot's time"
+        created,
+        vec![a, d],
+        "only the heads the durable snapshot lacks"
     );
-    assert_mirrored(&ham, true, "after the full re-mirror");
+    assert_node_files(&ham, true, "after the retried checkpoint");
     vfs.clear_op_log();
     ham.checkpoint().unwrap();
     assert_eq!(vfs.op_log(), Vec::<String>::new(), "incremental again");
     drop(ham);
-    assert_clean(&dir, "re-mirrored store");
+    assert_clean(&dir, "store after the cut checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A power cut at every I/O step of a node-file checkpoint: from both crash
+/// images the store reopens equal, its open leaves `nodes/` holding exactly
+/// the files the surviving snapshot names, and those hold what the machine
+/// loaded. A checkpoint that synced `nodes/` only after its snapshot rename
+/// fails here: a cut between the two leaves a durable snapshot naming files
+/// whose directory entries are not.
+#[test]
+fn a_power_cut_at_every_node_file_checkpoint_step_leaves_exactly_the_named_files() {
+    let steps = checkpoint_ops("power-cut-probe").len() as u64;
+    for at in 0..steps {
+        let dir = tmpdir(&format!("node-file-cut-{at}"));
+        let vfs = FaultVfs::new();
+        let mut ham = build_checkpoint_store(&dir, &vfs);
+        let before = fingerprint(&ham);
+        vfs.arm(FaultKind::PowerCut, at);
+        // A cut among the last step's unlinks finds the checkpoint complete.
+        let _ = ham.checkpoint();
+        assert_eq!(vfs.injected(), 1, "power cut at {at}");
+        drop(ham);
+        for image in ["working tree", "durable image"] {
+            if image == "durable image" {
+                vfs.materialize_durable(&dir).unwrap();
+            }
+            let what = format!("power cut at {at}, {image}");
+            let (ham, _, _) = Ham::open_existing(&dir)
+                .unwrap_or_else(|e| panic!("{what}: failed to reopen: {e}"));
+            assert_eq!(fingerprint(&ham), before, "{what}");
+            let named: BTreeSet<(u64, u64)> =
+                ham.durable_node_files().map(|(n, t)| (n.0, t.0)).collect();
+            let on_disk: BTreeSet<(u64, u64)> =
+                files_on_disk(&dir, false, &what).into_keys().collect();
+            assert_eq!(on_disk, named, "{what}: open left unnamed files");
+            let findings = neptune_check::verify_open_ham(&ham);
+            assert!(findings.is_empty(), "{what}: {findings:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A failed node-file fsync fails the checkpoint before any snapshot names
+/// the file, which is removed; the WAL stays whole, a retry writes the file
+/// again, and both crash images reopen to the committed store.
+#[test]
+fn a_failed_node_file_fsync_fails_the_checkpoint_and_a_retry_writes_it() {
+    let dir = tmpdir("node-file-fsync");
+    let vfs = FaultVfs::new();
+    let mut ham = build_checkpoint_store(&dir, &vfs);
+    let before = fingerprint(&ham);
+    let wal_len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+    vfs.clear_op_log();
+    vfs.arm(FaultKind::FailSync, 0); // the first node file's fsync
+    let err = ham.checkpoint().unwrap_err();
+    assert!(err.to_string().contains("fail_sync"), "{err}");
+    let log = vfs.op_log();
+    let failed = log.iter().rposition(|op| op.starts_with("sync ")).unwrap();
+    assert!(on_node_file(&log[failed]), "the fault hit {}", log[failed]);
+    let name = log[failed].split_once(' ').unwrap().1;
+    assert!(
+        !dir.join(NODES_DIR).join(name).exists(),
+        "the failed file stayed"
+    );
+    assert!(
+        !log.iter().any(|op| op.contains("graph.tmp")),
+        "a snapshot was written"
+    );
+    assert_eq!(
+        std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(),
+        wal_len
+    );
+
+    ham.checkpoint().unwrap();
+    assert_node_files(&ham, true, "after the retry");
+    drop(ham);
+    let (ham, _, _) = Ham::open_existing(&dir).unwrap();
+    assert_eq!(fingerprint(&ham), before, "working tree");
+    drop(ham);
+    vfs.power_off();
+    vfs.materialize_durable(&dir).unwrap();
+    assert_clean(&dir, "durable image after a failed node-file fsync");
+    let (ham, _, _) = Ham::open_existing(&dir).unwrap();
+    assert_eq!(fingerprint(&ham), before, "durable image");
+    drop(ham);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A node-file append torn by a short write fails the checkpoint and
+/// leaves no file; a torn file a crash leaves behind instead is never
+/// named by a snapshot, and open sweeps it.
+#[test]
+fn a_torn_node_file_append_never_reaches_a_snapshot() {
+    let dir = tmpdir("node-file-torn");
+    let vfs = FaultVfs::new();
+    let mut ham = build_checkpoint_store(&dir, &vfs);
+    let before = fingerprint(&ham);
+    vfs.clear_op_log();
+    vfs.arm(FaultKind::ShortWrite, 0); // the first node file's append
+    let err = ham.checkpoint().unwrap_err();
+    assert!(err.to_string().contains("short_write"), "{err}");
+    let log = vfs.op_log();
+    let torn = log.iter().rposition(|op| op.starts_with("append")).unwrap();
+    assert!(on_node_file(&log[torn]), "the fault hit {}", log[torn]);
+    let name = log[torn].split_once(' ').unwrap().1.to_owned();
+    assert!(
+        !dir.join(NODES_DIR).join(&name).exists(),
+        "the torn file stayed"
+    );
+    drop(ham);
+
+    // As if the process died before removing it: plant the torn prefix.
+    let (id, head) = NodeFiles::parse_name(&name).unwrap();
+    let mut whole = neptune_storage::snapshot::frame(
+        neptune_storage::snapshot::NODE_FILE_MAGIC,
+        b"the contents of a node file",
+    );
+    whole.truncate(whole.len() / 2);
+    std::fs::write(dir.join(NODES_DIR).join(&name), whole).unwrap();
+    let (mut ham, _, _) = Ham::open_existing(&dir).unwrap();
+    assert_eq!(fingerprint(&ham), before);
+    assert!(
+        !dir.join(NODES_DIR).join(&name).exists(),
+        "open kept the torn file"
+    );
+    assert!(ham
+        .durable_node_files()
+        .all(|(n, t)| (n.0, t.0) != (id, head)));
+    ham.checkpoint().unwrap();
+    assert_node_files(&ham, true, "after the torn append");
+    drop(ham);
+    assert_clean(&dir, "store after a torn node-file append");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -921,9 +1072,16 @@ fn swallowed_snapshot_dir_fsync_would_lose_commits() {
     let mut ham = build_checkpoint_store(&dir, &vfs);
     let before = fingerprint(&ham);
 
-    // Sync-class ops in a checkpoint: 0 = snapshot tmp file, 1 = graph
-    // directory (the rename's durability point).
-    vfs.arm(FaultKind::FailSync, 1);
+    // Sync-class ops in a checkpoint: each node file, `nodes/`, the
+    // snapshot tmp file, then the graph directory (the rename's durability
+    // point), located in a dry run.
+    let ops = checkpoint_ops("dirsync-loss-probe");
+    let renamed = ops.iter().position(|op| op == "rename graph.snap").unwrap();
+    let dir_sync_at = ops[..renamed]
+        .iter()
+        .filter(|op| op.starts_with("sync"))
+        .count() as u64;
+    vfs.arm(FaultKind::FailSync, dir_sync_at);
     let err = ham.checkpoint().unwrap_err();
     assert!(err.to_string().contains("fail_sync"), "{err}");
     assert!(

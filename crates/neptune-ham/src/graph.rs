@@ -18,7 +18,7 @@ use crate::demons::{DemonSpec, DemonTable, Event};
 use crate::error::{HamError, Result};
 use crate::history::{TemporalIndex, Versioned};
 use crate::link::Link;
-use crate::node::Node;
+use crate::node::{no_node_files, Node, NodeFileLoader};
 use crate::pmap::Pam;
 use crate::types::{AttributeIndex, LinkIndex, LinkPt, NodeIndex, ProjectId, Time, Version};
 use crate::value::Value;
@@ -671,8 +671,10 @@ fn observe_temporal_pruned(pruned: usize) {
         .add(pruned as u64);
 }
 
-impl Encode for HamGraph {
-    fn encode(&self, w: &mut Writer) {
+impl HamGraph {
+    /// Encode the graph; with `node_files`, every node's contents as a
+    /// reference to its node file (a snapshot's MAIN) rather than inline.
+    pub(crate) fn encode_with(&self, w: &mut Writer, node_files: bool) {
         self.project_id.encode(w);
         self.created.encode(w);
         w.put_u64(self.clock);
@@ -682,7 +684,7 @@ impl Encode for HamGraph {
         node_ids.sort_by_key(|n| n.id);
         w.put_u64(node_ids.len() as u64);
         for n in node_ids {
-            n.encode(w);
+            n.encode_with(w, node_files);
         }
         let mut link_ids: Vec<&Link> = self.links.values().collect();
         link_ids.sort_by_key(|l| l.id);
@@ -694,10 +696,13 @@ impl Encode for HamGraph {
         self.graph_demons.encode(w);
         encode_seq(&self.graph_versions, w);
     }
-}
 
-impl Decode for HamGraph {
-    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+    /// Decode a graph, loading the contents its nodes name by file through
+    /// `load`.
+    pub(crate) fn decode_with(
+        r: &mut Reader<'_>,
+        load: &mut NodeFileLoader<'_>,
+    ) -> StorageResult<Self> {
         let project_id = ProjectId::decode(r)?;
         let created = Time::decode(r)?;
         let clock = r.get_u64()?;
@@ -706,7 +711,7 @@ impl Decode for HamGraph {
         let node_count = r.get_u64()? as usize;
         let mut nodes = Pam::new();
         for _ in 0..node_count {
-            let n = Node::decode(r)?;
+            let n = Node::decode_with(r, load)?;
             nodes.insert(n.id.0, n);
         }
         let link_count = r.get_u64()? as usize;
@@ -732,6 +737,18 @@ impl Decode for HamGraph {
         graph.rebuild_value_index();
         graph.rebuild_temporal_index();
         Ok(graph)
+    }
+}
+
+impl Encode for HamGraph {
+    fn encode(&self, w: &mut Writer) {
+        self.encode_with(w, false);
+    }
+}
+
+impl Decode for HamGraph {
+    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+        Self::decode_with(r, &mut no_node_files)
     }
 }
 

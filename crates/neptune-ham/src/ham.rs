@@ -13,12 +13,12 @@
 //! a graph loads the snapshot and replays committed transactions, giving
 //! the paper's "complete recovery" from both aborts and crashes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::{Arc, OnceLock};
 
-use neptune_storage::blobstore::BlobStore;
+use neptune_storage::blobstore::NodeFiles;
 use neptune_storage::codec::{Decode, Encode, Reader, Writer};
 use neptune_storage::diff::Difference;
 use neptune_storage::snapshot::{read_snapshot_with, write_snapshot_with};
@@ -29,6 +29,7 @@ use crate::context::{merge_context, ConflictPolicy, MergeReport};
 use crate::demons::{DemonAction, DemonFireInfo, DemonRegistry, DemonSpec, Event, FireRecord};
 use crate::error::{HamError, Result};
 use crate::graph::{HamGraph, Stamp};
+use crate::node::{NodeContents, NodeFileLoader};
 use crate::predicate::Predicate;
 use crate::query::SubGraph;
 use crate::shard::ForkRefs;
@@ -84,7 +85,7 @@ pub const META_FILE: &str = "graph.meta";
 pub const SNAPSHOT_FILE: &str = "graph.snap";
 /// Name of the write-ahead log file inside a graph directory.
 pub const WAL_FILE: &str = "wal.log";
-/// Name of the node-contents blob directory inside a graph directory.
+/// Name of the directory of MAIN's node files inside a graph directory.
 pub const NODES_DIR: &str = "nodes";
 
 /// The Hypertext Abstract Machine: a single opened Neptune database.
@@ -99,7 +100,19 @@ pub struct Ham {
     project_id: ProjectId,
     protections: Protections,
     wal: Wal,
-    blobs: BlobStore,
+    node_files: NodeFiles,
+    /// The node files known durable in `nodes/`, by `(node, head time)`:
+    /// those the snapshot names, and those a checkpoint wrote and synced
+    /// since. A checkpoint writes a file only for a MAIN node whose head
+    /// is not here, and unlinks those its new snapshot no longer names.
+    durable_files: BTreeSet<(NodeIndex, Time)>,
+    /// MAIN nodes whose file a committed `changeNodeProtection` could not
+    /// chmod: the next checkpoint applies the node's protections again.
+    stale_modes: BTreeSet<NodeIndex>,
+    /// Whether the durable snapshot is not one this build's checkpoint
+    /// would write (none yet, or an older build's that inlines MAIN's
+    /// contents): the next checkpoint runs even with nothing to fold.
+    snapshot_stale: bool,
     threads: Threads,
     next_context: u64,
     txn: Option<ActiveTxn>,
@@ -137,12 +150,6 @@ pub struct Ham {
     /// unsharded store. Consulted by the fork-topology invariant rules: a
     /// context adopted from another shard legitimately has no local parent.
     shard: (u32, u32),
-    /// The blob-mirror watermark: MAIN's newest time when `nodes/` last became a
-    /// complete, durable mirror of MAIN. A checkpoint rewrites only nodes
-    /// with a version or existence change past it — the version times the
-    /// graph already keeps are the dirty bits. `Time(0)` means "mirror
-    /// state unknown": the next checkpoint re-mirrors every node.
-    mirrored_through: Time,
     /// Which shards' logs still fork from which by reference; shared by
     /// every shard of a [`crate::shard::ShardedHam`]. A checkpoint refuses
     /// while other shards hold references into this one, and releases this
@@ -193,7 +200,7 @@ impl Ham {
         let mut threads = HashMap::new();
         threads.insert(MAIN_CONTEXT, GraphThread::shared(graph, None));
         let wal = Wal::open_with(vfs.as_ref(), directory.join(WAL_FILE))?;
-        let blobs = BlobStore::open_with(Arc::clone(&vfs), directory.join(NODES_DIR), protections)?;
+        let node_files = NodeFiles::open_with(Arc::clone(&vfs), directory.join(NODES_DIR))?;
         let view = CommittedView::new(1, 0, (0, 1), &threads, directory.clone());
         let mut ham = Ham {
             directory,
@@ -201,7 +208,10 @@ impl Ham {
             project_id,
             protections,
             wal,
-            blobs,
+            node_files,
+            durable_files: BTreeSet::new(),
+            stale_modes: BTreeSet::new(),
+            snapshot_stale: true,
             threads,
             next_context: 1,
             txn: None,
@@ -217,7 +227,6 @@ impl Ham {
             clock: Arc::new(AtomicU64::new(created.0)),
             forced_seq: None,
             shard: (0, 1),
-            mirrored_through: Time(0),
             fork_refs: Arc::new(ForkRefs::new(1)),
         };
         ham.write_meta()?;
@@ -291,9 +300,12 @@ impl Ham {
     }
 
     /// The first half of opening a graph: the machine as its snapshot
-    /// holds it, and the committed transactions its log holds past the
-    /// snapshot, in log order, not yet replayed. [`Ham::replay_txn`] each
-    /// of them, then [`Ham::finish_open`].
+    /// holds it, MAIN's contents loaded from the node files it names, and
+    /// the committed transactions its log holds past the snapshot, in log
+    /// order, not yet replayed. [`Ham::replay_txn`] each of them, then
+    /// [`Ham::finish_open`]. Every file in `nodes/` the snapshot does not
+    /// name — written by a checkpoint that never finished, or the `.blob`
+    /// mirror of an older build — is removed.
     pub(crate) fn load_with(
         vfs: Arc<dyn Vfs>,
         project_id: ProjectId,
@@ -309,26 +321,26 @@ impl Ham {
             });
         }
         let snapshot_bytes = read_snapshot_with(vfs.as_ref(), directory.join(SNAPSHOT_FILE))?;
-        let state = decode_store_state(&snapshot_bytes)?;
+        let node_files = NodeFiles::open_with(Arc::clone(&vfs), directory.join(NODES_DIR))?;
+        let mut named = BTreeSet::new();
+        let state = decode_store_state(&snapshot_bytes, &mut |node, head| {
+            named.insert((node, head));
+            NodeContents::load(&node_files, node, head)
+        })?;
+        node_files.retain(|id, time| named.contains(&(NodeIndex(id), Time(time))))?;
+        // A snapshot that inlines any of MAIN's contents is an older
+        // build's: the next checkpoint moves them to node files.
+        let inline_main = state
+            .threads
+            .get(&MAIN_CONTEXT)
+            .is_some_and(|main| main.graph.nodes().count() != named.len());
         let mut wal = Wal::open_with(vfs.as_ref(), directory.join(WAL_FILE))?;
         // Skip WAL records already folded into the snapshot: if a crash hit
         // after the snapshot rename became durable but before the log
         // truncation did, replaying the whole log would apply every folded
         // transaction a second time.
-        let recovery = wal.recover_committed_after(state.boundary_lsn)?;
+        let committed = wal.recover_committed_after(state.boundary_lsn)?;
         wal.reserve_lsns_through(state.boundary_lsn);
-        // The mirror completed at the snapshot's MAIN time; replay
-        // re-dirties exactly what postdates it. Two exceptions start from
-        // "unknown" instead. Folded records still in the log mean a
-        // checkpoint died after its snapshot rename and before truncating —
-        // the one window in which the mirror can lag the snapshot. And a
-        // legacy-format snapshot must be rewritten, which an unmoved clock
-        // would otherwise let the next checkpoint skip.
-        let mirrored_through = match state.threads.get(&MAIN_CONTEXT) {
-            Some(main) if !recovery.skipped_folded && state.current_format => main.graph.now(),
-            _ => Time(0),
-        };
-        let blobs = BlobStore::open_with(Arc::clone(&vfs), directory.join(NODES_DIR), protections)?;
         let view = CommittedView::new(1, state.last_seq, (0, 1), &state.threads, directory.clone());
         let ham = Ham {
             directory,
@@ -336,7 +348,10 @@ impl Ham {
             project_id,
             protections,
             wal,
-            blobs,
+            node_files,
+            durable_files: named,
+            stale_modes: BTreeSet::new(),
+            snapshot_stale: !state.current_format || inline_main,
             threads: state.threads,
             next_context: meta_next_context.max(state.next_context),
             txn: None,
@@ -352,10 +367,9 @@ impl Ham {
             clock: Arc::default(),
             forced_seq: None,
             shard: (0, 1),
-            mirrored_through,
             fork_refs: Arc::new(ForkRefs::new(1)),
         };
-        Ok((ham, recovery.committed))
+        Ok((ham, committed))
     }
 
     /// [`Ham::load_with`] without knowing the `ProjectId`.
@@ -1153,7 +1167,7 @@ impl Ham {
                 protections,
             } = op
             {
-                self.mirror_protection(*node, *protections);
+                self.chmod_node_files(*node, *protections);
             }
         }
         // The commit is durable; hand the new state to lock-free readers.
@@ -1162,16 +1176,25 @@ impl Ham {
     }
 
     /// Carry a committed `changeNodeProtection` on a MAIN node through to
-    /// the file storing its contents — protections carry no version time,
-    /// so the watermark cannot see them. Runs only once the change is
-    /// durable (live commit, or WAL replay), so an abort or a crash before
-    /// the commit leaves the file alone. A node without a blob was created
-    /// past the watermark and gets its mode with its first put. A failed
-    /// chmod cannot fail a commit that is already durable; it resets the
-    /// watermark so the next checkpoint repairs the mirror.
-    fn mirror_protection(&mut self, node: NodeIndex, protections: Protections) {
-        if self.blobs.contains(node.0) && self.blobs.set_protections(node.0, protections).is_err() {
-            self.mirrored_through = Time(0);
+    /// the files storing its contents — protections carry no version time,
+    /// so no new head, and no new file, records them. Runs only once the
+    /// change is durable (live commit, or WAL replay), so an abort or a
+    /// crash before the commit leaves the files alone. A node with no file
+    /// yet gets its mode when the checkpoint writes one. A failed chmod
+    /// cannot fail a commit that is already durable; the next checkpoint
+    /// applies the protections again.
+    fn chmod_node_files(&mut self, node: NodeIndex, protections: Protections) {
+        let files = self
+            .durable_files
+            .range((node, Time(0))..=(node, Time(u64::MAX)));
+        for &(_, head) in files {
+            if self
+                .node_files
+                .set_protections(node.0, head.0, protections)
+                .is_err()
+            {
+                self.stale_modes.insert(node);
+            }
         }
     }
 
@@ -1241,16 +1264,20 @@ impl Ham {
     }
 
     /// Fold the WAL into an atomic snapshot: after this, recovery starts
-    /// from the snapshot instead of replaying history. Also brings the
-    /// per-node files up to date: each main-context node that changed since
-    /// the last completed checkpoint has its current contents written to
-    /// its file with the node's protections (the paper's file-per-node
-    /// storage model). A machine with nothing to fold and nothing to mirror
-    /// returns without touching the disk.
+    /// from the snapshot instead of replaying history. MAIN's node contents
+    /// live in per-node files (the paper's file-per-node storage model),
+    /// each named by its node and head time; the snapshot holds the
+    /// structure and names those files. A checkpoint writes a file only for
+    /// a MAIN node whose head has none yet — what changed since the last
+    /// one — and a machine with nothing to fold returns without touching
+    /// the disk.
     ///
-    /// Ordering is the durability contract (DESIGN.md §12): every side
-    /// effect — the snapshot, the blob mirror, and their fsyncs — completes
-    /// *before* [`Wal::checkpoint`] truncates the log. An error before the
+    /// Ordering is the durability contract (DESIGN.md §12): (1) the new
+    /// node files, each synced and given the node's protections; (2) one
+    /// fsync of `nodes/`; (3) the snapshot naming them; (4) the WAL
+    /// truncation; (5) unlinking the files the new snapshot no longer
+    /// names. A file is durable before any snapshot names it, and stays
+    /// until a durable snapshot has stopped naming it. An error before the
     /// truncation is recoverable (the old snapshot + full log still
     /// describe the complete state); the truncation itself is the point of
     /// no return. The snapshot embeds the LSN boundary it folded, so a
@@ -1268,11 +1295,10 @@ impl Ham {
                 reason: "cannot checkpoint inside a transaction",
             });
         }
-        // Every record is folded and MAIN's newest time has not passed the
-        // watermark, so no node version can postdate the mirror either:
-        // snapshot, blobs and log already say what a checkpoint would write.
-        if self.wal.is_folded() && self.threads[&MAIN_CONTEXT].graph.now() <= self.mirrored_through
-        {
+        // Every record is folded into a snapshot of today's format: the
+        // snapshot, the node files and the log already say what a
+        // checkpoint would write.
+        if self.wal.is_folded() && !self.snapshot_stale {
             count("neptune_ham_checkpoint_skipped_total", 1);
             return Ok(());
         }
@@ -1280,16 +1306,12 @@ impl Ham {
         if holders != 0 {
             return Err(HamError::UnfoldedForkRefs { holders });
         }
-        match self.checkpoint_side_effects() {
-            Ok(through) => self.mirrored_through = through,
-            Err(e) => {
-                // Recoverable: the WAL is untouched, so reopening replays
-                // the full log over whichever snapshot generation survived,
-                // and the watermark has not moved, so a retry re-mirrors
-                // whatever this attempt did not finish.
-                count("neptune_ham_checkpoint_failures_total", 1);
-                return Err(e);
-            }
+        if let Err(e) = self.checkpoint_side_effects() {
+            // Recoverable: the WAL is untouched, so reopening replays the
+            // full log over whichever snapshot generation survived, and a
+            // retry writes whatever node files this attempt did not finish.
+            count("neptune_ham_checkpoint_failures_total", 1);
+            return Err(e);
         }
         if let Err(e) = self.wal.checkpoint() {
             // The WAL poisons itself; the durable state stays consistent
@@ -1298,18 +1320,42 @@ impl Ham {
             count("neptune_ham_checkpoint_failures_total", 1);
             return Err(e.into());
         }
+        self.snapshot_stale = false;
         // The log is folded: no fork reference it held is needed any more.
         self.fork_refs.release(self.shard.0 as usize);
+        self.unlink_unnamed_files();
         #[cfg(feature = "strict-invariants")]
         self.assert_strict_invariants("checkpoint");
         Ok(())
     }
 
     /// Everything a checkpoint must make durable before the WAL truncates:
-    /// the snapshot (which carries the fold boundary) and the per-node blob
-    /// mirror of every node past the watermark, ending with one directory
-    /// fsync over the blobs. Returns the watermark the mirror now reaches.
-    fn checkpoint_side_effects(&self) -> Result<Time> {
+    /// a node file for every MAIN head that has none, one fsync of `nodes/`
+    /// over them, then the snapshot (which names them and carries the fold
+    /// boundary).
+    fn checkpoint_side_effects(&mut self) -> Result<()> {
+        let (mut written, mut skipped, mut node_bytes) = (0u64, 0u64, 0u64);
+        if let Some(main) = self.threads.get(&MAIN_CONTEXT) {
+            for node in main.graph.nodes() {
+                let key = (node.id, node.current_time());
+                if !self.durable_files.contains(&key) {
+                    let payload = node.contents().to_file_bytes();
+                    node_bytes +=
+                        self.node_files
+                            .put(node.id.0, key.1 .0, &payload, node.protections)?;
+                    self.durable_files.insert(key);
+                    written += 1;
+                } else if self.stale_modes.contains(&node.id) {
+                    self.node_files
+                        .set_protections(node.id.0, key.1 .0, node.protections)?;
+                    skipped += 1;
+                } else {
+                    skipped += 1;
+                }
+                self.stale_modes.remove(&node.id);
+            }
+        }
+        self.node_files.sync_root()?;
         // Highest LSN currently in the log: all of it is folded into this
         // snapshot, so recovery must skip records at or below it.
         let boundary_lsn = self.wal.next_lsn() - 1;
@@ -1325,30 +1371,30 @@ impl Ham {
             self.directory.join(SNAPSHOT_FILE),
             &bytes,
         )?;
-        // Mirror current node contents to per-node files.
-        let main = &self.threads[&MAIN_CONTEXT].graph;
-        let through = main.now();
-        let past = |t: Time| t > self.mirrored_through;
-        let (mut written, mut skipped, mut out_bytes) = (0u64, 0u64, bytes.len() as u64);
-        for node in main.nodes() {
-            let alive = node.exists_at(Time::CURRENT);
-            if !past(node.current_time()) && !node.alive.last_change_time().is_some_and(past) {
-                skipped += u64::from(alive);
-            } else if alive {
-                let contents = node.contents_at(Time::CURRENT)?;
-                self.blobs.put(node.id.0, &contents)?;
-                self.blobs.set_protections(node.id.0, node.protections)?;
-                written += 1;
-                out_bytes += contents.len() as u64;
-            } else if self.blobs.contains(node.id.0) {
-                self.blobs.delete(node.id.0)?;
-            }
-        }
-        self.blobs.sync_root()?;
-        count("neptune_ham_checkpoint_blobs_written_total", written);
-        count("neptune_ham_checkpoint_blobs_skipped_total", skipped);
-        count("neptune_ham_checkpoint_bytes_total", out_bytes);
-        Ok(through)
+        count("neptune_ham_checkpoint_node_files_written_total", written);
+        count("neptune_ham_checkpoint_node_files_skipped_total", skipped);
+        count_checkpoint_bytes("snapshot", bytes.len() as u64);
+        count_checkpoint_bytes("nodes", node_bytes);
+        Ok(())
+    }
+
+    /// The last step of a checkpoint, once its snapshot is durable and the
+    /// log folded: unlink every node file that snapshot no longer names (a
+    /// node's older heads). The checkpoint is already complete, so a file
+    /// that will not go stays known and is retried by the next one; a crash
+    /// first leaves it to the next open's sweep.
+    fn unlink_unnamed_files(&mut self) {
+        let Some(main) = self.threads.get(&MAIN_CONTEXT) else {
+            return;
+        };
+        let node_files = &self.node_files;
+        self.durable_files.retain(|&(node, head)| {
+            let named = main
+                .graph
+                .node(node)
+                .is_ok_and(|n| n.current_time() == head);
+            named || node_files.remove(node.0, head.0).is_err()
+        });
     }
 
     // =====================================================================
@@ -1663,6 +1709,13 @@ impl Ham {
     /// The graph directory.
     pub fn directory(&self) -> &Path {
         &self.directory
+    }
+
+    /// The node files this machine knows durable in `nodes/`, as `(node,
+    /// head time)`, ascending: every file its snapshot names, and any a
+    /// checkpoint wrote and synced since.
+    pub fn durable_node_files(&self) -> impl Iterator<Item = (NodeIndex, Time)> + '_ {
+        self.durable_files.iter().copied()
     }
 
     /// Read-only access to a context's graph (for tools, browsers, tests).
@@ -2042,7 +2095,7 @@ impl Ham {
             } => {
                 self.graph_mut(context)?.node_mut(node)?.protections = protections;
                 if context == MAIN_CONTEXT {
-                    self.mirror_protection(node, protections);
+                    self.chmod_node_files(node, protections);
                 }
             }
             RedoOp::CreateContext { id, from, time } => {
@@ -2147,6 +2200,20 @@ pub(crate) fn count(key: &str, n: u64) {
     }
 }
 
+/// Count bytes a checkpoint wrote to one part of the store: the
+/// `snapshot`, or the `nodes` files.
+fn count_checkpoint_bytes(part: &str, n: u64) {
+    if neptune_obs::enabled() {
+        neptune_obs::registry()
+            .counter(&neptune_obs::labeled(
+                "neptune_ham_checkpoint_bytes_total",
+                "part",
+                part,
+            ))
+            .add(n);
+    }
+}
+
 /// Count a cross-shard fork's record by kind: a reference, or the
 /// parent's whole graph.
 fn count_fork_record(by_reference: bool) {
@@ -2242,12 +2309,15 @@ fn encode_store_state(
         let t = &threads[&id];
         id.encode(&mut w);
         t.forked_from.encode(&mut w);
-        t.graph.encode(&mut w);
+        // MAIN's contents live in its node files; other contexts inline.
+        t.graph.encode_with(&mut w, id == MAIN_CONTEXT);
     }
     w.into_bytes()
 }
 
-fn decode_store_state(bytes: &[u8]) -> Result<StoreState> {
+/// Decode a snapshot; `load` reads the contents it names by node file,
+/// which only MAIN's nodes may do.
+fn decode_store_state(bytes: &[u8], load: &mut NodeFileLoader<'_>) -> Result<StoreState> {
     let mut r = Reader::new(bytes);
     let first = r.get_u64()?;
     let current_format = first == STORE_STATE_SENTINEL;
@@ -2278,7 +2348,11 @@ fn decode_store_state(bytes: &[u8]) -> Result<StoreState> {
     for _ in 0..count {
         let id = ContextId::decode(&mut r)?;
         let forked_from = Option::<(ContextId, Time)>::decode(&mut r)?;
-        let graph = HamGraph::decode(&mut r)?;
+        let graph = if id == MAIN_CONTEXT {
+            HamGraph::decode_with(&mut r, load)?
+        } else {
+            HamGraph::decode(&mut r)?
+        };
         threads.insert(id, GraphThread::shared(graph, forked_from));
     }
     Ok(StoreState {
@@ -3009,11 +3083,12 @@ mod tests {
         #[cfg(unix)]
         {
             use std::os::unix::fs::PermissionsExt;
-            let blob = ham
+            let head = ham.get_node_time_stamp(ctx, n).unwrap();
+            let file = ham
                 .directory()
                 .join(NODES_DIR)
-                .join(format!("{:016x}.blob", n.0));
-            let mode = std::fs::metadata(blob).unwrap().permissions().mode() & 0o777;
+                .join(NodeFiles::file_name(n.0, head.0));
+            let mode = std::fs::metadata(file).unwrap().permissions().mode() & 0o777;
             assert_eq!(mode, 0o444);
         }
         assert_eq!(

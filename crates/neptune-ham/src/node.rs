@@ -12,8 +12,9 @@
 use std::sync::Arc;
 
 use neptune_storage::archive::Archive;
+use neptune_storage::blobstore::NodeFiles;
 use neptune_storage::codec::{decode_seq, encode_seq, Decode, Encode, Reader, Writer};
-use neptune_storage::error::Result as StorageResult;
+use neptune_storage::error::{Result as StorageResult, StorageError};
 use neptune_storage::sharedvec::SharedVec;
 
 use crate::attributes::AttrMap;
@@ -183,10 +184,7 @@ impl Node {
 
     /// Version time of the current contents — `getNodeTimeStamp`.
     pub fn current_time(&self) -> Time {
-        match &self.contents {
-            NodeContents::Archive(a) => Time(a.head_time()),
-            NodeContents::File { time, .. } => *time,
-        }
+        self.contents.head_time()
     }
 
     /// The version time of the contents in effect at `time`.
@@ -252,12 +250,18 @@ impl Node {
     }
 }
 
-impl Encode for Node {
+/// Contents tag 3: the snapshot names the node's file
+/// (`nodes/<id>@<head time>`) instead of inlining its contents. Only MAIN's
+/// nodes in a snapshot carry it; WAL records always inline.
+const CONTENTS_IN_FILE: u8 = 3;
+
+/// Where [`Node::decode_with`] finds contents a snapshot names by file:
+/// the node and its head time in, the file's contents out.
+pub type NodeFileLoader<'a> = dyn FnMut(NodeIndex, Time) -> StorageResult<NodeContents> + 'a;
+
+impl NodeContents {
     fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        self.created.encode(w);
-        self.alive.encode(w);
-        match &self.contents {
+        match self {
             NodeContents::Archive(a) => {
                 // Tag 2 is the v2 archive layout: canonical chain plus the
                 // persisted skip ladder, so reopened stores keep sublinear
@@ -272,21 +276,10 @@ impl Encode for Node {
                 time.encode(w);
             }
         }
-        self.attrs.encode(w);
-        self.demons.encode(w);
-        self.protections.encode(w);
-        encode_seq(&self.incident_links, w);
-        self.major_versions.encode(w);
-        self.minor_versions.encode(w);
     }
-}
 
-impl Decode for Node {
-    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
-        let id = NodeIndex::decode(r)?;
-        let created = Time::decode(r)?;
-        let alive = Versioned::<bool>::decode(r)?;
-        let contents = match r.get_u8()? {
+    fn decode_tagged(tag: u8, r: &mut Reader<'_>) -> StorageResult<NodeContents> {
+        Ok(match tag {
             0 => NodeContents::Archive(Archive::decode(r)?),
             1 => NodeContents::File {
                 data: r.get_bytes()?.into(),
@@ -294,11 +287,90 @@ impl Decode for Node {
             },
             2 => NodeContents::Archive(Archive::decode_with_index(r)?),
             tag => {
-                return Err(neptune_storage::StorageError::InvalidTag {
+                return Err(StorageError::InvalidTag {
                     context: "NodeContents",
                     tag: tag as u64,
                 })
             }
+        })
+    }
+
+    /// Version time of the current contents.
+    fn head_time(&self) -> Time {
+        match self {
+            NodeContents::Archive(a) => Time(a.head_time()),
+            NodeContents::File { time, .. } => *time,
+        }
+    }
+
+    /// The payload of a node file: the tagged contents encoding a snapshot
+    /// inlines.
+    pub fn to_file_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// Read and decode `node`'s file for head `head` in `files`, which must
+    /// hold the contents whose head is `head` and nothing more. Every error
+    /// names the node and the head.
+    pub fn load(files: &NodeFiles, node: NodeIndex, head: Time) -> StorageResult<NodeContents> {
+        let payload = files.load(node.0, head.0)?;
+        let decode = || {
+            let mut r = Reader::new(&payload);
+            let contents = Self::decode_tagged(r.get_u8()?, &mut r)?;
+            if r.remaining() != 0 || contents.head_time() != head {
+                return Err(StorageError::BadFileHeader {
+                    context: "node file whose contents are not the head it is named by",
+                });
+            }
+            Ok(contents)
+        };
+        decode().map_err(|source| StorageError::NodeFile {
+            id: node.0,
+            time: head.0,
+            source: Box::new(source),
+        })
+    }
+}
+
+impl Node {
+    /// The node's contents storage.
+    pub fn contents(&self) -> &NodeContents {
+        &self.contents
+    }
+
+    /// Encode the node; with `in_file`, its contents as a reference to its
+    /// node file (tag 3 and the head time) rather than inline.
+    pub(crate) fn encode_with(&self, w: &mut Writer, in_file: bool) {
+        self.id.encode(w);
+        self.created.encode(w);
+        self.alive.encode(w);
+        if in_file {
+            w.put_u8(CONTENTS_IN_FILE);
+            self.current_time().encode(w);
+        } else {
+            self.contents.encode(w);
+        }
+        self.attrs.encode(w);
+        self.demons.encode(w);
+        self.protections.encode(w);
+        encode_seq(&self.incident_links, w);
+        self.major_versions.encode(w);
+        self.minor_versions.encode(w);
+    }
+
+    /// Decode a node, resolving contents held in a node file through `load`.
+    pub(crate) fn decode_with(
+        r: &mut Reader<'_>,
+        load: &mut NodeFileLoader<'_>,
+    ) -> StorageResult<Self> {
+        let id = NodeIndex::decode(r)?;
+        let created = Time::decode(r)?;
+        let alive = Versioned::<bool>::decode(r)?;
+        let contents = match r.get_u8()? {
+            CONTENTS_IN_FILE => load(id, Time::decode(r)?)?,
+            tag => NodeContents::decode_tagged(tag, r)?,
         };
         Ok(Node {
             id,
@@ -312,6 +384,27 @@ impl Decode for Node {
             major_versions: VersionList::decode(r)?,
             minor_versions: VersionList::decode(r)?,
         })
+    }
+}
+
+/// The loader for encodings that never name node files (WAL records): a
+/// tag-3 node is an invalid tag there.
+pub(crate) fn no_node_files(_: NodeIndex, _: Time) -> StorageResult<NodeContents> {
+    Err(StorageError::InvalidTag {
+        context: "NodeContents",
+        tag: CONTENTS_IN_FILE as u64,
+    })
+}
+
+impl Encode for Node {
+    fn encode(&self, w: &mut Writer) {
+        self.encode_with(w, false);
+    }
+}
+
+impl Decode for Node {
+    fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+        Self::decode_with(r, &mut no_node_files)
     }
 }
 

@@ -1,10 +1,11 @@
-//! The checkpoint's blob mirror is incremental: a checkpoint writes the
-//! files of the nodes that changed since the last completed one, and a
+//! MAIN's node files are written incrementally: a checkpoint writes the
+//! file of each node whose head changed since the last completed one, and a
 //! machine with nothing to fold does no I/O at all. Two properties keep
 //! that honest — the *count* of files written is exactly the count of
-//! nodes touched, and after every checkpoint `nodes/` still equals MAIN's
-//! current contents, whatever mix of commits, aborts, failed syncs, forks,
-//! merges and reopens came before.
+//! nodes touched, and after every checkpoint `nodes/` holds exactly one
+//! file per MAIN node, named by its head and holding its archive, whatever
+//! mix of commits, aborts, failed syncs, forks, merges and reopens came
+//! before.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -12,23 +13,25 @@ use std::sync::Arc;
 
 use neptune_ham::context::ConflictPolicy;
 use neptune_ham::ham::NODES_DIR;
+use neptune_ham::node::NodeContents;
 use neptune_ham::shard::shard_dir;
 use neptune_ham::types::{ContextId, NodeIndex, Protections, Time, MAIN_CONTEXT};
 use neptune_ham::{Ham, ShardedHam, Value};
 use neptune_storage::testutil::XorShift;
-use neptune_storage::{FaultKind, FaultVfs};
+use neptune_storage::{FaultKind, FaultVfs, NodeFiles};
 
 fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("neptune-mirror-{name}-{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("neptune-node-files-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-/// `(contents, mode)` per node id.
-type Mirror = BTreeMap<u64, (Vec<u8>, u32)>;
+/// `(contents, mode)` per `(node id, head time)`.
+type Files = BTreeMap<(u64, u64), (NodeContents, u32)>;
 
-/// Permission bits of a blob file (zero where the platform has none, which
-/// is also what [`expected_mirror`] then asks for).
+/// Permission bits of a node file (zero where the platform has none, which
+/// is also what [`expected_files`] then asks for).
 #[cfg(unix)]
 fn file_mode(meta: &std::fs::Metadata) -> u32 {
     use std::os::unix::fs::PermissionsExt;
@@ -39,43 +42,43 @@ fn file_mode(_: &std::fs::Metadata) -> u32 {
     0
 }
 
-/// What `nodes/` must hold: every live MAIN node's current contents under
-/// the node's protections.
-fn expected_mirror(ham: &Ham) -> Mirror {
+/// What `nodes/` must hold: one file per MAIN node, deleted ones too (the
+/// snapshot keeps their history), named by its head and holding its
+/// contents under the node's protections.
+fn expected_files(ham: &Ham) -> Files {
     ham.graph(MAIN_CONTEXT)
         .unwrap()
         .nodes()
-        .filter(|n| n.exists_at(Time::CURRENT))
         .map(|n| {
-            let contents = n.contents_at(Time::CURRENT).unwrap().to_vec();
             let mode = if cfg!(unix) { n.protections.mode } else { 0 };
-            (n.id.0, (contents, mode))
+            let key = (n.id.0, n.current_time().0);
+            (key, (n.contents().clone(), mode))
         })
         .collect()
 }
 
-/// What `nodes/` does hold. Any file that is not a blob — a leftover
-/// `.blob.tmp` above all — fails the test.
-fn actual_mirror(nodes_dir: &Path) -> Mirror {
-    let mut out = Mirror::new();
+/// What `nodes/` does hold. Any file that is not a node file — a `.blob`
+/// of the old mirror above all — fails the test.
+fn actual_files(nodes_dir: &Path) -> Files {
+    let files = NodeFiles::open(nodes_dir).unwrap();
+    let mut out = Files::new();
     for entry in std::fs::read_dir(nodes_dir).unwrap() {
         let entry = entry.unwrap();
         let name = entry.file_name().to_string_lossy().into_owned();
-        let id = name
-            .strip_suffix(".blob")
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        let (id, head) = NodeFiles::parse_name(&name)
             .unwrap_or_else(|| panic!("stray file in {}: {name}", nodes_dir.display()));
+        let contents = NodeContents::load(&files, NodeIndex(id), Time(head)).unwrap();
         let mode = file_mode(&entry.metadata().unwrap());
-        out.insert(id, (std::fs::read(entry.path()).unwrap(), mode));
+        out.insert((id, head), (contents, mode));
     }
     out
 }
 
-fn assert_mirrored(ham: &Ham, what: &str) {
+fn assert_files(ham: &Ham, what: &str) {
     assert_eq!(
-        actual_mirror(&ham.directory().join(NODES_DIR)),
-        expected_mirror(ham),
-        "{what}: nodes/ is not MAIN's current contents"
+        actual_files(&ham.directory().join(NODES_DIR)),
+        expected_files(ham),
+        "{what}: nodes/ is not MAIN's node files"
     );
 }
 
@@ -85,22 +88,28 @@ fn edit(ham: &mut Ham, ctx: ContextId, node: NodeIndex, contents: &[u8]) {
         .unwrap();
 }
 
-/// File ids of the op-log entries `"<op> <id>.blob<suffix>"`.
-fn blob_ops(log: &[String], op: &str, suffix: &str) -> Vec<u64> {
-    log.iter()
+/// Node ids of the op-log entries `"<op> <node file name>"`, sorted.
+fn file_ops(log: &[String], op: &str) -> Vec<u64> {
+    let mut ids: Vec<u64> = log
+        .iter()
         .filter_map(|entry| {
-            let hex = entry
-                .strip_prefix(op)?
-                .strip_prefix(' ')?
-                .strip_suffix(suffix)?
-                .strip_suffix(".blob")?;
-            u64::from_str_radix(hex, 16).ok()
+            let name = entry.strip_prefix(op)?.strip_prefix(' ')?;
+            NodeFiles::parse_name(name).map(|(id, _)| id)
         })
-        .collect()
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Position of the first op-log entry equal to `op`.
+fn position(log: &[String], op: &str) -> usize {
+    log.iter()
+        .position(|entry| entry == op)
+        .unwrap_or_else(|| panic!("no {op:?} in {log:?}"))
 }
 
 #[test]
-fn a_checkpoint_writes_exactly_the_blobs_of_touched_nodes() {
+fn a_checkpoint_writes_exactly_the_node_files_of_touched_nodes() {
     let dir = tmpdir("exact");
     let vfs = FaultVfs::new(); // never armed: its op log is the I/O counter
     let (mut ham, _, _) =
@@ -119,12 +128,16 @@ fn a_checkpoint_writes_exactly_the_blobs_of_touched_nodes() {
         .collect();
     vfs.clear_op_log();
     ham.checkpoint().unwrap();
-    let mut all: Vec<u64> = nodes.iter().map(|n| n.0).collect();
-    all.sort_unstable();
-    let mut first = blob_ops(&vfs.op_log(), "rename", "");
-    first.sort_unstable();
-    assert_eq!(first, all, "the first checkpoint mirrors every node");
-    assert_mirrored(&ham, "full checkpoint");
+    let all: Vec<u64> = nodes.iter().map(|n| n.0).collect();
+    let log = vfs.op_log();
+    assert_eq!(
+        file_ops(&log, "create"),
+        all,
+        "the first checkpoint writes every node"
+    );
+    assert_eq!(file_ops(&log, "sync"), all, "each file is synced");
+    assert_eq!(file_ops(&log, "remove"), Vec::<u64>::new());
+    assert_files(&ham, "full checkpoint");
 
     // Touch k of n: three edits, one delete, one protection change, and a
     // merge that brings one edit and one new node into MAIN.
@@ -143,8 +156,9 @@ fn a_checkpoint_writes_exactly_the_blobs_of_touched_nodes() {
         .merge_context(merged, ConflictPolicy::PreferChild)
         .unwrap();
     let born_in_main = report.nodes_added[0].1;
-    // Changes that must *not* reach a file: an attribute (a minor version)
-    // and an edit in a world that never merges.
+    // Changes that must *not* reach a file: an attribute (a minor version),
+    // a deletion (the history stays) and an edit in a world that never
+    // merges.
     let attr = ham.get_attribute_index(MAIN_CONTEXT, "status").unwrap();
     ham.set_node_attribute_value(MAIN_CONTEXT, nodes[5], attr, Value::Int(1))
         .unwrap();
@@ -152,11 +166,15 @@ fn a_checkpoint_writes_exactly_the_blobs_of_touched_nodes() {
     edit(&mut ham, private, nodes[7], b"never merged\n");
     // Before the checkpoint, commits touch nodes/ only to chmod.
     let log = vfs.op_log();
-    let in_nodes: Vec<&String> = log.iter().filter(|op| op.contains(".blob")).collect();
+    let in_nodes: Vec<&String> = log.iter().filter(|op| op.contains('@')).collect();
+    let head4 = ham.get_node_time_stamp(MAIN_CONTEXT, nodes[4]).unwrap();
     assert_eq!(
         in_nodes,
-        vec![&format!("set_permissions {:016x}.blob", nodes[4].0)],
-        "commits leave the mirror to the checkpoint, except the chmod of \
+        vec![&format!(
+            "set_permissions {}",
+            NodeFiles::file_name(nodes[4].0, head4.0)
+        )],
+        "commits leave node files to the checkpoint, except the chmod of \
          a committed changeNodeProtection"
     );
 
@@ -171,26 +189,47 @@ fn a_checkpoint_writes_exactly_the_blobs_of_touched_nodes() {
         born_in_main.0,
     ];
     touched.sort_unstable();
-    let mut created = blob_ops(&log, "create", ".tmp");
-    let mut renamed = blob_ops(&log, "rename", "");
-    created.sort_unstable();
-    renamed.sort_unstable();
-    assert_eq!(created, touched, "exactly the touched blobs are written");
-    assert_eq!(renamed, touched);
-    assert_eq!(blob_ops(&log, "remove", ""), vec![nodes[3].0]);
+    assert_eq!(
+        file_ops(&log, "create"),
+        touched,
+        "exactly the touched files are written"
+    );
+    assert_eq!(file_ops(&log, "sync"), touched);
+    // The old heads of the edited nodes go, once the new snapshot no
+    // longer names them and the log is folded.
+    assert_eq!(
+        file_ops(&log, "remove"),
+        vec![nodes[0].0, nodes[1].0, nodes[2].0, nodes[6].0]
+    );
     let dir_syncs = log
         .iter()
         .filter(|op| **op == format!("sync_dir {NODES_DIR}"))
         .count();
-    assert_eq!(dir_syncs, 1, "one directory fsync covers the whole mirror");
-    assert_mirrored(&ham, "incremental checkpoint");
+    assert_eq!(dir_syncs, 1, "one directory fsync covers every node file");
+    let synced = position(&log, &format!("sync_dir {NODES_DIR}"));
+    let last_file_sync = log
+        .iter()
+        .rposition(|op| op.starts_with("sync ") && op.contains('@'))
+        .unwrap();
+    assert!(last_file_sync < synced, "files sync before their directory");
+    assert!(
+        synced < position(&log, "create graph.tmp"),
+        "nodes/ syncs before the snapshot"
+    );
+    let folded = position(&log, "set_len wal.log");
+    let first_remove = log.iter().position(|op| op.starts_with("remove")).unwrap();
+    assert!(
+        folded < first_remove,
+        "old heads go only once the log is folded"
+    );
+    assert_files(&ham, "incremental checkpoint");
 
-    // Nothing committed since: nothing to fold, nothing to mirror.
+    // Nothing committed since: nothing to fold, no file to write.
     vfs.clear_op_log();
     ham.checkpoint().unwrap();
     assert_eq!(vfs.op_log(), Vec::<String>::new(), "an idle checkpoint");
 
-    // The watermark is the snapshot's MAIN time, so it survives a reopen.
+    // The snapshot names the files, so what is durable survives a reopen.
     drop(ham);
     let (mut ham, _, _) = Ham::open_existing_with(Arc::new(vfs.clone()), &dir).unwrap();
     vfs.clear_op_log();
@@ -199,21 +238,21 @@ fn a_checkpoint_writes_exactly_the_blobs_of_touched_nodes() {
     edit(&mut ham, MAIN_CONTEXT, nodes[8], b"after the reopen\n");
     vfs.clear_op_log();
     ham.checkpoint().unwrap();
-    assert_eq!(blob_ops(&vfs.op_log(), "rename", ""), vec![nodes[8].0]);
-    assert_mirrored(&ham, "after reopen");
-    // And WAL replay re-dirties what postdates the snapshot.
+    assert_eq!(file_ops(&vfs.op_log(), "create"), vec![nodes[8].0]);
+    assert_files(&ham, "after reopen");
+    // And WAL replay moves a head past the file the snapshot names.
     edit(
         &mut ham,
         MAIN_CONTEXT,
         nodes[9],
-        b"replayed, then mirrored\n",
+        b"replayed, then written\n",
     );
     drop(ham);
     let (mut ham, _, _) = Ham::open_existing_with(Arc::new(vfs.clone()), &dir).unwrap();
     vfs.clear_op_log();
     ham.checkpoint().unwrap();
-    assert_eq!(blob_ops(&vfs.op_log(), "rename", ""), vec![nodes[9].0]);
-    assert_mirrored(&ham, "after replay");
+    assert_eq!(file_ops(&vfs.op_log(), "create"), vec![nodes[9].0]);
+    assert_files(&ham, "after replay");
     drop(ham);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -232,9 +271,9 @@ fn idle_shards_do_no_checkpoint_io() {
     vfs.clear_op_log();
     sharded.checkpoint().unwrap();
     let log = vfs.op_log();
-    // Shard 0 alone committed: one snapshot, one blob, one WAL fold.
+    // Shard 0 alone committed: one snapshot, one node file, one WAL fold.
     assert_eq!(log.iter().filter(|op| *op == "create graph.tmp").count(), 1);
-    assert_eq!(blob_ops(&log, "rename", ""), vec![n.0]);
+    assert_eq!(file_ops(&log, "create"), vec![n.0]);
     assert_eq!(log.iter().filter(|op| *op == "set_len wal.log").count(), 1);
     assert!(
         !log.iter().any(|op| op.contains("shard.")),
@@ -267,22 +306,22 @@ fn an_aborted_protection_change_is_rolled_back_in_memory_and_never_reaches_the_f
             .protections
     };
     assert_eq!(node(&ham), Protections::DEFAULT);
-    assert_mirrored(&ham, "after abort");
-    // A committed change survives a crash before any checkpoint: replay
-    // carries it to the file again.
+    assert_files(&ham, "after abort");
+    // A committed change reaches the file at once, and survives a crash
+    // before any checkpoint: replay carries it to the file again.
     ham.change_node_protection(MAIN_CONTEXT, n, Protections::PRIVATE)
         .unwrap();
-    assert_mirrored(&ham, "after commit");
+    assert_files(&ham, "after commit");
     drop(ham);
     let (ham, _, _) = Ham::open_existing(&dir).unwrap();
     assert_eq!(node(&ham), Protections::PRIVATE);
-    assert_mirrored(&ham, "after replay");
+    assert_files(&ham, "after replay");
     drop(ham);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ===========================================================================
-// Property: after every checkpoint, nodes/ equals MAIN
+// Property: after every checkpoint, nodes/ holds MAIN's node files
 // ===========================================================================
 
 struct World {
@@ -309,7 +348,7 @@ impl World {
 
     fn pick_context(&mut self) -> ContextId {
         let ctxs = self.sharded().live_contexts();
-        // Half of all work lands in MAIN: that is what the mirror tracks.
+        // Half of all work lands in MAIN: that is what the node files hold.
         if self.rng.chance(1, 2) {
             MAIN_CONTEXT
         } else {
@@ -371,12 +410,12 @@ impl World {
             .collect()
     }
 
-    fn assert_mirrored(&self) {
-        assert_mirrored(&self.sharded().lock_shard(0), &self.what);
-        // MAIN lives on shard 0; no other shard has anything to mirror.
+    fn assert_files(&self) {
+        assert_files(&self.sharded().lock_shard(0), &self.what);
+        // MAIN lives on shard 0; no other shard has node files.
         for k in 1..self.sharded().shard_count() {
             let nodes = shard_dir(&self.dir, k).join(NODES_DIR);
-            assert_eq!(actual_mirror(&nodes), Mirror::new(), "{}", self.what);
+            assert_eq!(actual_files(&nodes), Files::new(), "{}", self.what);
         }
     }
 
@@ -442,13 +481,13 @@ impl World {
             26..=27 => self.reopen(),
             _ => {
                 self.sharded().checkpoint().unwrap();
-                self.assert_mirrored();
+                self.assert_files();
             }
         }
     }
 }
 
-fn mirror_property(nshards: usize, seed: u64) {
+fn node_files_property(nshards: usize, seed: u64) {
     let dir = tmpdir(&format!("prop-{nshards}-{seed:x}"));
     let vfs = FaultVfs::new();
     let (sharded, _, _) =
@@ -466,7 +505,7 @@ fn mirror_property(nshards: usize, seed: u64) {
         world.step();
     }
     world.sharded().checkpoint().unwrap();
-    world.assert_mirrored();
+    world.assert_files();
     let dir = world.dir.clone();
     drop(world);
     let _ = std::fs::remove_dir_all(&dir);
@@ -475,13 +514,13 @@ fn mirror_property(nshards: usize, seed: u64) {
 #[test]
 fn nodes_dir_equals_main_after_every_checkpoint_single_shard() {
     for seed in [0xC0FFEE, 0x5EED5, 0xB10B] {
-        mirror_property(1, seed);
+        node_files_property(1, seed);
     }
 }
 
 #[test]
 fn nodes_dir_equals_main_after_every_checkpoint_eight_shards() {
     for seed in [0xC0FFEE, 0x5EED5, 0xB10B] {
-        mirror_property(8, seed);
+        node_files_property(8, seed);
     }
 }

@@ -11,13 +11,16 @@
 //! transaction spanning both shards, aborted; `y` merged on its own shard
 //! under `Fail`; and one more edit in each child. Its merge records carry
 //! no time: they replay at their parent's newest time + 1, each merge's
-//! objects at that one time.
+//! objects at that one time. Its snapshots inline every archive, as that
+//! build wrote them; the first checkpoint moves MAIN's to node files.
 
 use std::path::{Path, PathBuf};
 
 use neptune_ham::context::ConflictPolicy;
+use neptune_ham::ham::NODES_DIR;
 use neptune_ham::shard::ShardedHam;
 use neptune_ham::types::{NodeIndex, Time, MAIN_CONTEXT};
+use neptune_storage::NodeFiles;
 
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).unwrap();
@@ -134,6 +137,42 @@ fn a_store_written_before_the_store_clock_replays_what_it_held() {
     let opened = main.read_node(MAIN_CONTEXT, a, Time::CURRENT, &[]).unwrap();
     assert_eq!(&opened.contents[..], b"alpha, x reopened\n");
     drop(main);
+    drop(ham);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_first_checkpoint_moves_a_parent_store_to_node_files() {
+    let dir = fixture("checkpoint");
+    let (ham, _, _) = ShardedHam::open(&dir).unwrap();
+    ham.checkpoint().unwrap();
+    // MAIN's shard holds one node file per MAIN node, named by its head;
+    // the other shard, none; and no `.blob` of the old mirror anywhere.
+    let heads: Vec<(u64, u64)> = {
+        let main = ham.lock_home(MAIN_CONTEXT).unwrap();
+        main.graph(MAIN_CONTEXT)
+            .unwrap()
+            .nodes()
+            .map(|n| (n.id.0, n.current_time().0))
+            .collect()
+    };
+    for k in 0..ham.shard_count() {
+        let nodes = neptune_ham::shard::shard_dir(&dir, k).join(NODES_DIR);
+        let mut files: Vec<(u64, u64)> = std::fs::read_dir(&nodes)
+            .unwrap()
+            .map(|e| {
+                let name = e.unwrap().file_name().to_string_lossy().into_owned();
+                NodeFiles::parse_name(&name).unwrap_or_else(|| panic!("stray {name}"))
+            })
+            .collect();
+        files.sort_unstable();
+        let expected = if k == 0 { heads.clone() } else { Vec::new() };
+        assert_eq!(files, expected, "shard {k}");
+    }
+    drop(ham);
+    let (ham, _, _) = ShardedHam::open(&dir).unwrap();
+    assert_eq!(render(&ham), EXPECTED);
+    assert_eq!(ham.violations(), Vec::new());
     drop(ham);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -539,11 +539,19 @@ fn cmd_stats() -> Result<String> {
             registry.counter("neptune_server_bytes_out_total").get(),
         ));
         let count = |name: &str| registry.counter(name).get();
+        let bytes = |part: &str| {
+            count(&neptune_obs::labeled(
+                "neptune_ham_checkpoint_bytes_total",
+                "part",
+                part,
+            ))
+        };
         out.push_str(&format!(
-            "checkpoints: {} blobs written, {} left alone, {} bytes; {} skipped as idle, {} failed\n",
-            count("neptune_ham_checkpoint_blobs_written_total"),
-            count("neptune_ham_checkpoint_blobs_skipped_total"),
-            count("neptune_ham_checkpoint_bytes_total"),
+            "checkpoints: {} node files written, {} left alone; {} snapshot bytes, {} node-file bytes; {} skipped as idle, {} failed\n",
+            count("neptune_ham_checkpoint_node_files_written_total"),
+            count("neptune_ham_checkpoint_node_files_skipped_total"),
+            bytes("snapshot"),
+            bytes("nodes"),
             count("neptune_ham_checkpoint_skipped_total"),
             count("neptune_ham_checkpoint_failures_total"),
         ));

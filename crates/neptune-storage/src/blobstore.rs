@@ -1,16 +1,22 @@
-//! Directory-backed blob store with Unix-style protections.
+//! Node files: one durable file per node version head, carrying the
+//! paper's protections.
 //!
 //! The HAM's `createGraph` takes a `Directory × Protections` and
 //! `changeNodeProtection` sets *"the protections for the file storing the
-//! contents of node NodeIndex"* (paper §A.2). A [`BlobStore`] maps u64
-//! object ids onto files inside a graph directory and carries the paper's
-//! `Protections` domain through to the filesystem where the platform
-//! supports it.
+//! contents of node NodeIndex"* (paper §A.2). [`NodeFiles`] keeps those
+//! files inside a graph directory: `<id:016x>@<time:016x>` holds node `id`'s
+//! contents encoding as of its head version `time`, framed with a length
+//! and a CRC-32 as a snapshot is ([`crate::snapshot::frame`]), under the
+//! node's `Protections` where the platform supports them. A new head gets a
+//! new name, so a file is written once and never rewritten in place: a
+//! snapshot may name it as soon as it is durable.
 
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::error::{Result, StorageError};
+use crate::snapshot::{frame, unframe, NODE_FILE_MAGIC};
 use crate::vfs::{StdVfs, Vfs};
 
 /// The paper's `Protections` domain: "one of the possible file protection
@@ -55,130 +61,138 @@ impl crate::codec::Decode for Protections {
     }
 }
 
-/// A store of uninterpreted blobs, one file per object id.
+/// The directory of a graph's node files.
 #[derive(Debug)]
-pub struct BlobStore {
+pub struct NodeFiles {
     vfs: Arc<dyn Vfs>,
     root: PathBuf,
-    protections: Protections,
 }
 
-impl BlobStore {
-    /// Open (creating if needed) a blob store rooted at `root` on the
+impl NodeFiles {
+    /// Open (creating if needed) the node-file directory `root` on the
     /// standard filesystem.
-    pub fn open(root: impl AsRef<Path>, protections: Protections) -> Result<BlobStore> {
-        Self::open_with(StdVfs::arc(), root, protections)
+    pub fn open(root: impl AsRef<Path>) -> Result<NodeFiles> {
+        Self::open_with(StdVfs::arc(), root)
     }
 
-    /// Open (creating if needed) a blob store rooted at `root` through
-    /// `vfs`. Temp files a crashed [`BlobStore::put`] left behind are
-    /// removed: nothing else would ever reclaim them.
-    pub fn open_with(
-        vfs: Arc<dyn Vfs>,
-        root: impl AsRef<Path>,
-        protections: Protections,
-    ) -> Result<BlobStore> {
+    /// Open (creating if needed) the node-file directory `root` through
+    /// `vfs`.
+    pub fn open_with(vfs: Arc<dyn Vfs>, root: impl AsRef<Path>) -> Result<NodeFiles> {
         let root = root.as_ref().to_path_buf();
         vfs.create_dir_all(&root)?;
-        for name in vfs.read_dir(&root)? {
-            if name.to_string_lossy().ends_with(".blob.tmp") {
-                vfs.remove_file(&root.join(name))?;
-            }
-        }
-        Ok(BlobStore {
-            vfs,
-            root,
-            protections,
-        })
+        Ok(NodeFiles { vfs, root })
     }
 
-    fn path_for(&self, id: u64) -> PathBuf {
-        self.root.join(format!("{id:016x}.blob"))
+    /// The file name of node `id` at head version `time`.
+    pub fn file_name(id: u64, time: u64) -> String {
+        format!("{id:016x}@{time:016x}")
     }
 
-    /// Write (or overwrite) the blob for `id`.
-    ///
-    /// The blob's contents are synced and the file renamed into place, but
-    /// the *directory entry* is not synced here: blobs are a mirror of
-    /// state the snapshot + WAL already own, and callers batching many puts
-    /// (checkpointing) make them all durable with one [`BlobStore::sync_root`].
-    pub fn put(&self, id: u64, contents: &[u8]) -> Result<()> {
-        let path = self.path_for(id);
-        let tmp = path.with_extension("blob.tmp");
+    /// The `(id, time)` a node-file name stands for, if it is one.
+    pub fn parse_name(name: &str) -> Option<(u64, u64)> {
+        let (id, time) = name.split_once('@')?;
+        let hex = |s: &str| (s.len() == 16).then(|| u64::from_str_radix(s, 16).ok())?;
+        Some((hex(id)?, hex(time)?))
+    }
+
+    fn path_for(&self, id: u64, time: u64) -> PathBuf {
+        self.root.join(Self::file_name(id, time))
+    }
+
+    /// Write node `id`'s file for head `time`: create, one append of the
+    /// framed `payload`, fsync, then chmod to `protections`. Returns the
+    /// bytes written. The directory entry is not synced here: a checkpoint
+    /// makes every file it wrote durable with one [`NodeFiles::sync_root`]
+    /// before its snapshot names them. A failed write removes what it left,
+    /// best effort; anything a crash leaves is unnamed, and the HAM's open
+    /// sweeps it ([`NodeFiles::retain`]).
+    pub fn put(&self, id: u64, time: u64, payload: &[u8], protections: Protections) -> Result<u64> {
+        let path = self.path_for(id, time);
+        let bytes = frame(NODE_FILE_MAGIC, payload);
         let written = (|| {
-            let mut f = self.vfs.create(&tmp)?;
-            f.append(contents)?;
+            let mut f = self.vfs.create(&path)?;
+            f.append(&bytes)?;
             f.sync()?;
-            self.vfs.rename(&tmp, &path)
+            self.vfs.set_permissions(&path, protections.mode)
         })();
         if let Err(e) = written {
-            // Best effort: whatever survives here, the next open sweeps.
-            let _ = self.vfs.remove_file(&tmp);
+            let _ = self.vfs.remove_file(&path);
             return Err(e.into());
         }
-        self.vfs.set_permissions(&path, self.protections.mode)?;
-        Ok(())
+        Ok(bytes.len() as u64)
     }
 
-    /// Fsync the store's directory, making every completed put/delete
+    /// Read node `id`'s file for head `time` and verify its frame. Every
+    /// error names the node and the time.
+    pub fn load(&self, id: u64, time: u64) -> Result<Vec<u8>> {
+        let named = |source: StorageError| StorageError::NodeFile {
+            id,
+            time,
+            source: Box::new(source),
+        };
+        let bytes = match self.vfs.read(&self.path_for(id, time)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(named(StorageError::NotFound { id }))
+            }
+            Err(e) => return Err(named(e.into())),
+        };
+        let payload = unframe(&bytes, &[NODE_FILE_MAGIC], "node file").map_err(named)?;
+        Ok(payload.to_vec())
+    }
+
+    /// Fsync the directory, making every completed create and remove in it
     /// durable. Errors propagate — a swallowed failure here would let a
-    /// checkpoint truncate the WAL with the mirror not actually on disk.
+    /// snapshot name a file whose directory entry is not on disk.
     pub fn sync_root(&self) -> Result<()> {
         self.vfs.sync_dir(&self.root)?;
         Ok(())
     }
 
-    /// Read the blob for `id`.
-    pub fn get(&self, id: u64) -> Result<Vec<u8>> {
-        match self.vfs.read(&self.path_for(id)) {
-            Ok(bytes) => Ok(bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Err(StorageError::NotFound { id })
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Whether a blob exists for `id`.
-    pub fn contains(&self, id: u64) -> bool {
-        self.vfs.exists(&self.path_for(id))
-    }
-
-    /// Delete the blob for `id` (idempotent).
-    pub fn delete(&self, id: u64) -> Result<()> {
-        match self.vfs.remove_file(&self.path_for(id)) {
+    /// Remove node `id`'s file for head `time` (idempotent).
+    pub fn remove(&self, id: u64, time: u64) -> Result<()> {
+        match self.vfs.remove_file(&self.path_for(id, time)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
         }
     }
 
-    /// Apply `protections` to the blob for `id` — the HAM's
+    /// Apply `protections` to node `id`'s file for head `time` — the HAM's
     /// `changeNodeProtection`.
-    pub fn set_protections(&self, id: u64, protections: Protections) -> Result<()> {
-        let path = self.path_for(id);
-        if !self.vfs.exists(&path) {
-            return Err(StorageError::NotFound { id });
-        }
-        self.vfs.set_permissions(&path, protections.mode)?;
+    pub fn set_protections(&self, id: u64, time: u64, protections: Protections) -> Result<()> {
+        self.vfs
+            .set_permissions(&self.path_for(id, time), protections.mode)?;
         Ok(())
     }
 
-    /// All object ids currently stored, unsorted.
-    pub fn ids(&self) -> Result<Vec<u64>> {
-        let mut ids = Vec::new();
-        for name in self.vfs.read_dir(&self.root)? {
-            let name = name.to_string_lossy();
-            if let Some(hex) = name.strip_suffix(".blob") {
-                if let Ok(id) = u64::from_str_radix(hex, 16) {
-                    ids.push(id);
-                }
-            }
-        }
-        Ok(ids)
+    /// Every `(id, time)` with a file in the directory, unsorted.
+    pub fn files(&self) -> Result<Vec<(u64, u64)>> {
+        Ok(self
+            .names()?
+            .iter()
+            .filter_map(|name| Self::parse_name(&name.to_string_lossy()))
+            .collect())
     }
 
-    /// Root directory of the store.
+    /// Remove every entry but the node files `keep` accepts: the files no
+    /// snapshot names, half-written ones a crash left, and the `.blob`
+    /// mirror of older builds alike.
+    pub fn retain(&self, keep: impl Fn(u64, u64) -> bool) -> Result<()> {
+        for name in self.names()? {
+            let kept = Self::parse_name(&name.to_string_lossy()).is_some_and(|(id, t)| keep(id, t));
+            if !kept {
+                self.vfs.remove_file(&self.root.join(name))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn names(&self) -> Result<Vec<OsString>> {
+        Ok(self.vfs.read_dir(&self.root)?)
+    }
+
+    /// The directory.
     pub fn root(&self) -> &Path {
         &self.root
     }
@@ -189,53 +203,68 @@ mod tests {
     use super::*;
     use std::fs;
 
-    fn store(name: &str) -> BlobStore {
+    fn store(name: &str) -> NodeFiles {
         let dir = std::env::temp_dir().join(format!("neptune-blob-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        BlobStore::open(dir, Protections::DEFAULT).unwrap()
+        NodeFiles::open(dir).unwrap()
     }
 
     #[test]
     fn put_get_roundtrip() {
         let s = store("rt");
-        s.put(1, b"node one").unwrap();
-        s.put(2, b"").unwrap();
-        assert_eq!(s.get(1).unwrap(), b"node one".to_vec());
-        assert_eq!(s.get(2).unwrap(), Vec::<u8>::new());
+        s.put(1, 5, b"node one", Protections::DEFAULT).unwrap();
+        s.put(2, 7, b"", Protections::DEFAULT).unwrap();
+        assert_eq!(s.load(1, 5).unwrap(), b"node one".to_vec());
+        assert_eq!(s.load(2, 7).unwrap(), Vec::<u8>::new());
+        let on_disk = fs::read(s.root().join(NodeFiles::file_name(1, 5))).unwrap();
+        assert_eq!(on_disk, frame(NODE_FILE_MAGIC, b"node one"));
     }
 
     #[test]
     fn overwrite_replaces() {
+        // A checkpoint retrying a file whose first write failed.
         let s = store("ow");
-        s.put(7, b"old").unwrap();
-        s.put(7, b"new contents").unwrap();
-        assert_eq!(s.get(7).unwrap(), b"new contents".to_vec());
+        s.put(7, 3, b"old", Protections::DEFAULT).unwrap();
+        s.put(7, 3, b"new contents", Protections::DEFAULT).unwrap();
+        assert_eq!(s.load(7, 3).unwrap(), b"new contents".to_vec());
     }
 
     #[test]
     fn missing_blob_is_not_found() {
         let s = store("missing");
-        assert!(matches!(s.get(99), Err(StorageError::NotFound { id: 99 })));
-        assert!(!s.contains(99));
+        s.put(99, 1, b"head at 1", Protections::DEFAULT).unwrap();
+        let err = s.load(99, 2).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::NodeFile { id: 99, time: 2, source }
+                if matches!(**source, StorageError::NotFound { id: 99 })),
+            "{err}"
+        );
+        assert!(err.to_string().contains("node 99"), "{err}");
     }
 
     #[test]
     fn delete_is_idempotent() {
         let s = store("del");
-        s.put(3, b"x").unwrap();
-        s.delete(3).unwrap();
-        s.delete(3).unwrap();
-        assert!(!s.contains(3));
+        s.put(3, 1, b"x", Protections::DEFAULT).unwrap();
+        s.remove(3, 1).unwrap();
+        s.remove(3, 1).unwrap();
+        assert_eq!(s.files().unwrap(), Vec::new());
     }
 
     #[test]
     fn ids_lists_contents() {
         let s = store("ids");
-        s.put(10, b"a").unwrap();
-        s.put(20, b"b").unwrap();
-        let mut ids = s.ids().unwrap();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![10, 20]);
+        s.put(10, 4, b"a", Protections::DEFAULT).unwrap();
+        s.put(20, 9, b"b", Protections::DEFAULT).unwrap();
+        fs::write(s.root().join("0000000000000030.blob"), b"older build").unwrap();
+        let mut files = s.files().unwrap();
+        files.sort_unstable();
+        assert_eq!(files, vec![(10, 4), (20, 9)]);
+        assert_eq!(
+            NodeFiles::parse_name("000000000000000a@0000000000000004"),
+            Some((10, 4))
+        );
+        assert_eq!(NodeFiles::parse_name("a@4"), None);
     }
 
     #[cfg(unix)]
@@ -243,18 +272,42 @@ mod tests {
     fn protections_are_applied() {
         use std::os::unix::fs::PermissionsExt;
         let s = store("prot");
-        s.put(5, b"guarded").unwrap();
-        s.set_protections(5, Protections::READ_ONLY).unwrap();
-        let meta = fs::metadata(s.root().join(format!("{:016x}.blob", 5u64))).unwrap();
-        assert_eq!(meta.permissions().mode() & 0o777, 0o444);
+        s.put(5, 2, b"guarded", Protections::PRIVATE).unwrap();
+        let mode = |s: &NodeFiles| {
+            let meta = fs::metadata(s.root().join(NodeFiles::file_name(5, 2))).unwrap();
+            meta.permissions().mode() & 0o777
+        };
+        assert_eq!(mode(&s), 0o600);
+        s.set_protections(5, 2, Protections::READ_ONLY).unwrap();
+        assert_eq!(mode(&s), 0o444);
         // Restore writability so temp cleanup works elsewhere.
-        s.set_protections(5, Protections::DEFAULT).unwrap();
+        s.set_protections(5, 2, Protections::DEFAULT).unwrap();
     }
 
     #[test]
     fn set_protections_on_missing_blob_fails() {
         let s = store("prot-missing");
-        assert!(s.set_protections(42, Protections::PRIVATE).is_err());
+        assert!(s.set_protections(42, 1, Protections::PRIVATE).is_err());
+    }
+
+    #[test]
+    fn corrupt_or_torn_files_fail_their_load_naming_the_node() {
+        let s = store("corrupt");
+        s.put(4, 8, b"contents of node four", Protections::DEFAULT)
+            .unwrap();
+        let path = s.root().join(NodeFiles::file_name(4, 8));
+        let good = fs::read(&path).unwrap();
+        let mut flipped = good.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        fs::write(&path, &flipped).unwrap();
+        let err = s.load(4, 8).unwrap_err();
+        assert!(err.to_string().contains("node 4"), "{err}");
+        assert!(err.to_string().contains("checksum"), "{err}");
+        fs::write(&path, &good[..good.len() - 3]).unwrap();
+        assert!(matches!(
+            s.load(4, 8),
+            Err(StorageError::NodeFile { id: 4, .. })
+        ));
     }
 
     #[test]
@@ -270,39 +323,42 @@ mod tests {
             names.sort();
             names
         };
-        let blob = |id: u64| format!("{id:016x}.blob");
+        let kept = NodeFiles::file_name(1, 1);
 
-        // A put that fails at its append or its fsync, or cannot even
-        // create the temp file.
+        // A put that fails at its append, its fsync or its chmod, or
+        // cannot even create the file, removes what it wrote.
         for (kind, at) in [
             (FaultKind::ShortWrite, 0),
             (FaultKind::FailSync, 0),
             (FaultKind::FailWrite, 0),
+            (FaultKind::FailWrite, 2),
         ] {
             let vfs = FaultVfs::new();
-            let s =
-                BlobStore::open_with(Arc::new(vfs.clone()), &dir, Protections::DEFAULT).unwrap();
-            s.put(1, b"kept").unwrap();
+            let s = NodeFiles::open_with(Arc::new(vfs.clone()), &dir).unwrap();
+            s.put(1, 1, b"kept", Protections::DEFAULT).unwrap();
             vfs.arm(kind, at);
-            assert!(s.put(2, b"doomed").is_err(), "{kind}");
-            assert_eq!(names(&dir), vec![blob(1)], "{kind} left a temp file");
-            assert_eq!(s.get(1).unwrap(), b"kept".to_vec());
+            assert!(
+                s.put(2, 1, b"doomed", Protections::DEFAULT).is_err(),
+                "{kind}"
+            );
+            assert_eq!(names(&dir), vec![kept.clone()], "{kind} left a file behind");
+            assert_eq!(s.load(1, 1).unwrap(), b"kept".to_vec());
         }
 
         // The process died mid-put (power cut: the cleanup cannot run), so
-        // the temp file survives until the store is next opened.
+        // the torn file survives until the store's open sweeps every file
+        // its snapshot does not name — the `.blob` mirror of older builds
+        // with it.
         let vfs = FaultVfs::new();
-        let s = BlobStore::open_with(Arc::new(vfs.clone()), &dir, Protections::DEFAULT).unwrap();
+        let s = NodeFiles::open_with(Arc::new(vfs.clone()), &dir).unwrap();
+        fs::write(dir.join("0000000000000001.blob"), b"older build").unwrap();
         vfs.arm(FaultKind::PowerCut, 2); // create, append, then the sync dies
-        assert!(s.put(3, b"interrupted").is_err());
-        assert_eq!(names(&dir), vec![blob(1), format!("{}.tmp", blob(3))]);
-        let s = BlobStore::open(&dir, Protections::DEFAULT).unwrap();
-        assert_eq!(
-            names(&dir),
-            vec![blob(1)],
-            "open must sweep stale temp files"
-        );
-        assert_eq!(s.ids().unwrap(), vec![1]);
+        assert!(s.put(3, 1, b"interrupted", Protections::DEFAULT).is_err());
+        assert!(names(&dir).contains(&NodeFiles::file_name(3, 1)));
+        let s = NodeFiles::open(&dir).unwrap();
+        s.retain(|id, time| (id, time) == (1, 1)).unwrap();
+        assert_eq!(names(&dir), vec![kept], "open must sweep unnamed files");
+        assert_eq!(s.files().unwrap(), vec![(1, 1)]);
     }
 
     #[test]

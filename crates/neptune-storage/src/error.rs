@@ -80,6 +80,16 @@ pub enum StorageError {
         /// Maximum the protocol accepts.
         max: u64,
     },
+    /// A node file (`nodes/<id>@<time>`) could not be read back: missing,
+    /// torn, or failing its checksum or its decode.
+    NodeFile {
+        /// The node the file holds.
+        id: u64,
+        /// The head version time the file is named by.
+        time: u64,
+        /// What went wrong with it.
+        source: Box<StorageError>,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -123,6 +133,9 @@ impl fmt::Display for StorageError {
             StorageError::FrameTooLarge { len, max } => {
                 write!(f, "frame length {len} exceeds maximum {max}")
             }
+            StorageError::NodeFile { id, time, source } => {
+                write!(f, "node file of node {id} at time {time}: {source}")
+            }
         }
     }
 }
@@ -131,6 +144,7 @@ impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StorageError::Io(e) => Some(e),
+            StorageError::NodeFile { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
@@ -172,6 +186,14 @@ mod tests {
             max: 1 << 26,
         };
         assert!(e.to_string().contains("exceeds maximum"));
+        let e = StorageError::NodeFile {
+            id: 7,
+            time: 9,
+            source: Box::new(StorageError::NotFound { id: 7 }),
+        };
+        assert!(e.to_string().contains("node 7 at time 9"), "{e}");
+        use std::error::Error;
+        assert!(e.source().is_some());
     }
 
     #[test]

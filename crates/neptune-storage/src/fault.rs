@@ -6,12 +6,18 @@
 //! the POSIX rules the storage layer's durability contract (DESIGN.md §12)
 //! is written against:
 //!
-//! * file writes, truncations, and creations live only in the working tree
-//!   until the file is fsync'd — a sync copies the file's current bytes
-//!   into the durable image;
-//! * a rename or remove is a *pending directory operation* until its
-//!   directory is fsync'd — only then is it applied to the durable image;
-//! * a rename whose source was never synced durably produces an *empty*
+//! * file writes and truncations live only in the working tree until the
+//!   file is fsync'd — a sync copies the file's current bytes into the
+//!   durable image;
+//! * a [`Vfs::create`] that makes a new directory entry, a rename, and a
+//!   remove are *pending directory operations* until their directory is
+//!   fsync'd — only then are they applied to the durable image, in the
+//!   order they were issued. A new file's synced bytes wait with its
+//!   pending entry: without the directory sync the file does not exist
+//!   after a crash. (A log opened with [`Vfs::open_append`] is the
+//!   exception: its entry counts as durable from its first sync.)
+//! * a rename moves the source's bytes as they were durable when the
+//!   rename was issued — a source never synced durably produces an *empty*
 //!   file (the adversarial reading of "metadata durable, data not").
 //!
 //! A scripted fault plan ([`FaultVfs::arm`]) picks an operation class and a
@@ -134,15 +140,37 @@ impl OpClass {
 
 #[derive(Debug)]
 enum DirOp {
-    Rename { from: PathBuf, to: PathBuf },
+    /// A new directory entry, and the bytes last synced into the file it
+    /// names (`None` if never synced).
+    Create {
+        path: PathBuf,
+        bytes: Option<Vec<u8>>,
+    },
+    Rename {
+        from: PathBuf,
+        to: PathBuf,
+        /// `from`'s durable bytes when the rename was issued: the file the
+        /// entry moves (`None` if it was never synced).
+        bytes: Option<Vec<u8>>,
+    },
     Remove(PathBuf),
 }
 
 impl DirOp {
     fn dir(&self) -> PathBuf {
         match self {
+            DirOp::Create { path, .. } => crate::vfs::parent_dir(path),
             DirOp::Rename { to, .. } => crate::vfs::parent_dir(to),
             DirOp::Remove(p) => crate::vfs::parent_dir(p),
+        }
+    }
+
+    /// Whether this operation creates, renames away or removes `path`.
+    fn touches(&self, path: &Path) -> bool {
+        match self {
+            DirOp::Create { path: p, .. } | DirOp::Remove(p) | DirOp::Rename { from: p, .. } => {
+                p == path
+            }
         }
     }
 }
@@ -223,11 +251,14 @@ impl FaultState {
                 continue;
             }
             match op {
-                DirOp::Rename { from, to } => {
+                DirOp::Create { path, bytes } => {
+                    self.durable.insert(path, bytes.unwrap_or_default());
+                }
+                DirOp::Rename { from, to, bytes } => {
+                    self.durable.remove(&from);
                     // A source that was never synced leaves an empty file:
                     // the directory entry is durable, the data is not.
-                    let bytes = self.durable.remove(&from).unwrap_or_default();
-                    self.durable.insert(to, bytes);
+                    self.durable.insert(to, bytes.unwrap_or_default());
                 }
                 DirOp::Remove(path) => {
                     self.durable.remove(&path);
@@ -239,8 +270,25 @@ impl FaultState {
 
     fn mark_file_durable(&mut self, path: &Path) -> io::Result<()> {
         let bytes = fs::read(path)?;
+        // A file whose entry is still pending keeps its bytes with it.
+        if let Some(DirOp::Create { bytes: pending, .. }) =
+            self.pending.iter_mut().rev().find(|op| op.touches(path))
+        {
+            *pending = Some(bytes);
+            return Ok(());
+        }
         self.durable.insert(path.to_path_buf(), bytes);
         Ok(())
+    }
+
+    /// The bytes of `path` as they stand durably: synced into its pending
+    /// entry, or into the durable image.
+    fn durable_bytes(&self, path: &Path) -> Option<Vec<u8>> {
+        match self.pending.iter().rev().find(|op| op.touches(path)) {
+            Some(DirOp::Create { bytes, .. }) => bytes.clone(),
+            Some(_) => None,
+            None => self.durable.get(path).cloned(),
+        }
     }
 }
 
@@ -467,13 +515,20 @@ impl Vfs for FaultVfs {
             }
             Step::Fault(kind) => return Err(FaultState::fault_err(kind, OpClass::Create)),
         }
-        drop(st);
+        let new_entry = !path.exists();
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
+        if new_entry {
+            st.pending.push(DirOp::Create {
+                path: path.to_path_buf(),
+                bytes: None,
+            });
+        }
+        drop(st);
         Ok(Box::new(FaultVfsFile {
             path: path.to_path_buf(),
             file,
@@ -496,9 +551,11 @@ impl Vfs for FaultVfs {
                 drop(st);
                 fs::rename(from, to)?;
                 let mut st = self.lock();
+                let bytes = st.durable_bytes(from);
                 st.pending.push(DirOp::Rename {
                     from: from.to_path_buf(),
                     to: to.to_path_buf(),
+                    bytes,
                 });
                 Ok(())
             }
@@ -569,8 +626,8 @@ impl Vfs for FaultVfs {
         st.durable.retain(|p, _| !p.starts_with(dir));
         st.pending.retain(|op| {
             let touched = match op {
-                DirOp::Rename { from, to } => from.starts_with(dir) || to.starts_with(dir),
-                DirOp::Remove(p) => p.starts_with(dir),
+                DirOp::Rename { from, to, .. } => from.starts_with(dir) || to.starts_with(dir),
+                DirOp::Create { path: p, .. } | DirOp::Remove(p) => p.starts_with(dir),
             };
             !touched
         });
@@ -630,6 +687,7 @@ mod tests {
         let mut f = vfs.create(&path).unwrap();
         f.append(b"durable").unwrap();
         f.sync().unwrap();
+        vfs.sync_dir(&dir).unwrap(); // the new file's entry is durable too
         f.append(b" lost").unwrap();
         // No sync: the tail exists only in the working tree.
         vfs.power_off();
@@ -646,6 +704,7 @@ mod tests {
         let mut f = vfs.create(&tmp).unwrap();
         f.append(b"v1").unwrap();
         f.sync().unwrap();
+        vfs.sync_dir(&dir).unwrap(); // the new file's entry is durable too
         drop(f);
         vfs.rename(&tmp, &real).unwrap();
         // Working tree sees the rename...
@@ -684,6 +743,7 @@ mod tests {
         let mut f = vfs.create(&path).unwrap();
         f.append(b"base").unwrap();
         f.sync().unwrap();
+        vfs.sync_dir(&dir).unwrap(); // the new file's entry is durable too
         vfs.arm(FaultKind::ShortWrite, 0);
         let err = f.append(b"12345678").unwrap_err();
         assert!(err.to_string().contains("short_write"), "{err}");
@@ -703,6 +763,7 @@ mod tests {
         let mut f = vfs.create(&path).unwrap();
         f.append(b"old").unwrap();
         f.sync().unwrap();
+        vfs.sync_dir(&dir).unwrap(); // the new file's entry is durable too
         f.set_len(0).unwrap();
         f.append(b"new").unwrap();
         vfs.arm(FaultKind::FailSync, 0);
@@ -721,6 +782,7 @@ mod tests {
         let mut f = vfs.create(&tmp).unwrap();
         f.append(b"snap").unwrap();
         f.sync().unwrap();
+        vfs.sync_dir(&dir).unwrap(); // the new file's entry is durable too
         drop(f);
         vfs.arm(FaultKind::TornRename, 0);
         vfs.rename(&tmp, &real).unwrap(); // reports success!
@@ -738,6 +800,7 @@ mod tests {
         let mut f = vfs.create(&path).unwrap();
         f.append(b"kept").unwrap();
         f.sync().unwrap();
+        vfs.sync_dir(&dir).unwrap(); // the new file's entry is durable too
         vfs.arm(FaultKind::PowerCut, 0);
         assert!(f
             .append(b"never")
@@ -778,6 +841,69 @@ mod tests {
         let log = vfs.op_log();
         let names: Vec<&str> = log.iter().map(|s| s.split(' ').next().unwrap()).collect();
         assert_eq!(names, vec!["create", "append", "sync", "sync_dir"]);
+    }
+
+    #[test]
+    fn a_source_renamed_twice_before_a_dir_sync_keeps_the_second_file() {
+        // A snapshot rewritten after a failed directory fsync: the same
+        // temporary path is written, synced and renamed twice before the
+        // directory sync that makes both renames durable.
+        let dir = tmpdir("rename-twice");
+        let vfs = FaultVfs::new();
+        let tmp = dir.join("x.tmp");
+        let real = dir.join("x");
+        for bytes in [&b"first"[..], b"second"] {
+            let mut f = vfs.create(&tmp).unwrap();
+            f.append(bytes).unwrap();
+            f.sync().unwrap();
+            drop(f);
+            vfs.rename(&tmp, &real).unwrap();
+        }
+        vfs.sync_dir(&dir).unwrap();
+        vfs.power_off();
+        vfs.materialize_durable(&dir).unwrap();
+        assert_eq!(fs::read(&real).unwrap(), b"second");
+        assert!(!tmp.exists());
+    }
+
+    #[test]
+    fn a_created_file_needs_its_dir_sync_to_survive() {
+        let dir = tmpdir("create-entry");
+        let vfs = FaultVfs::new();
+        let (early, late) = (dir.join("early"), dir.join("late"));
+        for path in [&early, &late] {
+            let mut f = vfs.create(path).unwrap();
+            f.append(b"synced").unwrap();
+            f.sync().unwrap();
+            if path == &early {
+                vfs.sync_dir(&dir).unwrap();
+            }
+        }
+        // `late`'s data is synced but its directory entry is not.
+        vfs.power_off();
+        vfs.materialize_durable(&dir).unwrap();
+        assert_eq!(fs::read(&early).unwrap(), b"synced");
+        assert!(!late.exists());
+    }
+
+    #[test]
+    fn a_file_recreated_after_a_pending_remove_survives_the_dir_sync() {
+        let dir = tmpdir("remove-recreate");
+        let vfs = FaultVfs::new();
+        let path = dir.join("n");
+        for bytes in [&b"torn"[..], b"whole"] {
+            let mut f = vfs.create(&path).unwrap();
+            f.append(bytes).unwrap();
+            f.sync().unwrap();
+            drop(f);
+            if bytes == b"torn" {
+                vfs.remove_file(&path).unwrap();
+            }
+        }
+        vfs.sync_dir(&dir).unwrap();
+        vfs.power_off();
+        vfs.materialize_durable(&dir).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"whole");
     }
 
     #[test]

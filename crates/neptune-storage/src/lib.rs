@@ -23,7 +23,7 @@
 //! * [`wal`] — a write-ahead log giving transaction durability and
 //!   crash recovery (paper §2.2);
 //! * [`snapshot`] — atomic checksummed state snapshots for checkpointing;
-//! * [`blobstore`] — directory-backed blobs carrying the paper's
+//! * [`blobstore`] — node files, one per node head, carrying the paper's
 //!   `Protections` domain;
 //! * [`vfs`] — the pluggable filesystem the durable write path runs on;
 //! * [`fault`] — a fault-injecting [`vfs::Vfs`] simulating power loss for
@@ -52,11 +52,11 @@ pub mod vfs;
 pub mod wal;
 
 pub use archive::{Archive, CacheStats};
-pub use blobstore::{BlobStore, Protections};
+pub use blobstore::{NodeFiles, Protections};
 pub use codec::{Decode, Encode, Reader, Writer};
 pub use delta::{Delta, DeltaOp};
 pub use diff::{differences, Difference};
 pub use error::{Result, StorageError};
 pub use fault::{FaultKind, FaultVfs};
 pub use vfs::{StdVfs, Vfs, VfsFile};
-pub use wal::{CommittedTxn, RecordKind, Recovery, Wal, WalRecord};
+pub use wal::{CommittedTxn, RecordKind, Wal, WalRecord};

@@ -1,9 +1,13 @@
-//! Atomic, checksummed snapshot files.
+//! Atomic, checksummed snapshot files, and the frame they share with node
+//! files.
 //!
 //! Graph state that is folded out of the WAL at checkpoint time is written
 //! as a snapshot: a header, a CRC-32, and the payload, written to a
 //! temporary file and atomically renamed into place so a crash during
 //! checkpointing never leaves a half-written snapshot where a good one was.
+//! A node file (`nodes/<id>@<time>`, see [`crate::blobstore`]) is the same
+//! frame behind its own magic; it needs no rename, because no snapshot
+//! names it before it is durable.
 
 use std::path::Path;
 
@@ -21,6 +25,57 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"NEPTSNP2";
 /// the same codec (archives use the ladder-less tag), and the next
 /// checkpoint rewrites the store as v2 — migration needs no extra step.
 pub const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"NEPTSNP1";
+
+/// Magic bytes identifying a node file: one node's contents encoding.
+pub const NODE_FILE_MAGIC: &[u8; 8] = b"NEPTNOD1";
+
+/// Bytes of a frame before its payload: magic, payload length, CRC-32.
+pub const FRAME_HEADER_LEN: usize = 8 + 8 + 4;
+
+fn frame_header(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+    let mut header = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    header.extend_from_slice(magic);
+    header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    header.extend_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
+/// `payload` framed behind `magic`, its length and its CRC-32.
+pub fn frame(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+    let mut bytes = frame_header(magic, payload);
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// The payload of a frame whose magic is one of `magics`, once its length
+/// and CRC-32 check out. `context` names the file kind in a bad-header
+/// error.
+pub fn unframe<'a>(
+    bytes: &'a [u8],
+    magics: &[&[u8; 8]],
+    context: &'static str,
+) -> Result<&'a [u8]> {
+    if bytes.len() < FRAME_HEADER_LEN || !magics.iter().any(|m| bytes.starts_with(*m)) {
+        return Err(StorageError::BadFileHeader { context });
+    }
+    let len = read_u64_at(bytes, 8).ok_or(StorageError::UnexpectedEof {
+        context: "frame length header",
+    })?;
+    let expected = read_u32_at(bytes, 16).ok_or(StorageError::UnexpectedEof {
+        context: "frame checksum header",
+    })?;
+    let payload = usize::try_from(len)
+        .ok()
+        .and_then(|len| bytes.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN.checked_add(len)?))
+        .ok_or(StorageError::UnexpectedEof {
+            context: "frame payload",
+        })?;
+    let actual = crc32(payload);
+    if actual != expected {
+        return Err(StorageError::ChecksumMismatch { expected, actual });
+    }
+    Ok(payload)
+}
 
 /// Atomically write `payload` as a snapshot at `path` on the standard
 /// filesystem.
@@ -40,11 +95,7 @@ pub fn write_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>, payload: &[u8]
     let tmp = path.with_extension("tmp");
     {
         let mut f = vfs.create(&tmp)?;
-        let mut header = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 12);
-        header.extend_from_slice(SNAPSHOT_MAGIC);
-        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        header.extend_from_slice(&crc32(payload).to_le_bytes());
-        f.append(&header)?;
+        f.append(&frame_header(SNAPSHOT_MAGIC, payload))?;
         f.append(payload)?;
         f.sync()?;
     }
@@ -62,30 +113,8 @@ pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Vec<u8>> {
 /// Read and verify a snapshot through `vfs`.
 pub fn read_snapshot_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Vec<u8>> {
     let bytes = vfs.read(path.as_ref())?;
-    let header_len = SNAPSHOT_MAGIC.len() + 8 + 4;
-    let known_magic = bytes.starts_with(SNAPSHOT_MAGIC) || bytes.starts_with(SNAPSHOT_MAGIC_V1);
-    if bytes.len() < header_len || !known_magic {
-        return Err(StorageError::BadFileHeader {
-            context: "snapshot",
-        });
-    }
-    let len = read_u64_at(&bytes, SNAPSHOT_MAGIC.len()).ok_or(StorageError::UnexpectedEof {
-        context: "snapshot length header",
-    })? as usize;
-    let expected =
-        read_u32_at(&bytes, SNAPSHOT_MAGIC.len() + 8).ok_or(StorageError::UnexpectedEof {
-            context: "snapshot checksum header",
-        })?;
-    let payload = bytes
-        .get(header_len..header_len + len)
-        .ok_or(StorageError::UnexpectedEof {
-            context: "snapshot payload",
-        })?;
-    let actual = crc32(payload);
-    if actual != expected {
-        return Err(StorageError::ChecksumMismatch { expected, actual });
-    }
-    Ok(payload.to_vec())
+    let magics = [SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V1];
+    Ok(unframe(&bytes, &magics, "snapshot")?.to_vec())
 }
 
 #[cfg(test)]

@@ -145,19 +145,6 @@ pub struct CommittedTxn {
     pub ops: Vec<Vec<u8>>,
 }
 
-/// What [`Wal::recover_committed_after`] found in the log.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Recovery {
-    /// Committed transactions past the boundary, in commit order.
-    pub committed: Vec<CommittedTxn>,
-    /// Whether any record after the last `Checkpoint` sat at or below the
-    /// boundary. A completed checkpoint truncates such records away, so
-    /// finding one means a checkpoint wrote its snapshot and then died
-    /// before the truncation — its other side effects (the HAM's blob
-    /// mirror) may be incomplete.
-    pub skipped_folded: bool,
-}
-
 /// An append-only, checksummed write-ahead log file.
 #[derive(Debug)]
 pub struct Wal {
@@ -491,11 +478,11 @@ impl Wal {
     /// [`Wal::recover_after`], additionally surfacing each committed
     /// transaction's global commit sequence (the first 8 LE bytes of its
     /// commit record's payload; 0 for pre-shard logs with empty commit
-    /// payloads) and whether any record was skipped as already folded.
+    /// payloads).
     ///
     /// The first call after [`Wal::open_with`] replays the records that
     /// open already scanned; later calls read the file again.
-    pub fn recover_committed_after(&mut self, boundary: u64) -> Result<Recovery> {
+    pub fn recover_committed_after(&mut self, boundary: u64) -> Result<Vec<CommittedTxn>> {
         let _span = neptune_obs::span!("storage.wal_recover");
         let records = match self.scanned.take() {
             Some(records) => records,
@@ -509,10 +496,8 @@ impl Wal {
             .unwrap_or(0);
         let mut pending: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
         let mut committed: Vec<CommittedTxn> = Vec::new();
-        let mut skipped_folded = false;
         for r in records.into_iter().skip(start) {
             if r.lsn <= boundary {
-                skipped_folded = true;
                 continue;
             }
             match r.kind {
@@ -548,10 +533,7 @@ impl Wal {
                 .counter("neptune_storage_wal_recovered_txns_total")
                 .add(committed.len() as u64);
         }
-        Ok(Recovery {
-            committed,
-            skipped_folded,
-        })
+        Ok(committed)
     }
 
     /// Replay the log, ignoring every record with `lsn <= boundary` — they
@@ -565,7 +547,6 @@ impl Wal {
     pub fn recover_after(&mut self, boundary: u64) -> Result<Vec<(u64, Vec<Vec<u8>>)>> {
         Ok(self
             .recover_committed_after(boundary)?
-            .committed
             .into_iter()
             .map(|t| (t.txn_id, t.ops))
             .collect())
@@ -858,7 +839,7 @@ mod tests {
         wal.append(2, RecordKind::Op, b"new".to_vec()).unwrap();
         wal.append_commit_with(2, 42u64.to_le_bytes().to_vec())
             .unwrap();
-        let committed = wal.recover_committed_after(0).unwrap().committed;
+        let committed = wal.recover_committed_after(0).unwrap();
         assert_eq!(committed.len(), 2);
         assert_eq!((committed[0].txn_id, committed[0].seq), (1, 0));
         assert_eq!((committed[1].txn_id, committed[1].seq), (2, 42));
@@ -903,7 +884,7 @@ mod tests {
             std::fs::read(dir.join("at-once")).unwrap(),
             std::fs::read(dir.join("singly")).unwrap()
         );
-        let committed = at_once.recover_committed_after(0).unwrap().committed;
+        let committed = at_once.recover_committed_after(0).unwrap();
         assert_eq!(committed.len(), 1);
         assert_eq!((committed[0].txn_id, committed[0].seq), (9, 42));
         assert_eq!(committed[0].ops, vec![ops[0].to_bytes(), ops[1].to_bytes()]);
@@ -969,13 +950,6 @@ mod tests {
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].0, 2);
         assert!(wal.recover_after(u64::MAX).unwrap().is_empty());
-        // Only a boundary that actually hides records reports a skip.
-        assert!(!wal.recover_committed_after(0).unwrap().skipped_folded);
-        assert!(
-            wal.recover_committed_after(boundary)
-                .unwrap()
-                .skipped_folded
-        );
     }
 
     #[test]
@@ -985,16 +959,13 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         assert!(wal.is_folded(), "a fresh log holds nothing to fold");
         wal.append(1, RecordKind::Begin, vec![]).unwrap();
-        let boundary = wal.append_commit(1).unwrap();
+        wal.append_commit(1).unwrap();
         assert!(!wal.is_folded());
         wal.checkpoint().unwrap();
         assert!(wal.is_folded());
-        // The completed checkpoint left nothing at or below the boundary.
-        assert!(
-            !wal.recover_committed_after(boundary)
-                .unwrap()
-                .skipped_folded
-        );
+        // The completed checkpoint left nothing at or below the boundary:
+        // the folded commit does not resurface even with no boundary given.
+        assert!(wal.recover_committed_after(0).unwrap().is_empty());
         drop(wal);
         let mut wal = Wal::open(&path).unwrap();
         assert!(wal.is_folded(), "only the Checkpoint record remains");

@@ -110,8 +110,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "neptune_ham_op_ns",
         "neptune_storage_op_ns",
         "neptune_ham_txn_commits_total",
-        "neptune_ham_checkpoint_blobs_written_total",
-        "neptune_ham_checkpoint_blobs_skipped_total",
+        "neptune_ham_checkpoint_node_files_written_total",
+        "neptune_ham_checkpoint_node_files_skipped_total",
         "neptune_ham_checkpoint_bytes_total",
         "neptune_ham_checkpoint_skipped_total",
         "neptune_storage_index_replays_total",
