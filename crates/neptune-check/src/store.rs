@@ -184,6 +184,22 @@ fn scan_wal(directory: &Path, findings: &mut Vec<Finding>) {
     }
 }
 
+/// The node files in a graph directory's `nodes/`, as `(id, head)` pairs.
+/// A store's open removes every file its snapshot does not name, so an
+/// offline check lists them before it opens the store.
+fn list_node_files(directory: &Path) -> std::io::Result<Vec<(u64, u64)>> {
+    match std::fs::read_dir(directory.join(NODES_DIR)) {
+        Ok(entries) => entries
+            .map(|entry| Ok(NodeFiles::parse_name(&entry?.file_name().to_string_lossy())))
+            .filter_map(|parsed| parsed.transpose())
+            .collect(),
+        // Opening creates the directory: a store that lacks one holds no
+        // node files yet.
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(e),
+    }
+}
+
 /// Check MAIN's node files against an open machine: every file it knows
 /// durable (each one its snapshot names, and any a checkpoint wrote since)
 /// exists, passes its CRC and decodes to its node's contents as of the head
@@ -192,6 +208,12 @@ fn scan_wal(directory: &Path, findings: &mut Vec<Finding>) {
 /// reported as a warning: a checkpoint that failed after writing it leaves
 /// one until the next checkpoint or open removes it.
 pub fn scan_node_files(ham: &Ham) -> Vec<Finding> {
+    check_node_files(ham, list_node_files(ham.directory()))
+}
+
+/// [`scan_node_files`] against `on_disk`, the directory's node files as
+/// listed before the store opened (or now, for a live machine).
+fn check_node_files(ham: &Ham, on_disk: std::io::Result<Vec<(u64, u64)>>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let dir = ham.directory().join(NODES_DIR);
     let mut error = |severity, entity: String, message: String| {
@@ -246,7 +268,7 @@ pub fn scan_node_files(ham: &Ham) -> Vec<Finding> {
             );
         }
     }
-    match files.files() {
+    match on_disk {
         Ok(on_disk) => {
             for (id, head) in on_disk {
                 if !known.contains(&(NodeIndex(id), Time(head))) {
@@ -321,20 +343,28 @@ pub fn verify_view(view: &neptune_ham::CommittedView) -> Vec<Finding> {
 /// the union of all shards.
 ///
 /// Note that opening the store runs recovery, which truncates a torn WAL
-/// tail; the file scan happens first precisely so such damage is still
+/// tail and removes the node files no snapshot names; the file scan and
+/// the listing of `nodes/` happen first precisely so such damage is still
 /// reported.
 pub fn verify_store(directory: impl AsRef<Path>) -> Vec<Finding> {
     let directory = directory.as_ref();
     let nshards =
         neptune_ham::shard::read_shard_count(&neptune_storage::StdVfs, directory).unwrap_or(1);
     let mut findings = Vec::new();
+    let mut listed = Vec::new();
     for k in 0..nshards {
-        findings.extend(scan_files(neptune_ham::shard::shard_dir(directory, k)));
+        let shard = neptune_ham::shard::shard_dir(directory, k);
+        findings.extend(scan_files(&shard));
+        listed.push(list_node_files(&shard));
     }
+    let mut listed = listed.into_iter();
     if nshards == 1 {
         match Ham::open_existing(directory) {
             Ok((ham, _, _)) => {
-                findings.extend(scan_node_files(&ham));
+                findings.extend(check_node_files(
+                    &ham,
+                    listed.next().unwrap_or(Ok(Vec::new())),
+                ));
                 findings.extend(verify_ham(&ham));
             }
             Err(e) => findings.push(Finding::new(
@@ -347,8 +377,8 @@ pub fn verify_store(directory: impl AsRef<Path>) -> Vec<Finding> {
     } else {
         match ShardedHam::open(directory) {
             Ok((sharded, _, _)) => {
-                for k in 0..sharded.shard_count() {
-                    findings.extend(scan_node_files(&sharded.lock_shard(k)));
+                for (k, on_disk) in (0..sharded.shard_count()).zip(listed) {
+                    findings.extend(check_node_files(&sharded.lock_shard(k), on_disk));
                 }
                 findings.extend(sharded.violations().into_iter().map(Finding::from));
             }

@@ -12,7 +12,7 @@ use neptune_check::{
 use neptune_ham::demons::{DemonSpec, Event};
 use neptune_ham::ham::{Ham, NODES_DIR, SNAPSHOT_FILE, WAL_FILE};
 use neptune_ham::types::{LinkPt, NodeIndex, Protections, Time, MAIN_CONTEXT};
-use neptune_ham::Value;
+use neptune_ham::{ShardedHam, Value};
 use neptune_storage::snapshot::{frame, unframe, NODE_FILE_MAGIC};
 use neptune_storage::NodeFiles;
 
@@ -378,6 +378,72 @@ fn node_files_are_checked_against_the_open_machine() {
         "{findings:?}"
     );
     drop(ham);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Opening a store removes the node files its snapshot does not name, so
+/// the offline verifier lists `nodes/` before it opens: a stray file is
+/// reported there as on a live machine. An entry the open's sweep cannot
+/// remove (a directory) leaves the store openable.
+#[test]
+fn an_offline_verify_reports_the_node_files_its_open_sweeps() {
+    let dir = tmpdir("node-file-offline");
+    let mut ham = build_store(&dir);
+    ham.checkpoint().unwrap();
+    drop(ham);
+    let stray = NodeFiles::file_name(9, 9);
+    std::fs::write(
+        dir.join(NODES_DIR).join(&stray),
+        frame(NODE_FILE_MAGIC, b""),
+    )
+    .unwrap();
+    std::fs::create_dir(dir.join(NODES_DIR).join("stray-dir")).unwrap();
+    let findings = verify_store(&dir);
+    assert_eq!(
+        findings
+            .iter()
+            .map(|f| (f.severity, f.rule.as_str(), f.entity.clone()))
+            .collect::<Vec<_>>(),
+        vec![(
+            Severity::Warning,
+            RULE_NODE_FILE,
+            format!("{NODES_DIR}/{stray}")
+        )],
+        "{findings:?}"
+    );
+    assert!(
+        !dir.join(NODES_DIR).join(&stray).exists(),
+        "the open swept it"
+    );
+    assert!(dir.join(NODES_DIR).join("stray-dir").is_dir());
+    assert_eq!(verify_store(&dir), Vec::new());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A sharded store's shards are listed the same way, each before the
+    // open.
+    let dir = tmpdir("node-file-offline-sharded");
+    let (sharded, _, _) = ShardedHam::create(&dir, Protections::DEFAULT, 2).unwrap();
+    sharded.checkpoint().unwrap();
+    drop(sharded);
+    let shard = neptune_ham::shard::shard_dir(&dir, 1);
+    std::fs::write(
+        shard.join(NODES_DIR).join(&stray),
+        frame(NODE_FILE_MAGIC, b""),
+    )
+    .unwrap();
+    let findings = verify_store(&dir);
+    assert_eq!(
+        findings
+            .iter()
+            .map(|f| (f.severity, f.rule.as_str(), f.entity.clone()))
+            .collect::<Vec<_>>(),
+        vec![(
+            Severity::Warning,
+            RULE_NODE_FILE,
+            format!("{NODES_DIR}/{stray}")
+        )],
+        "{findings:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -3097,6 +3097,48 @@ mod tests {
         );
     }
 
+    /// The node files are the only copy of MAIN's contents and every open
+    /// reads them, so a mode without owner read (which the API accepts)
+    /// keeps owner read on disk: the store stays openable by its owner,
+    /// and the machine keeps the exact mode it was given. The mode is
+    /// checked on the file, since a test running as root could read it
+    /// either way.
+    #[test]
+    fn a_mode_without_owner_read_keeps_the_store_openable() {
+        let dir = tmpdir("unreadable-mode");
+        let (mut ham, _, _) = Ham::create_graph(&dir, Protections::DEFAULT).unwrap();
+        let (n, t0) = ham.add_node(MAIN_CONTEXT, true).unwrap();
+        ham.modify_node(MAIN_CONTEXT, n, t0, b"write-only\n".to_vec(), &[])
+            .unwrap();
+        let write_only = Protections { mode: 0o200 };
+        ham.change_node_protection(MAIN_CONTEXT, n, write_only)
+            .unwrap();
+        ham.checkpoint().unwrap();
+        let head = ham.get_node_time_stamp(MAIN_CONTEXT, n).unwrap();
+        let file = dir.join(NODES_DIR).join(NodeFiles::file_name(n.0, head.0));
+        #[cfg(unix)]
+        let mode = || {
+            use std::os::unix::fs::PermissionsExt;
+            std::fs::metadata(&file).unwrap().permissions().mode() & 0o777
+        };
+        #[cfg(unix)]
+        assert_eq!(mode(), 0o600, "the checkpoint's write");
+        // A change to a node whose file is already durable chmods it live.
+        let sealed = Protections { mode: 0o000 };
+        ham.change_node_protection(MAIN_CONTEXT, n, sealed).unwrap();
+        #[cfg(unix)]
+        assert_eq!(mode(), 0o400, "the live chmod");
+        ham.checkpoint().unwrap();
+        drop(ham);
+        let (mut ham, _, _) = Ham::open_existing(&dir).unwrap();
+        let node = ham.graph(MAIN_CONTEXT).unwrap().node(n).unwrap();
+        assert_eq!(node.protections, sealed);
+        let opened = ham.open_node(MAIN_CONTEXT, n, Time::CURRENT, &[]).unwrap();
+        assert_eq!(&*opened.contents, b"write-only\n");
+        drop(ham);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn read_only_ops_write_nothing_to_wal() {
         let (mut ham, ctx) = fresh("readonly");

@@ -39,6 +39,15 @@ impl Protections {
     pub fn owner_writable(&self) -> bool {
         self.mode & 0o200 != 0
     }
+
+    /// The mode a node file gets on disk: the read-write triplet of these
+    /// protections, with owner read always kept. A node file is the store's
+    /// only copy of its node's contents and every open reads it, so a mode
+    /// its owner cannot read would leave the store unopenable; the exact
+    /// protections stay in the snapshot.
+    pub fn file_mode(&self) -> u32 {
+        (self.mode & 0o777) | 0o400
+    }
 }
 
 impl Default for Protections {
@@ -100,7 +109,8 @@ impl NodeFiles {
     }
 
     /// Write node `id`'s file for head `time`: create, one append of the
-    /// framed `payload`, fsync, then chmod to `protections`. Returns the
+    /// framed `payload`, fsync, then chmod to `protections`
+    /// ([`Protections::file_mode`]). Returns the
     /// bytes written. The directory entry is not synced here: a checkpoint
     /// makes every file it wrote durable with one [`NodeFiles::sync_root`]
     /// before its snapshot names them. A failed write removes what it left,
@@ -113,7 +123,7 @@ impl NodeFiles {
             let mut f = self.vfs.create(&path)?;
             f.append(&bytes)?;
             f.sync()?;
-            self.vfs.set_permissions(&path, protections.mode)
+            self.vfs.set_permissions(&path, protections.file_mode())
         })();
         if let Err(e) = written {
             let _ = self.vfs.remove_file(&path);
@@ -159,10 +169,10 @@ impl NodeFiles {
     }
 
     /// Apply `protections` to node `id`'s file for head `time` — the HAM's
-    /// `changeNodeProtection`.
+    /// `changeNodeProtection` ([`Protections::file_mode`]).
     pub fn set_protections(&self, id: u64, time: u64, protections: Protections) -> Result<()> {
         self.vfs
-            .set_permissions(&self.path_for(id, time), protections.mode)?;
+            .set_permissions(&self.path_for(id, time), protections.file_mode())?;
         Ok(())
     }
 
@@ -177,12 +187,14 @@ impl NodeFiles {
 
     /// Remove every entry but the node files `keep` accepts: the files no
     /// snapshot names, half-written ones a crash left, and the `.blob`
-    /// mirror of older builds alike.
+    /// mirror of older builds alike. Best effort: an entry that will not go
+    /// (a stray directory, say) stays, since nothing reads a file no
+    /// snapshot names; only a directory that cannot be listed is an error.
     pub fn retain(&self, keep: impl Fn(u64, u64) -> bool) -> Result<()> {
         for name in self.names()? {
             let kept = Self::parse_name(&name.to_string_lossy()).is_some_and(|(id, t)| keep(id, t));
             if !kept {
-                self.vfs.remove_file(&self.root.join(name))?;
+                let _ = self.vfs.remove_file(&self.root.join(name));
             }
         }
         Ok(())
@@ -280,6 +292,21 @@ mod tests {
         assert_eq!(mode(&s), 0o600);
         s.set_protections(5, 2, Protections::READ_ONLY).unwrap();
         assert_eq!(mode(&s), 0o444);
+        // Modes without owner read keep it on disk, and only the triplet
+        // reaches the file.
+        for (given, on_disk) in [
+            (0o000, 0o400),
+            (0o200, 0o600),
+            (0o044, 0o444),
+            (0o4755, 0o755),
+        ] {
+            s.set_protections(5, 2, Protections { mode: given })
+                .unwrap();
+            assert_eq!(mode(&s), on_disk, "{given:#o}");
+        }
+        s.put(6, 2, b"sealed", Protections { mode: 0o000 }).unwrap();
+        let meta = fs::metadata(s.root().join(NodeFiles::file_name(6, 2))).unwrap();
+        assert_eq!(meta.permissions().mode() & 0o777, 0o400);
         // Restore writability so temp cleanup works elsewhere.
         s.set_protections(5, 2, Protections::DEFAULT).unwrap();
     }
@@ -357,7 +384,17 @@ mod tests {
         assert!(names(&dir).contains(&NodeFiles::file_name(3, 1)));
         let s = NodeFiles::open(&dir).unwrap();
         s.retain(|id, time| (id, time) == (1, 1)).unwrap();
-        assert_eq!(names(&dir), vec![kept], "open must sweep unnamed files");
+        assert_eq!(
+            names(&dir),
+            vec![kept.clone()],
+            "open must sweep unnamed files"
+        );
+        assert_eq!(s.files().unwrap(), vec![(1, 1)]);
+
+        // An entry the sweep cannot remove stays, and does not fail it.
+        fs::create_dir(dir.join("stray")).unwrap();
+        s.retain(|id, time| (id, time) == (1, 1)).unwrap();
+        assert_eq!(names(&dir), vec![kept, "stray".to_string()]);
         assert_eq!(s.files().unwrap(), vec![(1, 1)]);
     }
 
@@ -365,5 +402,7 @@ mod tests {
     fn protections_helpers() {
         assert!(Protections::DEFAULT.owner_writable());
         assert!(!Protections::READ_ONLY.owner_writable());
+        assert_eq!(Protections::DEFAULT.file_mode(), 0o644);
+        assert_eq!(Protections { mode: 0o200 }.file_mode(), 0o600);
     }
 }
