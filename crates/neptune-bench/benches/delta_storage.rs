@@ -4,7 +4,8 @@
 //! without copying each individual item; for nodes this is provided by
 //! backward deltas similar to RCS."* Measures (a) check-in latency as
 //! history grows and (b) bytes stored by the delta archive vs the
-//! full-copy baseline (printed as a table, recorded in EXPERIMENTS.md).
+//! full-copy baseline (printed as a table, recorded in EXPERIMENTS.md),
+//! and (c) what the backward delta alone costs a check-in.
 
 use neptune_bench::harness::{BatchSize, BenchmarkId, Criterion};
 use neptune_bench::{criterion_group, criterion_main};
@@ -12,6 +13,7 @@ use std::hint::black_box;
 
 use neptune_bench::{edit_lines, text};
 use neptune_storage::archive::Archive;
+use neptune_storage::delta::Delta;
 
 fn build_archive(bytes: usize, versions: usize) -> Archive {
     let mut contents = text(bytes, 1);
@@ -91,6 +93,25 @@ fn bench_checkin(c: &mut Criterion) {
     group.finish();
 }
 
+/// The backward delta alone, as a check-in computes it: a new node's first
+/// version (the old head is empty, so the delta is too), and two-line edits
+/// of 2 and 4 KiB nodes.
+fn bench_delta_compute(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e1_delta_compute");
+    let body = text(2 * 1024, 3);
+    group.bench_function("first_version_2kib", |b| {
+        b.iter(|| black_box(Delta::compute(&body, b"").op_count()));
+    });
+    for kib in [2usize, 4] {
+        let old = text(kib * 1024, 5);
+        let new = edit_lines(&old, 2, 9);
+        group.bench_with_input(BenchmarkId::new("two_line_edit_kib", kib), &kib, |b, _| {
+            b.iter(|| black_box(Delta::compute(&new, &old).op_count()));
+        });
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .measurement_time(std::time::Duration::from_millis(1200))
@@ -101,6 +122,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_checkin
+    targets = bench_checkin, bench_delta_compute
 }
 criterion_main!(benches);

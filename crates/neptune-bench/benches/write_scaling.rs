@@ -25,7 +25,9 @@
 //!    the state being replaced), with the WAL fsync inside it taken out,
 //!    on a node with 10, 10³ and 10⁴ versions, in a graph of 10³ and 10⁵
 //!    nodes, and with 1 and 64 contexts on the machine. A save adds one
-//!    delta to one node: each pair should cost the same.
+//!    delta to one node: each pair should cost the same. Beside the grid,
+//!    two report-only check-in cells: a new 2 KiB node's first version,
+//!    and a one-line edit to a 64 KiB node.
 //!
 //! With `NEPTUNE_BENCH_GUARD` set (ci.sh smoke runs), the disjoint-vs-
 //! single-shard ratio at 8 writers doubles as a regression guard: on a
@@ -222,25 +224,77 @@ impl Slot {
     }
 }
 
-/// Median nanoseconds of one commit over [`COST_SAMPLES`] commits dealt
-/// round-robin to `slots`, each less the WAL fsync the registry timed
+/// Nanoseconds `commit` takes, less the WAL fsync the registry timed
 /// inside it: what the machine does for a commit, not what the disk does.
-fn commit_ns(ham: &mut Ham, slots: &mut [Slot]) -> f64 {
+fn less_fsync(commit: impl FnOnce()) -> u64 {
     let fsync =
         neptune_obs::registry().histogram(&neptune_obs::trace::histogram_key("storage.wal_fsync"));
-    let mut samples: Vec<u64> = (0..COST_SAMPLES)
+    let synced = fsync.sum();
+    let start = Instant::now();
+    commit();
+    let took = start.elapsed().as_nanos() as u64;
+    took.saturating_sub(fsync.sum() - synced)
+}
+
+fn median(mut samples: Vec<u64>) -> f64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2] as f64
+}
+
+/// Median nanoseconds of one commit over [`COST_SAMPLES`] commits dealt
+/// round-robin to `slots`, each less its WAL fsync.
+fn commit_ns(ham: &mut Ham, slots: &mut [Slot]) -> f64 {
+    let samples = (0..COST_SAMPLES)
         .map(|i| {
             let slot = &mut slots[i % slots.len()];
             let body = slot.edited();
-            let synced = fsync.sum();
-            let start = Instant::now();
-            slot.commit(ham, body);
-            let took = start.elapsed().as_nanos() as u64;
-            took.saturating_sub(fsync.sum() - synced)
+            less_fsync(|| slot.commit(ham, body))
         })
         .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2] as f64
+    median(samples)
+}
+
+/// Two check-in cells beside the grid, report-only: the first version of
+/// a new 2 KiB node (the node is added untimed, then its body checked in),
+/// and a one-line edit to a 64 KiB node. A check-in's delta should cost
+/// the changed middle, and nothing for a first version.
+fn bench_checkin_cost() -> Vec<(String, f64)> {
+    let mut ham = fresh_ham("ws-checkin");
+    let body = text(2 * BODY_BYTES, 3);
+    let first = (0..COST_SAMPLES)
+        .map(|_| {
+            let (node, time) = ham.add_node(MAIN_CONTEXT, true).expect("node");
+            less_fsync(|| {
+                ham.modify_node(MAIN_CONTEXT, node, time, &body[..], &[])
+                    .expect("commit");
+            })
+        })
+        .collect();
+    let (node, time) = ham.add_node(MAIN_CONTEXT, true).expect("node");
+    let mut slot = Slot {
+        node,
+        time,
+        body: Vec::new(),
+    };
+    slot.commit(&mut ham, text(64 * BODY_BYTES, 4));
+    let edit = (0..COST_SAMPLES)
+        .map(|_| {
+            let body = edit_lines(&slot.body, 1, slot.time.0);
+            less_fsync(|| slot.commit(&mut ham, body))
+        })
+        .collect();
+    let cells = vec![
+        ("checkin/first_version_2kib".to_string(), median(first)),
+        ("checkin/one_line_edit_64kib".to_string(), median(edit)),
+    ];
+    for (label, ns) in &cells {
+        println!(
+            "{:<52} {:>9.2} µs /commit",
+            format!("commit_cost/{label}"),
+            ns / 1e3
+        );
+    }
+    cells
 }
 
 /// Measure the commit-cost grid: `(label, ns per commit)` per cell, in
@@ -307,7 +361,7 @@ fn rate(results: &[BenchResult], variant: &str, writers: usize) -> f64 {
         .unwrap_or(0.0)
 }
 
-fn write_report(c: &Criterion, cost: &[(String, f64)]) -> f64 {
+fn write_report(c: &Criterion, cost: &[(String, f64)], checkin: &[(String, f64)]) -> f64 {
     let results = c.results();
     let mut out = String::from("{\n  \"bench\": \"write_scaling\",\n");
     out.push_str(&format!(
@@ -363,9 +417,10 @@ fn write_report(c: &Criterion, cost: &[(String, f64)]) -> f64 {
     out.push_str(&format!(
         "    \"cross_shard_round_trip_ns\": {cross_ns:.0},\n"
     ));
-    // Commit cost less fsync per grid cell, and large over small per axis.
+    // Commit cost less fsync per grid cell and check-in cell, and large
+    // over small per grid axis.
     out.push_str("    \"commit_cost_ns\": {\n");
-    for (label, ns) in cost {
+    for (label, ns) in cost.iter().chain(checkin) {
         out.push_str(&format!("      \"{label}\": {ns:.0},\n"));
     }
     let ratios: Vec<String> = cost_ratios(cost)
@@ -497,6 +552,7 @@ fn main() {
     bench_writer_scaling(&mut criterion);
     bench_cross_shard(&mut criterion);
     let cost = bench_commit_cost();
-    let ratio = write_report(&criterion, &cost);
+    let checkin = bench_checkin_cost();
+    let ratio = write_report(&criterion, &cost, &checkin);
     guard(ratio, &cost);
 }

@@ -200,6 +200,8 @@ fn the_script_leaves_the_pinned_wal_and_snapshot_bytes() {
     // And the store reads back what the script wrote.
     let (mut ham, _, _) = Ham::open_existing(&dir).unwrap();
     assert_reads_back(&mut ham);
+    drop(ham);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

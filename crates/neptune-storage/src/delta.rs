@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use crate::codec::{Decode, Encode, Reader, Writer};
-use crate::diff::{common_line_affixes, diff_lines, split_lines, HunkKind};
+use crate::diff::{common_line_affixes, line_hunks, HunkKind, Lines};
 use crate::error::{Result, StorageError};
 
 /// One delta instruction.
@@ -38,16 +38,6 @@ pub struct Delta {
     target_len: u64,
 }
 
-/// Byte offset of each line start in `data`, plus its total length.
-fn line_offsets(data: &[u8]) -> Vec<usize> {
-    let mut offsets = vec![0];
-    offsets.extend(split_lines(data).iter().scan(0, |end, line| {
-        *end += line.len();
-        Some(*end)
-    }));
-    offsets
-}
-
 /// Append a copy of `base[start..end]`, extending a preceding copy that
 /// ends where this one starts.
 fn push_copy(ops: &mut Vec<DeltaOp>, start: usize, end: usize) {
@@ -71,50 +61,43 @@ impl Delta {
     /// Compute a delta such that `delta.apply(base) == target`.
     ///
     /// The whole lines the two buffers share at either end are found by
-    /// comparing bytes and become `Copy` instructions directly; only the
-    /// middle they differ in goes through the line-level Myers diff, where
-    /// byte-identical runs of lines become `Copy`s and novel bytes `Add`s.
-    /// The result is the one a diff over the whole buffers gives, for the
-    /// cost of the part that changed.
+    /// comparing bytes and become `Copy` instructions directly. When either
+    /// middle they leave is empty — a first version, a pure insertion or
+    /// deletion, an identical save — the other middle is at most one `Add`
+    /// and nothing is split or diffed. Otherwise only the middles go through
+    /// the line-level Myers diff, where byte-identical runs of lines become
+    /// `Copy`s and novel bytes `Add`s. The result is the one a diff over the
+    /// whole buffers gives, for the cost of the part that changed.
     pub fn compute(base: &[u8], target: &[u8]) -> Delta {
         let (prefix, suffix) = common_line_affixes(base, target);
-        Self::compute_between(base, target, prefix, suffix)
-    }
-
-    /// The reference [`Delta::compute`] is checked against: Myers over
-    /// every line of both buffers.
-    #[cfg(test)]
-    fn compute_untrimmed(base: &[u8], target: &[u8]) -> Delta {
-        Self::compute_between(base, target, 0, 0)
-    }
-
-    /// Diff the buffers given that their first `prefix` and last `suffix`
-    /// bytes are equal whole lines.
-    fn compute_between(base: &[u8], target: &[u8], prefix: usize, suffix: usize) -> Delta {
         let mid_base = &base[prefix..base.len() - suffix];
         let mid_target = &target[prefix..target.len() - suffix];
-        let base_offsets = line_offsets(mid_base);
-        let target_offsets = line_offsets(mid_target);
 
         let mut ops: Vec<DeltaOp> = Vec::new();
         push_copy(&mut ops, 0, prefix);
-        for h in diff_lines(mid_base, mid_target) {
-            match h.kind {
-                HunkKind::Equal => push_copy(
-                    &mut ops,
-                    prefix + base_offsets[h.a_range.0],
-                    prefix + base_offsets[h.a_range.1],
-                ),
-                HunkKind::Insert => {
-                    let bytes =
-                        &mid_target[target_offsets[h.b_range.0]..target_offsets[h.b_range.1]];
-                    if let Some(DeltaOp::Add(prev)) = ops.last_mut() {
-                        prev.extend_from_slice(bytes);
-                    } else if !bytes.is_empty() {
-                        ops.push(DeltaOp::Add(bytes.to_vec()));
+        if mid_base.is_empty() || mid_target.is_empty() {
+            if !mid_target.is_empty() {
+                ops.push(DeltaOp::Add(mid_target.to_vec()));
+            }
+        } else {
+            let (base_lines, target_lines) = (Lines::new(mid_base), Lines::new(mid_target));
+            for h in line_hunks(&base_lines, &target_lines) {
+                match h.kind {
+                    HunkKind::Equal => push_copy(
+                        &mut ops,
+                        prefix + base_lines.offset(h.a_range.0),
+                        prefix + base_lines.offset(h.a_range.1),
+                    ),
+                    HunkKind::Insert => {
+                        let bytes = target_lines.span(h.b_range);
+                        if let Some(DeltaOp::Add(prev)) = ops.last_mut() {
+                            prev.extend_from_slice(bytes);
+                        } else {
+                            ops.push(DeltaOp::Add(bytes.to_vec()));
+                        }
                     }
+                    HunkKind::Delete => {}
                 }
-                HunkKind::Delete => {}
             }
         }
         push_copy(&mut ops, base.len() - suffix, base.len());
@@ -347,82 +330,48 @@ mod tests {
         );
     }
 
-    /// Trimming must change neither what a delta rebuilds nor what it
-    /// costs to store: over every edit shape the result is the delta the
-    /// full-body diff computes.
+    /// The delta as it was computed before the ends were trimmed and empty
+    /// middles skipped: Myers over every line of both whole buffers.
+    fn reference_delta(base: &[u8], target: &[u8]) -> Delta {
+        let (base_lines, target_lines) = (
+            crate::diff::reference::split(base),
+            crate::diff::reference::split(target),
+        );
+        let offset = |lines: &[&[u8]], i: usize| lines[..i].iter().map(|l| l.len()).sum();
+        let mut ops = Vec::new();
+        for h in crate::diff::reference::diff_lines(base, target) {
+            match h.kind {
+                HunkKind::Equal => push_copy(
+                    &mut ops,
+                    offset(&base_lines, h.a_range.0),
+                    offset(&base_lines, h.a_range.1),
+                ),
+                HunkKind::Insert => {
+                    let bytes = target_lines[h.b_range.0..h.b_range.1].concat();
+                    if let Some(DeltaOp::Add(prev)) = ops.last_mut() {
+                        prev.extend_from_slice(&bytes);
+                    } else if !bytes.is_empty() {
+                        ops.push(DeltaOp::Add(bytes));
+                    }
+                }
+                HunkKind::Delete => {}
+            }
+        }
+        Delta {
+            ops: ops.into(),
+            target_len: target.len() as u64,
+        }
+    }
+
+    /// Trimming and skipping must change neither what a delta rebuilds nor
+    /// a byte of what is stored: over every edit shape the encoding is the
+    /// whole-buffer reference's.
     #[test]
     fn property_trimmed_delta_equals_the_full_body_reference() {
-        use crate::testutil::XorShift;
-
-        fn agree(base: &[u8], target: &[u8], what: &str) {
-            let d = check(base, target);
-            let reference = Delta::compute_untrimmed(base, target);
-            assert!(
-                d.storage_size() <= reference.storage_size(),
-                "{what}: {} bytes trimmed, {} untrimmed",
-                d.storage_size(),
-                reference.storage_size()
-            );
-            assert_eq!(d, reference, "{what}");
-        }
-
-        for seed in 1..=12u64 {
-            let mut rng = XorShift::new(seed);
-            // Line ending per document: LF, CRLF, or none at all (binary).
-            let ending: &[u8] = [&b"\n"[..], b"\r\n", b""][(seed % 3) as usize];
-            let line = |rng: &mut XorShift| {
-                let len = 1 + rng.index(24);
-                let mut l = rng.bytes(len);
-                l.retain(|&c| c != b'\n');
-                l.extend_from_slice(ending);
-                l
-            };
-            let lines: Vec<Vec<u8>> = (0..rng.index(40)).map(|_| line(&mut rng)).collect();
-            let base = lines.concat();
-            agree(&base, &base, "identical");
-            agree(&base, b"", "target empty");
-            agree(b"", &base, "base empty");
-            for round in 0..40 {
-                let mut edited = lines.clone();
-                let at = match round % 4 {
-                    0 => 0,
-                    1 => edited.len() / 2,
-                    2 => edited.len(),
-                    _ => rng.index(edited.len() + 1),
-                };
-                let what = match rng.below(4) {
-                    0 => {
-                        // Pure insert: at the head, middle or tail.
-                        for _ in 0..1 + rng.index(3) {
-                            edited.insert(at, line(&mut rng));
-                        }
-                        "insert"
-                    }
-                    1 if at < edited.len() => {
-                        edited.remove(at);
-                        "delete"
-                    }
-                    2 if at < edited.len() => {
-                        edited[at] = line(&mut rng);
-                        "replace"
-                    }
-                    _ => {
-                        // Several scattered edits, so the middle has
-                        // equal runs of its own.
-                        for _ in 0..3 {
-                            let i = rng.index(edited.len() + 1);
-                            edited.insert(i, line(&mut rng));
-                        }
-                        "scatter"
-                    }
-                };
-                let mut target = edited.concat();
-                if rng.chance(1, 4) && target.ends_with(b"\n") {
-                    target.pop(); // no trailing newline
-                }
-                agree(&base, &target, what);
-                agree(&target, &base, what);
-            }
+        for (base, target) in crate::diff::reference::edit_pairs() {
+            let d = check(&base, &target);
+            let reference = reference_delta(&base, &target);
+            assert_eq!(d.to_bytes(), reference.to_bytes(), "{base:?} -> {target:?}");
         }
     }
 

@@ -5,18 +5,86 @@ use std::collections::HashMap;
 /// Split `data` into lines, each retaining its trailing `\n` (the final line
 /// may lack one). Concatenating the slices yields `data` exactly.
 pub fn split_lines(data: &[u8]) -> Vec<&[u8]> {
-    let mut lines = Vec::new();
-    let mut start = 0;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            lines.push(&data[start..=i]);
-            start = i + 1;
+    Lines::new(data).iter().collect()
+}
+
+/// The boundaries of `data`'s lines: 0, then the end of every line — one
+/// past each `\n`, and the buffer's end when its last line lacks one.
+/// Newlines are found eight bytes at a time.
+fn line_bounds(data: &[u8]) -> Vec<usize> {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    const NEWLINES: u64 = 0x0a0a_0a0a_0a0a_0a0a;
+    let mut bounds = Vec::with_capacity(data.len() / 32 + 2);
+    bounds.push(0);
+    let mut words = data.chunks_exact(8);
+    let mut at = 0;
+    for chunk in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let x = u64::from_le_bytes(word) ^ NEWLINES;
+        // The high bit of exactly each zero byte of `x`, each newline of
+        // the chunk: adding 0x7f to a byte's low seven bits never carries
+        // into the next byte, so no byte's result depends on another's.
+        let mut hits = !(((x & LOW7) + LOW7) | x | LOW7);
+        while hits != 0 {
+            bounds.push(at + hits.trailing_zeros() as usize / 8 + 1);
+            hits &= hits - 1;
+        }
+        at += 8;
+    }
+    let tail = words.remainder().iter().enumerate();
+    bounds.extend(tail.filter(|&(_, &c)| c == b'\n').map(|(i, _)| at + i + 1));
+    if bounds.last() != Some(&data.len()) {
+        bounds.push(data.len());
+    }
+    bounds
+}
+
+/// A buffer split into lines in one pass over it, as byte offsets: no
+/// line is copied.
+#[derive(Debug)]
+pub(crate) struct Lines<'a> {
+    data: &'a [u8],
+    bounds: Vec<usize>,
+}
+
+impl<'a> Lines<'a> {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
+        Lines {
+            data,
+            bounds: line_bounds(data),
         }
     }
-    if start < data.len() {
-        lines.push(&data[start..]);
+
+    /// Number of lines.
+    pub(crate) fn len(&self) -> usize {
+        self.bounds.len() - 1
     }
-    lines
+
+    /// Byte offset where line `i` starts; the buffer's length at `len()`.
+    pub(crate) fn offset(&self, i: usize) -> usize {
+        self.bounds[i]
+    }
+
+    /// The bytes of lines `start..end`.
+    pub(crate) fn span(&self, (start, end): (usize, usize)) -> &'a [u8] {
+        &self.data[self.bounds[start]..self.bounds[end]]
+    }
+
+    /// Each line of lines `start..end`, apart.
+    pub(crate) fn range(
+        &self,
+        (start, end): (usize, usize),
+    ) -> impl Iterator<Item = &'a [u8]> + '_ {
+        self.bounds[start..=end]
+            .windows(2)
+            .map(|w| &self.data[w[0]..w[1]])
+    }
+
+    /// Every line, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
+        self.range((0, self.len()))
+    }
 }
 
 /// Lengths in bytes of the longest common prefix and the longest common
@@ -81,8 +149,13 @@ fn common_suffix_len(a: &[u8], b: &[u8]) -> usize {
 
 /// Interns line contents so the diff core compares small integer tokens
 /// instead of byte slices. Identical lines — wherever they occur in either
-/// input — receive the same token. The table borrows the lines from the
-/// inputs; nothing is copied.
+/// input — receive the same token, numbered by first appearance. The table
+/// borrows the lines from the inputs; nothing is copied.
+///
+/// The table hashes with the standard library's per-process random key
+/// (`RandomState`): node contents come from clients and a check-in diffs
+/// them under the shard lock, so lines crafted to collide under a fixed
+/// hash would stall every writer on that shard.
 #[derive(Debug, Default)]
 pub struct Interner<'a> {
     table: HashMap<&'a [u8], u32>,
@@ -94,15 +167,17 @@ impl<'a> Interner<'a> {
         Self::default()
     }
 
-    /// Intern every line of `data`, returning one token per line.
-    pub fn intern_lines(&mut self, data: &'a [u8]) -> Vec<u32> {
-        split_lines(data)
-            .into_iter()
-            .map(|line| {
-                let next = self.table.len() as u32;
-                *self.table.entry(line).or_insert(next)
-            })
-            .collect()
+    /// Create an interner with room for `lines` distinct lines.
+    pub fn with_capacity(lines: usize) -> Self {
+        Interner {
+            table: HashMap::with_capacity(lines),
+        }
+    }
+
+    /// The token of `line`, a new one if it has not been seen.
+    pub fn intern(&mut self, line: &'a [u8]) -> u32 {
+        let next = self.table.len() as u32;
+        *self.table.entry(line).or_insert(next)
     }
 
     /// Number of distinct lines seen so far.
@@ -190,10 +265,26 @@ mod tests {
     }
 
     #[test]
+    fn split_agrees_with_a_byte_at_a_time_split() {
+        use crate::testutil::XorShift;
+        let mut rng = XorShift::new(0x11e5);
+        for len in 0..80 {
+            for _ in 0..8 {
+                // Newlines dense or sparse, beside bytes one away from one.
+                let data: Vec<u8> = (0..len)
+                    .map(|_| [b'\n', 0x0b, 0x09, 0x8a, rng.next_u64() as u8][rng.index(5)])
+                    .collect();
+                let naive: Vec<&[u8]> = data.split_inclusive(|&c| c == b'\n').collect();
+                assert_eq!(split_lines(&data), naive, "{data:?}");
+            }
+        }
+    }
+
+    #[test]
     fn interning_is_stable_across_inputs() {
         let mut i = Interner::new();
-        let a = i.intern_lines(b"same\ndiff_a\n");
-        let b = i.intern_lines(b"same\ndiff_b\n");
+        let a: Vec<u32> = [&b"same\n"[..], b"diff_a\n"].map(|l| i.intern(l)).to_vec();
+        let b: Vec<u32> = [&b"same\n"[..], b"diff_b\n"].map(|l| i.intern(l)).to_vec();
         assert_eq!(a[0], b[0], "identical lines share a token");
         assert_ne!(a[1], b[1]);
         assert_eq!(i.len(), 3);
@@ -202,8 +293,6 @@ mod tests {
     #[test]
     fn line_with_and_without_newline_differ() {
         let mut i = Interner::new();
-        let a = i.intern_lines(b"x\n");
-        let b = i.intern_lines(b"x");
-        assert_ne!(a[0], b[0]);
+        assert_ne!(i.intern(b"x\n"), i.intern(b"x"));
     }
 }

@@ -14,7 +14,7 @@ mod lines;
 mod myers;
 mod script;
 
-pub(crate) use lines::common_line_affixes;
+pub(crate) use lines::{common_line_affixes, Lines};
 pub use lines::{split_lines, Interner};
 pub use myers::diff_tokens;
 pub use script::{differences, hunks, Difference, Hunk, HunkKind};
@@ -24,11 +24,152 @@ pub use script::{differences, hunks, Difference, Hunk, HunkKind};
 /// Hunks partition both inputs: equal hunks reference matching line ranges,
 /// delete hunks lines only in `a`, insert hunks lines only in `b`.
 pub fn diff_lines(a: &[u8], b: &[u8]) -> Vec<Hunk> {
-    let mut interner = Interner::new();
-    let a_tokens = interner.intern_lines(a);
-    let b_tokens = interner.intern_lines(b);
-    let ops = diff_tokens(&a_tokens, &b_tokens);
-    hunks(&ops)
+    line_hunks(&Lines::new(a), &Lines::new(b))
+}
+
+/// The hunks between two buffers' lines; callers that trimmed the lines
+/// the buffers share at either end pass the middles.
+pub(crate) fn line_hunks(a: &Lines<'_>, b: &Lines<'_>) -> Vec<Hunk> {
+    let mut interner = Interner::with_capacity(a.len() + b.len());
+    let a_tokens: Vec<u32> = a.iter().map(|line| interner.intern(line)).collect();
+    let b_tokens: Vec<u32> = b.iter().map(|line| interner.intern(line)).collect();
+    hunks(&diff_tokens(&a_tokens, &b_tokens))
+}
+
+/// The line diff as it was before the ends were trimmed, kept as the
+/// independent reference the engine is checked against: split both whole
+/// buffers a byte at a time, intern every line, run Myers over all of them.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::HashMap;
+
+    use super::{diff_tokens, hunks, Hunk};
+
+    /// Lines of `data`, found a byte at a time.
+    pub(crate) fn split(data: &[u8]) -> Vec<&[u8]> {
+        let mut lines = Vec::new();
+        let mut start = 0;
+        for (i, &c) in data.iter().enumerate() {
+            if c == b'\n' {
+                lines.push(&data[start..=i]);
+                start = i + 1;
+            }
+        }
+        if start < data.len() {
+            lines.push(&data[start..]);
+        }
+        lines
+    }
+
+    /// Hunks between every line of `a` and every line of `b`.
+    pub(crate) fn diff_lines(a: &[u8], b: &[u8]) -> Vec<Hunk> {
+        let mut table: HashMap<&[u8], u32> = HashMap::new();
+        let mut tokens = |data| -> Vec<u32> {
+            split(data)
+                .into_iter()
+                .map(|line| {
+                    let next = table.len() as u32;
+                    *table.entry(line).or_insert(next)
+                })
+                .collect()
+        };
+        let (a_tokens, b_tokens) = (tokens(a), tokens(b));
+        hunks(&diff_tokens(&a_tokens, &b_tokens))
+    }
+
+    /// Pairs of buffers that exercise every shape of edit: a seeded stream
+    /// of line edits at either end and in the middle (LF, CRLF and no line
+    /// endings at all, lines from a small pool so they repeat), both ways
+    /// round, plus fixed edge cases.
+    pub(crate) fn edit_pairs() -> Vec<(Vec<u8>, Vec<u8>)> {
+        use crate::testutil::XorShift;
+
+        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = [
+            (&b""[..], &b""[..]),
+            (b"", b"hello\nworld\n"),
+            (b"hello\nworld\n", b""),
+            (b"a\nb\nc\n", b"a\nB\nc\n"),
+            (b"a\nb\nc", b"a\nb\nc\n"),
+            (b"a\nb\nc", b"a\nb\nd"),
+            (b"x", b"x\ny"),
+            (b"\x00\x01\x02", b"\x00\x01\x02\x03"),
+            (b"\x00\x01\x02", b"\x00\x09\x02"),
+            (b"a\na\na\na\n", b"a\na\n"),
+            (b"a\nb\na\nb\n", b"b\na\nb\na\n"),
+            (b"\n\n\n", b"\n\n"),
+            (b"head\nx\ny\n", b"HEAD\nx\ny\n"),
+            (b"x\ny\ntail\n", b"x\ny\nTAIL\n"),
+            (b"x\ny\ntail\n", b"x\ny\ntail\nmore\n"),
+        ]
+        .iter()
+        .map(|&(a, b)| (a.to_vec(), b.to_vec()))
+        .collect();
+        let binary: Vec<u8> = (0..=255u8).collect();
+        let mut flipped = binary.clone();
+        flipped[128] = 0;
+        pairs.push((binary, flipped));
+
+        for seed in 1..=16u64 {
+            let mut rng = XorShift::new(seed);
+            // Line ending per document: LF, CRLF, or none at all (binary).
+            let ending: &[u8] = [&b"\n"[..], b"\r\n", b""][(seed % 3) as usize];
+            // The last four documents draw from three lines, so they repeat.
+            let pool: Vec<Vec<u8>> = (0..3).map(|i| format!("pool {i}").into_bytes()).collect();
+            let repeats = seed > 12;
+            let line = |rng: &mut XorShift| {
+                let mut l = if repeats {
+                    pool[rng.index(pool.len())].clone()
+                } else {
+                    let len = 1 + rng.index(24);
+                    rng.bytes(len)
+                };
+                l.retain(|&c| c != b'\n');
+                l.extend_from_slice(ending);
+                l
+            };
+            let lines: Vec<Vec<u8>> = (0..rng.index(40)).map(|_| line(&mut rng)).collect();
+            let base = lines.concat();
+            pairs.push((base.clone(), base.clone()));
+            pairs.push((base.clone(), Vec::new()));
+            pairs.push((Vec::new(), base.clone()));
+            for round in 0..40 {
+                let mut edited = lines.clone();
+                let at = match round % 4 {
+                    0 => 0,
+                    1 => edited.len() / 2,
+                    2 => edited.len(),
+                    _ => rng.index(edited.len() + 1),
+                };
+                match rng.below(4) {
+                    // Pure insert: at the head, middle or tail.
+                    0 => {
+                        for _ in 0..1 + rng.index(3) {
+                            edited.insert(at, line(&mut rng));
+                        }
+                    }
+                    1 if at < edited.len() => {
+                        edited.remove(at);
+                    }
+                    2 if at < edited.len() => edited[at] = line(&mut rng),
+                    // Several scattered edits, so the middle has equal
+                    // runs of its own.
+                    _ => {
+                        for _ in 0..3 {
+                            let i = rng.index(edited.len() + 1);
+                            edited.insert(i, line(&mut rng));
+                        }
+                    }
+                }
+                let mut target = edited.concat();
+                if rng.chance(1, 4) && target.ends_with(b"\n") {
+                    target.pop(); // no trailing newline
+                }
+                pairs.push((base.clone(), target.clone()));
+                pairs.push((target, base.clone()));
+            }
+        }
+        pairs
+    }
 }
 
 #[cfg(test)]

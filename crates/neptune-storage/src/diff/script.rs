@@ -7,7 +7,7 @@
 //! three-valued [`Difference`] the paper specifies.
 
 use super::myers::DiffOp;
-use super::split_lines;
+use super::{common_line_affixes, line_hunks, Lines};
 use crate::codec::{Decode, Encode, Reader, Writer};
 use crate::error::{Result, StorageError};
 
@@ -107,13 +107,18 @@ impl Difference {
 /// Compute the paper's `Difference*` between two versions of node contents.
 ///
 /// Adjacent delete+insert hunks merge into a single `Replacement`, matching
-/// how the node-differences browser presents side-by-side changes.
+/// how the node-differences browser presents side-by-side changes. Only the
+/// middle the versions' common leading and trailing lines leave is split
+/// and diffed.
 pub fn differences(old: &[u8], new: &[u8]) -> Vec<Difference> {
-    let hs = super::diff_lines(old, new);
-    let old_lines = split_lines(old);
-    let new_lines = split_lines(new);
-    let grab = |lines: &[&[u8]], range: (usize, usize)| -> Vec<Vec<u8>> {
-        lines[range.0..range.1].iter().map(|l| l.to_vec()).collect()
+    let (prefix, suffix) = common_line_affixes(old, new);
+    let old_lines = Lines::new(&old[prefix..old.len() - suffix]);
+    let new_lines = Lines::new(&new[prefix..new.len() - suffix]);
+    // The shared prefix ends a line, so its lines are its newlines.
+    let head = old[..prefix].iter().filter(|&&c| c == b'\n').count();
+    let hs = line_hunks(&old_lines, &new_lines);
+    let grab = |lines: &Lines<'_>, range: (usize, usize)| -> Vec<Vec<u8>> {
+        lines.range(range).map(<[u8]>::to_vec).collect()
     };
 
     let mut out = Vec::new();
@@ -124,14 +129,14 @@ pub fn differences(old: &[u8], new: &[u8]) -> Vec<Difference> {
             HunkKind::Delete => {
                 if i + 1 < hs.len() && hs[i + 1].kind == HunkKind::Insert {
                     out.push(Difference::Replacement {
-                        at: hs[i].a_range.0,
+                        at: head + hs[i].a_range.0,
                         old_lines: grab(&old_lines, hs[i].a_range),
                         new_lines: grab(&new_lines, hs[i + 1].b_range),
                     });
                     i += 2;
                 } else {
                     out.push(Difference::Deletion {
-                        at: hs[i].a_range.0,
+                        at: head + hs[i].a_range.0,
                         old_lines: grab(&old_lines, hs[i].a_range),
                     });
                     i += 1;
@@ -139,7 +144,7 @@ pub fn differences(old: &[u8], new: &[u8]) -> Vec<Difference> {
             }
             HunkKind::Insert => {
                 out.push(Difference::Insertion {
-                    at: hs[i].b_range.0,
+                    at: head + hs[i].b_range.0,
                     new_lines: grab(&new_lines, hs[i].b_range),
                 });
                 i += 1;
@@ -284,6 +289,57 @@ mod tests {
         for d in ds {
             let bytes = d.to_bytes();
             assert_eq!(Difference::from_bytes(&bytes).unwrap(), d);
+        }
+    }
+
+    /// `differences` as it was before the ends were trimmed: hunks over
+    /// every line of both versions, lines grabbed from whole splits.
+    fn reference_differences(old: &[u8], new: &[u8]) -> Vec<Difference> {
+        use crate::diff::reference::{diff_lines, split};
+        let hs = diff_lines(old, new);
+        let (old_lines, new_lines) = (split(old), split(new));
+        let grab = |lines: &[&[u8]], range: (usize, usize)| -> Vec<Vec<u8>> {
+            lines[range.0..range.1].iter().map(|l| l.to_vec()).collect()
+        };
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < hs.len() {
+            let h = hs[i];
+            i += 1;
+            match h.kind {
+                HunkKind::Equal => {}
+                HunkKind::Delete if i < hs.len() && hs[i].kind == HunkKind::Insert => {
+                    out.push(Difference::Replacement {
+                        at: h.a_range.0,
+                        old_lines: grab(&old_lines, h.a_range),
+                        new_lines: grab(&new_lines, hs[i].b_range),
+                    });
+                    i += 1;
+                }
+                HunkKind::Delete => out.push(Difference::Deletion {
+                    at: h.a_range.0,
+                    old_lines: grab(&old_lines, h.a_range),
+                }),
+                HunkKind::Insert => out.push(Difference::Insertion {
+                    at: h.b_range.0,
+                    new_lines: grab(&new_lines, h.b_range),
+                }),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn differences_encode_as_the_whole_buffer_reference_does() {
+        let encoded = |ds: &[Difference]| {
+            let mut w = Writer::new();
+            crate::codec::encode_seq(ds, &mut w);
+            w.into_bytes()
+        };
+        for (old, new) in crate::diff::reference::edit_pairs() {
+            let ds = differences(&old, &new);
+            let reference = reference_differences(&old, &new);
+            assert_eq!(encoded(&ds), encoded(&reference), "{old:?} vs {new:?}");
         }
     }
 

@@ -9,13 +9,12 @@
 //! * file writes and truncations live only in the working tree until the
 //!   file is fsync'd — a sync copies the file's current bytes into the
 //!   durable image;
-//! * a [`Vfs::create`] that makes a new directory entry, a rename, and a
-//!   remove are *pending directory operations* until their directory is
-//!   fsync'd — only then are they applied to the durable image, in the
-//!   order they were issued. A new file's synced bytes wait with its
-//!   pending entry: without the directory sync the file does not exist
-//!   after a crash. (A log opened with [`Vfs::open_append`] is the
-//!   exception: its entry counts as durable from its first sync.)
+//! * a [`Vfs::create`] or [`Vfs::open_append`] that makes a new directory
+//!   entry, a rename, and a remove are *pending directory operations*
+//!   until their directory is fsync'd — only then are they applied to the
+//!   durable image, in the order they were issued. A new file's synced
+//!   bytes wait with its pending entry: without the directory sync the
+//!   file does not exist after a crash.
 //! * a rename moves the source's bytes as they were durable when the
 //!   rename was issued — a source never synced durably produces an *empty*
 //!   file (the adversarial reading of "metadata durable, data not").
@@ -489,14 +488,23 @@ impl VfsFile for FaultVfsFile {
 
 impl Vfs for FaultVfs {
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        if self.lock().powered_off {
+        let mut st = self.lock();
+        if st.powered_off {
             return Err(FaultState::power_err());
         }
+        let new_entry = !path.exists();
         let file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
             .open(path)?;
+        if new_entry {
+            st.pending.push(DirOp::Create {
+                path: path.to_path_buf(),
+                bytes: None,
+            });
+        }
+        drop(st);
         Ok(Box::new(FaultVfsFile {
             path: path.to_path_buf(),
             file,
@@ -884,6 +892,20 @@ mod tests {
         vfs.materialize_durable(&dir).unwrap();
         assert_eq!(fs::read(&early).unwrap(), b"synced");
         assert!(!late.exists());
+    }
+
+    #[test]
+    fn a_log_opened_new_needs_its_dir_sync_to_survive() {
+        let dir = tmpdir("append-entry");
+        let vfs = FaultVfs::new();
+        let log = dir.join("wal.log");
+        let mut f = vfs.open_append(&log).unwrap();
+        f.append(b"record").unwrap();
+        f.sync().unwrap();
+        // The log's data is synced but its directory entry is not.
+        vfs.power_off();
+        vfs.materialize_durable(&dir).unwrap();
+        assert!(!log.exists());
     }
 
     #[test]
