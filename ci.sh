@@ -31,13 +31,16 @@ cargo test
 # published view's, the precondition an abort restores from), the node-file
 # checkpoints (a parent build's stores moving to node files, and the
 # checkpoint_mirror cells but its single-shard property, which destroys a
-# fork parent and trips `context-partition` until ROADMAP item 26) — and
+# fork parent and trips `context-partition` until ROADMAP item 26), the
+# repeated-merge, appendix-conformance, attribute-probe and predicate
+# suites (facade_edge_cases and recovery_fuzz wait on item 26 too) — and
 # the root test of what a commit shares with the view before it: the
 # shared history must also be history the invariant rules accept.
 cargo test -p neptune-ham --features strict-invariants --lib \
     --test snapshot_view --test failure_injection --test properties \
     --test sharded_checkpoint --test fork_references --test parent_store \
-    --test golden_bytes
+    --test golden_bytes --test repeated_merges --test appendix_conformance \
+    --test attr_probes --test predicate_properties
 cargo test -p neptune-ham --features strict-invariants --test checkpoint_mirror \
     -- --skip nodes_dir_equals_main_after_every_checkpoint_single_shard
 cargo test --features neptune-ham/strict-invariants --test history_sharing

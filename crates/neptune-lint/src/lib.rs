@@ -3,7 +3,7 @@
 //! Architecture-enforcing static analysis for the Neptune workspace.
 //!
 //! PRs 1–5 established hard invariants — all durable I/O flows through
-//! `Vfs`, a strict gate→HAM lock hierarchy, panic-free server request
+//! `Vfs`, a strict view→gate→shard lock hierarchy, panic-free server request
 //! paths, metric-name conventions — but until this crate they lived only in
 //! prose (DESIGN.md §9/§12) and reviewer memory. `neptune-lint` walks every
 //! crate's source as a token stream (see [`lexer`]; the build environment
@@ -16,7 +16,7 @@
 //! | id | scope | invariant |
 //! |----|-------|-----------|
 //! | `vfs-bypass` | neptune-storage, neptune-ham | no direct `std::fs` / `File::` / `OpenOptions` outside `vfs.rs`/`fault.rs` |
-//! | `lock-order` | neptune-server | gate before HAM, never the reverse; no blocking calls under a held HAM guard |
+//! | `lock-order` | neptune-server | view before gate before shards in ascending order, never the reverse; no blocking calls under a held shard guard |
 //! | `panic-path` | neptune-server (minus client.rs) | no `unwrap`/`expect`/panic macros/indexing in request-handling code |
 //! | `metric-name` | whole workspace | metric literals match `neptune_<crate>_<noun>_<unit>` |
 //! | `span-parent` | neptune-server/server.rs | the request-scoped trace root (`request_root`) is opened exactly once per request dispatch |

@@ -19,7 +19,7 @@ pub const ALL_RULES: &[(&str, &str)] = &[
     ),
     (
         "lock-order",
-        "committed view before gate mutex before HAM RwLock, never the reverse; no blocking calls while a HAM guard is held (DESIGN.md \u{a7}9)",
+        "committed view before gate mutex before shard locks in ascending order, never the reverse; no blocking calls while a shard guard is held (DESIGN.md \u{a7}9)",
     ),
     (
         "panic-path",

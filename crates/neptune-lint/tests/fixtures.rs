@@ -45,9 +45,9 @@ fn violating_fixture_fires_every_rule_family() {
         ("panic-path", "crates/neptune-server/src/bad_handler.rs", 16),
         ("panic-path", "crates/neptune-server/src/bad_handler.rs", 21),
         ("panic-path", "crates/neptune-server/src/bad_handler.rs", 21),
-        // bad_order.rs: gate-after-HAM inversion, blocking sleep under a
-        // read guard, same-rank re-entry, and a view loaded under the gate
-        // and under the HAM lock (views rank below both).
+        // bad_order.rs: gate-after-shard inversion, blocking sleep under a
+        // shard guard, same-rank shard re-entry, and a view loaded under
+        // the gate and under a shard lock (views rank below both).
         ("lock-order", "crates/neptune-server/src/bad_order.rs", 5),
         ("lock-order", "crates/neptune-server/src/bad_order.rs", 12),
         ("lock-order", "crates/neptune-server/src/bad_order.rs", 18),

@@ -9,6 +9,7 @@ use std::fmt;
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
+use neptune_check::Finding;
 use neptune_ham::context::{ConflictPolicy, MergeReport};
 use neptune_ham::demons::{DemonSpec, Event};
 use neptune_ham::ham::OpenedNode;
@@ -17,6 +18,7 @@ use neptune_ham::types::{
     AttributeIndex, ContextId, LinkIndex, LinkPt, NodeIndex, Protections, Time, Version,
 };
 use neptune_ham::value::Value;
+use neptune_obs::TraceRecord;
 use neptune_storage::diff::Difference;
 
 use crate::frame::{self, FrameBuf};
@@ -80,16 +82,6 @@ pub struct Client {
 /// inside a default TCP receive buffer — see `pipeline` for the stall
 /// this bounds.
 pub const PIPELINE_WINDOW: usize = 4;
-
-macro_rules! expect {
-    ($self:expr, $req:expr, $pat:pat => $out:expr, $name:literal) => {{
-        match $self.call($req)? {
-            $pat => Ok($out),
-            Response::Error(msg) => Err(ClientError::Server(msg)),
-            _ => Err(ClientError::Protocol { expected: $name }),
-        }
-    }};
-}
 
 impl Client {
     /// Connect to a server.
@@ -199,435 +191,90 @@ impl Client {
         }
         Ok(responses)
     }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<()> {
-        expect!(self, Request::Ping, Response::Ok => (), "Ok")
-    }
-
-    /// `addNode`.
-    pub fn add_node(
-        &mut self,
-        context: ContextId,
-        keep_history: bool,
-    ) -> Result<(NodeIndex, Time)> {
-        expect!(self, Request::AddNode { context, keep_history },
-            Response::NodeCreated(id, t) => (id, t), "NodeCreated")
-    }
-
-    /// `deleteNode`.
-    pub fn delete_node(&mut self, context: ContextId, node: NodeIndex) -> Result<()> {
-        expect!(self, Request::DeleteNode { context, node }, Response::Ok => (), "Ok")
-    }
-
-    /// `addLink`.
-    pub fn add_link(
-        &mut self,
-        context: ContextId,
-        from: LinkPt,
-        to: LinkPt,
-    ) -> Result<(LinkIndex, Time)> {
-        expect!(self, Request::AddLink { context, from, to },
-            Response::LinkCreated(id, t) => (id, t), "LinkCreated")
-    }
-
-    /// `copyLink`.
-    pub fn copy_link(
-        &mut self,
-        context: ContextId,
-        link: LinkIndex,
-        time: Time,
-        keep_source: bool,
-        pt: LinkPt,
-    ) -> Result<(LinkIndex, Time)> {
-        expect!(self, Request::CopyLink { context, link, time, keep_source, pt },
-            Response::LinkCreated(id, t) => (id, t), "LinkCreated")
-    }
-
-    /// `deleteLink`.
-    pub fn delete_link(&mut self, context: ContextId, link: LinkIndex) -> Result<()> {
-        expect!(self, Request::DeleteLink { context, link }, Response::Ok => (), "Ok")
-    }
-
-    /// `linearizeGraph` with predicate source text.
-    #[allow(clippy::too_many_arguments)]
-    pub fn linearize_graph(
-        &mut self,
-        context: ContextId,
-        start: NodeIndex,
-        time: Time,
-        node_pred: &str,
-        link_pred: &str,
-        node_attrs: Vec<AttributeIndex>,
-        link_attrs: Vec<AttributeIndex>,
-    ) -> Result<SubGraph> {
-        expect!(self, Request::LinearizeGraph {
-                context, start, time,
-                node_pred: node_pred.to_string(),
-                link_pred: link_pred.to_string(),
-                node_attrs, link_attrs,
-            },
-            Response::SubGraph(sg) => sg, "SubGraph")
-    }
-
-    /// `getGraphQuery` with predicate source text.
-    pub fn get_graph_query(
-        &mut self,
-        context: ContextId,
-        time: Time,
-        node_pred: &str,
-        link_pred: &str,
-        node_attrs: Vec<AttributeIndex>,
-        link_attrs: Vec<AttributeIndex>,
-    ) -> Result<SubGraph> {
-        expect!(self, Request::GetGraphQuery {
-                context, time,
-                node_pred: node_pred.to_string(),
-                link_pred: link_pred.to_string(),
-                node_attrs, link_attrs,
-            },
-            Response::SubGraph(sg) => sg, "SubGraph")
-    }
-
-    /// `openNode`.
-    pub fn open_node(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-        time: Time,
-        attrs: Vec<AttributeIndex>,
-    ) -> Result<OpenedNode> {
-        expect!(self, Request::OpenNode { context, node, time, attrs },
-            Response::Opened { contents, link_pts, values, current_time } =>
-                OpenedNode { contents, link_pts, values, current_time },
-            "Opened")
-    }
-
-    /// `modifyNode`.
-    pub fn modify_node(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-        time: Time,
-        contents: Vec<u8>,
-        link_pts: Vec<LinkPt>,
-    ) -> Result<Time> {
-        expect!(self, Request::ModifyNode { context, node, time, contents, link_pts },
-            Response::Time(t) => t, "Time")
-    }
-
-    /// `getNodeTimeStamp`.
-    pub fn get_node_time_stamp(&mut self, context: ContextId, node: NodeIndex) -> Result<Time> {
-        expect!(self, Request::GetNodeTimeStamp { context, node }, Response::Time(t) => t, "Time")
-    }
-
-    /// `changeNodeProtection`.
-    pub fn change_node_protection(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-        protections: Protections,
-    ) -> Result<()> {
-        expect!(self, Request::ChangeNodeProtection { context, node, protections },
-            Response::Ok => (), "Ok")
-    }
-
-    /// `getNodeVersions`.
-    pub fn get_node_versions(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-    ) -> Result<(Vec<Version>, Vec<Version>)> {
-        expect!(self, Request::GetNodeVersions { context, node },
-            Response::Versions(major, minor) => (major, minor), "Versions")
-    }
-
-    /// `getNodeDifferences`.
-    pub fn get_node_differences(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-        time1: Time,
-        time2: Time,
-    ) -> Result<Vec<Difference>> {
-        expect!(self, Request::GetNodeDifferences { context, node, time1, time2 },
-            Response::Differences(ds) => ds, "Differences")
-    }
-
-    /// `getToNode`.
-    pub fn get_to_node(
-        &mut self,
-        context: ContextId,
-        link: LinkIndex,
-        time: Time,
-    ) -> Result<(NodeIndex, Time)> {
-        expect!(self, Request::GetToNode { context, link, time },
-            Response::NodeAt(n, t) => (n, t), "NodeAt")
-    }
-
-    /// `getFromNode`.
-    pub fn get_from_node(
-        &mut self,
-        context: ContextId,
-        link: LinkIndex,
-        time: Time,
-    ) -> Result<(NodeIndex, Time)> {
-        expect!(self, Request::GetFromNode { context, link, time },
-            Response::NodeAt(n, t) => (n, t), "NodeAt")
-    }
-
-    /// `getAttributes`.
-    pub fn get_attributes(
-        &mut self,
-        context: ContextId,
-        time: Time,
-    ) -> Result<Vec<(String, AttributeIndex)>> {
-        expect!(self, Request::GetAttributes { context, time },
-            Response::Attributes(items) => items, "Attributes")
-    }
-
-    /// `getAttributeValues`.
-    pub fn get_attribute_values(
-        &mut self,
-        context: ContextId,
-        attr: AttributeIndex,
-        time: Time,
-    ) -> Result<Vec<Value>> {
-        expect!(self, Request::GetAttributeValues { context, attr, time },
-            Response::Values(vs) => vs, "Values")
-    }
-
-    /// `getAttributeIndex`.
-    pub fn get_attribute_index(
-        &mut self,
-        context: ContextId,
-        name: &str,
-    ) -> Result<AttributeIndex> {
-        expect!(self, Request::GetAttributeIndex { context, name: name.to_string() },
-            Response::AttrIndex(idx) => idx, "AttrIndex")
-    }
-
-    /// `setNodeAttributeValue`.
-    pub fn set_node_attribute_value(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-        attr: AttributeIndex,
-        value: Value,
-    ) -> Result<()> {
-        expect!(self, Request::SetNodeAttributeValue { context, node, attr, value },
-            Response::Ok => (), "Ok")
-    }
-
-    /// `deleteNodeAttribute`.
-    pub fn delete_node_attribute(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-        attr: AttributeIndex,
-    ) -> Result<()> {
-        expect!(self, Request::DeleteNodeAttribute { context, node, attr },
-            Response::Ok => (), "Ok")
-    }
-
-    /// `getNodeAttributeValue`.
-    pub fn get_node_attribute_value(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-        attr: AttributeIndex,
-        time: Time,
-    ) -> Result<Value> {
-        expect!(self, Request::GetNodeAttributeValue { context, node, attr, time },
-            Response::Value(v) => v, "Value")
-    }
-
-    /// `getNodeAttributes`.
-    pub fn get_node_attributes(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-        time: Time,
-    ) -> Result<Vec<(String, AttributeIndex, Value)>> {
-        expect!(self, Request::GetNodeAttributes { context, node, time },
-            Response::AttrTriples(items) => items, "AttrTriples")
-    }
-
-    /// `setLinkAttributeValue`.
-    pub fn set_link_attribute_value(
-        &mut self,
-        context: ContextId,
-        link: LinkIndex,
-        attr: AttributeIndex,
-        value: Value,
-    ) -> Result<()> {
-        expect!(self, Request::SetLinkAttributeValue { context, link, attr, value },
-            Response::Ok => (), "Ok")
-    }
-
-    /// `deleteLinkAttribute`.
-    pub fn delete_link_attribute(
-        &mut self,
-        context: ContextId,
-        link: LinkIndex,
-        attr: AttributeIndex,
-    ) -> Result<()> {
-        expect!(self, Request::DeleteLinkAttribute { context, link, attr },
-            Response::Ok => (), "Ok")
-    }
-
-    /// `getLinkAttributeValue`.
-    pub fn get_link_attribute_value(
-        &mut self,
-        context: ContextId,
-        link: LinkIndex,
-        attr: AttributeIndex,
-        time: Time,
-    ) -> Result<Value> {
-        expect!(self, Request::GetLinkAttributeValue { context, link, attr, time },
-            Response::Value(v) => v, "Value")
-    }
-
-    /// `getLinkAttributes`.
-    pub fn get_link_attributes(
-        &mut self,
-        context: ContextId,
-        link: LinkIndex,
-        time: Time,
-    ) -> Result<Vec<(String, AttributeIndex, Value)>> {
-        expect!(self, Request::GetLinkAttributes { context, link, time },
-            Response::AttrTriples(items) => items, "AttrTriples")
-    }
-
-    /// `setGraphDemonValue`.
-    pub fn set_graph_demon_value(
-        &mut self,
-        context: ContextId,
-        event: Event,
-        demon: Option<DemonSpec>,
-    ) -> Result<()> {
-        expect!(self, Request::SetGraphDemonValue { context, event, demon },
-            Response::Ok => (), "Ok")
-    }
-
-    /// `getGraphDemons`.
-    pub fn get_graph_demons(
-        &mut self,
-        context: ContextId,
-        time: Time,
-    ) -> Result<Vec<(Event, DemonSpec)>> {
-        expect!(self, Request::GetGraphDemons { context, time },
-            Response::Demons(items) => items, "Demons")
-    }
-
-    /// `setNodeDemon`.
-    pub fn set_node_demon(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-        event: Event,
-        demon: Option<DemonSpec>,
-    ) -> Result<()> {
-        expect!(self, Request::SetNodeDemon { context, node, event, demon },
-            Response::Ok => (), "Ok")
-    }
-
-    /// `getNodeDemons`.
-    pub fn get_node_demons(
-        &mut self,
-        context: ContextId,
-        node: NodeIndex,
-        time: Time,
-    ) -> Result<Vec<(Event, DemonSpec)>> {
-        expect!(self, Request::GetNodeDemons { context, node, time },
-            Response::Demons(items) => items, "Demons")
-    }
-
-    /// Begin an explicit transaction (exclusive write access until
-    /// commit/abort).
-    pub fn begin_transaction(&mut self) -> Result<u64> {
-        expect!(self, Request::BeginTransaction, Response::TxnStarted(id) => id, "TxnStarted")
-    }
-
-    /// Commit this connection's transaction.
-    pub fn commit_transaction(&mut self) -> Result<()> {
-        expect!(self, Request::CommitTransaction, Response::Ok => (), "Ok")
-    }
-
-    /// Abort this connection's transaction.
-    pub fn abort_transaction(&mut self) -> Result<()> {
-        expect!(self, Request::AbortTransaction, Response::Ok => (), "Ok")
-    }
-
-    /// Fork a context.
-    pub fn create_context(&mut self, from: ContextId) -> Result<ContextId> {
-        expect!(self, Request::CreateContext { from }, Response::Context(id) => id, "Context")
-    }
-
-    /// Merge a context into its parent.
-    pub fn merge_context(
-        &mut self,
-        child: ContextId,
-        policy: ConflictPolicy,
-    ) -> Result<MergeReport> {
-        expect!(self, Request::MergeContext { child, policy },
-            Response::Merged(m) => m, "Merged")
-    }
-
-    /// Discard a context.
-    pub fn destroy_context(&mut self, id: ContextId) -> Result<()> {
-        expect!(self, Request::DestroyContext { id }, Response::Ok => (), "Ok")
-    }
-
-    /// List live contexts.
-    pub fn list_contexts(&mut self) -> Result<Vec<ContextId>> {
-        expect!(self, Request::ListContexts, Response::Contexts(ids) => ids, "Contexts")
-    }
-
-    /// Force a checkpoint on the server.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        expect!(self, Request::Checkpoint, Response::Ok => (), "Ok")
-    }
-
-    /// Run the integrity verifier over the server's store. An empty vector
-    /// means the store is clean.
-    pub fn verify(&mut self) -> Result<Vec<neptune_check::Finding>> {
-        expect!(self, Request::Verify, Response::Findings(fs) => fs, "Findings")
-    }
-
-    /// Fetch the server's full metrics registry in Prometheus text
-    /// exposition format. [`Client::cache_stats`] remains as a narrower
-    /// compatibility call.
-    pub fn metrics(&mut self) -> Result<String> {
-        expect!(self, Request::Metrics, Response::Metrics(text) => text, "Metrics")
-    }
-
-    /// Read the server's anchor-cache counters as `(hits, misses, entries,
-    /// bytes)`: exact-anchor checkouts, checkouts that replayed deltas, and
-    /// anchor occupancy.
-    pub fn cache_stats(&mut self) -> Result<(u64, u64, u64, u64)> {
-        expect!(self, Request::CacheStats,
-            Response::CacheStats { hits, misses, entries, bytes } =>
-                (hits, misses, entries, bytes),
-            "CacheStats")
-    }
-
-    /// Snapshot the server's flight recorder: every retained trace
-    /// (recent tail plus slow/error traces), oldest first.
-    pub fn trace_dump(&mut self) -> Result<Vec<neptune_obs::TraceRecord>> {
-        expect!(self, Request::FlightDump, Response::Traces(ts) => ts, "Traces")
-    }
-
-    /// Fetch one retained trace from the server by id; `None` once it has
-    /// aged out of both recorder rings.
-    pub fn trace(&mut self, trace_id: u64) -> Result<Option<neptune_obs::TraceRecord>> {
-        expect!(self, Request::Trace { trace_id },
-            Response::Traces(ts) => ts.into_iter().next(), "Traces")
-    }
-
-    /// Adjust a server observability setting at runtime (slow-op
-    /// threshold, instrumentation kill-switch).
-    pub fn obs_control(&mut self, setting: ObsSetting) -> Result<()> {
-        expect!(self, Request::ObsControl { setting }, Response::Ok => (), "Ok")
-    }
 }
+
+/// Generate one [`Client`] method per row of the request table
+/// (`crate::proto::requests!`, which documents the grammar; metavariables
+/// are named as in `proto::protocol!`), carrying the row's docs. A method
+/// takes the row's fields in order, each as anything that converts into
+/// the field's type, sends the request with [`Client::call`], and maps the
+/// answer: the row's reply gives the value, `Response::Error` gives
+/// [`ClientError::Server`], and any other variant gives
+/// [`ClientError::Protocol`] naming the reply variant. `Batch` has no
+/// method here: [`Client::batch`] is written out above.
+macro_rules! client_methods {
+    (
+        read { $(
+            $(#[$rd:meta])*
+            $rv:ident { $( $(#[$rfd:meta])* $rf:ident : $rt:ty ),* $(,)? }
+            = $rtag:literal => |$rm:pat_param| $rc:expr $(, |$rx:pat_param| $rxc:expr)?
+            => fn $rn:ident -> $rr:ty { $($rreply:tt)* };
+        )* }
+        global { $(
+            $(#[$gd:meta])*
+            $gv:ident $({ $( $(#[$gfd:meta])* $gf:ident : $gt:ty ),* $(,)? })?
+            = $gtag:literal => |$gs:pat_param| $gc:expr
+            => fn $gn:ident -> $gr:ty { $($greply:tt)* };
+        )* }
+        write { $(
+            $(#[$wd:meta])*
+            $wv:ident { $( $(#[$wfd:meta])* $wf:ident : $wt:ty ),* $(,)? }
+            = $wtag:literal => |$wh:pat_param| $wc:expr
+            => fn $wn:ident -> $wr:ty { $($wreply:tt)* };
+        )* }
+        machine { $(
+            $(#[$md:meta])*
+            $mv:ident $({ $( $(#[$mfd:meta])* $mf:ident : $mt:ty ),* $(,)? })?
+            = $mtag:literal $(@$route:ident)? => |$ms:pat_param| $mc:expr
+            => fn $mn:ident -> $mr:ty { $($mreply:tt)* };
+        )* }
+        txn { $(
+            $(#[$td:meta])*
+            $tv:ident = $ttag:literal => fn $tn:ident -> $tr:ty { $($treply:tt)* };
+        )* }
+        batch { $(#[$bd:meta])* $bv:ident = $btag:literal; }
+    ) => {
+        impl Client {
+            $(client_methods! {
+                @method $(#[$rd])* $rn $rv { $($rf: $rt),* } -> $rr { $($rreply)* }
+            })*
+            $(client_methods! {
+                @method $(#[$gd])* $gn $gv { $($($gf: $gt),*)? } -> $gr { $($greply)* }
+            })*
+            $(client_methods! {
+                @method $(#[$wd])* $wn $wv { $($wf: $wt),* } -> $wr { $($wreply)* }
+            })*
+            $(client_methods! {
+                @method $(#[$md])* $mn $mv { $($($mf: $mt),*)? } -> $mr { $($mreply)* }
+            })*
+            $(client_methods! {
+                @method $(#[$td])* $tn $tv {} -> $tr { $($treply)* }
+            })*
+        }
+    };
+    (@method
+        $(#[$d:meta])* $n:ident $v:ident { $($f:ident : $t:ty),* } -> $r:ty { $($reply:tt)* }
+    ) => {
+        $(#[$d])*
+        #[allow(clippy::too_many_arguments)]
+        pub fn $n(&mut self, $($f: impl Into<$t>),*) -> Result<$r> {
+            let response = self.call(Request::$v { $($f: $f.into()),* })?;
+            client_methods!(@reply response, $($reply)*)
+        }
+    };
+    // A reply variant without fields matches as `Variant {}`.
+    (@reply $response:ident, $reply:ident => $value:expr) => {
+        client_methods!(@reply $response, $reply {} => $value)
+    };
+    (@reply $response:ident, $reply:ident $fields:tt => $value:expr) => {
+        match $response {
+            Response::$reply $fields => Ok($value),
+            Response::Error(msg) => Err(ClientError::Server(msg)),
+            _ => Err(ClientError::Protocol {
+                expected: stringify!($reply),
+            }),
+        }
+    };
+}
+
+crate::proto::requests!(client_methods);

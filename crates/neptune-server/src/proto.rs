@@ -9,12 +9,13 @@
 //!
 //! Every request is one row of the `requests!` table below: its docs,
 //! fields and wire tag, the class its table section gives it, and the one
-//! HAM or view call that serves it. This module generates the enum, its
-//! codec, [`Request::name`], [`Request::is_read_only`] and
-//! [`Request::context_id`] from the table; the server generates its
-//! dispatchers from the same rows. A field's wire form follows from its
-//! type alone (the `Wire` impls below), so a type with its own encoding is
-//! spelled out once, not at every message that carries it.
+//! HAM or view call that serves it, and the client method that sends it.
+//! This module generates the enum, its codec, [`Request::name`],
+//! [`Request::is_read_only`] and [`Request::context_id`] from the table;
+//! the server generates its dispatchers, and the client its typed methods,
+//! from the same rows. A field's wire form follows from its type alone
+//! (the `Wire` impls below), so a type with its own encoding is spelled out
+//! once, not at every message that carries it.
 
 use neptune_check::Finding;
 use neptune_ham::context::{ConflictPolicy, MergeReport};
@@ -405,7 +406,10 @@ macro_rules! wire_enum {
 /// The request table: every request the server answers, each written once.
 ///
 /// A row gives the variant's docs, fields and wire tag, then the call that
-/// serves it. The section gives its class:
+/// serves it, then the `Client` method that sends it: `fn`, the method's
+/// name and return type, and the reply that carries the value, as a match
+/// arm on a `Response` variant (named without its `Response::` prefix).
+/// Every row but `Batch` has one. The section gives its class:
 ///
 /// - `read`: observes one context and is served lock-free from the
 ///   context's published view (`|view|`), or on the exclusive path from
@@ -449,7 +453,7 @@ macro_rules! requests {
                     Response::SubGraph(m.linearize_graph(
                         *context, *start, *time, &nodes, &links, node_attrs, link_attrs,
                     )?)
-                };
+                } => fn linearize_graph -> SubGraph { SubGraph(graph) => graph };
                 /// `getGraphQuery` (predicates as source text).
                 GetGraphQuery {
                     /// Target context.
@@ -469,7 +473,7 @@ macro_rules! requests {
                     Response::SubGraph(
                         m.get_graph_query(*context, *time, &nodes, &links, node_attrs, link_attrs)?,
                     )
-                };
+                } => fn get_graph_query -> SubGraph { SubGraph(graph) => graph };
                 /// `openNode`.
                 OpenNode {
                     /// Target context.
@@ -481,14 +485,20 @@ macro_rules! requests {
                     /// Attributes to return.
                     attrs: Vec<AttributeIndex>,
                 } = 7 => |view| opened(view.read_node(*context, *node, *time, attrs)?),
-                    |ham| opened(ham.open_node(*context, *node, *time, attrs)?);
+                    |ham| opened(ham.open_node(*context, *node, *time, attrs)?)
+                    => fn open_node -> OpenedNode {
+                        Opened { contents, link_pts, values, current_time } => OpenedNode {
+                            contents, link_pts, values, current_time,
+                        }
+                    };
                 /// `getNodeTimeStamp`.
                 GetNodeTimeStamp {
                     /// Target context.
                     context: ContextId,
                     /// Node queried.
                     node: NodeIndex,
-                } = 9 => |m| Response::Time(m.get_node_time_stamp(*context, *node)?);
+                } = 9 => |m| Response::Time(m.get_node_time_stamp(*context, *node)?)
+                    => fn get_node_time_stamp -> Time { Time(time) => time };
                 /// `getNodeVersions`.
                 GetNodeVersions {
                     /// Target context.
@@ -498,6 +508,8 @@ macro_rules! requests {
                 } = 11 => |m| {
                     let (major, minor) = m.get_node_versions(*context, *node)?;
                     Response::Versions(major, minor)
+                } => fn get_node_versions -> (Vec<Version>, Vec<Version>) {
+                    Versions(major, minor) => (major, minor)
                 };
                 /// `getNodeDifferences`.
                 GetNodeDifferences {
@@ -511,7 +523,7 @@ macro_rules! requests {
                     time2: Time,
                 } = 12 => |m| {
                     Response::Differences(m.get_node_differences(*context, *node, *time1, *time2)?)
-                };
+                } => fn get_node_differences -> Vec<Difference> { Differences(ds) => ds };
                 /// `getToNode`.
                 GetToNode {
                     /// Target context.
@@ -523,7 +535,7 @@ macro_rules! requests {
                 } = 13 => |m| {
                     let (node, at) = m.get_to_node(*context, *link, *time)?;
                     Response::NodeAt(node, at)
-                };
+                } => fn get_to_node -> (NodeIndex, Time) { NodeAt(node, at) => (node, at) };
                 /// `getFromNode`.
                 GetFromNode {
                     /// Target context.
@@ -535,14 +547,17 @@ macro_rules! requests {
                 } = 14 => |m| {
                     let (node, at) = m.get_from_node(*context, *link, *time)?;
                     Response::NodeAt(node, at)
-                };
+                } => fn get_from_node -> (NodeIndex, Time) { NodeAt(node, at) => (node, at) };
                 /// `getAttributes`.
                 GetAttributes {
                     /// Target context.
                     context: ContextId,
                     /// Time of the query.
                     time: Time,
-                } = 15 => |m| Response::Attributes(m.get_attributes(*context, *time)?);
+                } = 15 => |m| Response::Attributes(m.get_attributes(*context, *time)?)
+                    => fn get_attributes -> Vec<(String, AttributeIndex)> {
+                        Attributes(items) => items
+                    };
                 /// `getAttributeValues`.
                 GetAttributeValues {
                     /// Target context.
@@ -551,7 +566,8 @@ macro_rules! requests {
                     attr: AttributeIndex,
                     /// Time of the query.
                     time: Time,
-                } = 16 => |m| Response::Values(m.get_attribute_values(*context, *attr, *time)?);
+                } = 16 => |m| Response::Values(m.get_attribute_values(*context, *attr, *time)?)
+                    => fn get_attribute_values -> Vec<Value> { Values(values) => values };
                 /// `getNodeAttributeValue`.
                 GetNodeAttributeValue {
                     /// Target context.
@@ -564,7 +580,7 @@ macro_rules! requests {
                     time: Time,
                 } = 20 => |m| {
                     Response::Value(m.get_node_attribute_value(*context, *node, *attr, *time)?)
-                };
+                } => fn get_node_attribute_value -> Value { Value(value) => value };
                 /// `getNodeAttributes`.
                 GetNodeAttributes {
                     /// Target context.
@@ -573,7 +589,10 @@ macro_rules! requests {
                     node: NodeIndex,
                     /// Time of the query.
                     time: Time,
-                } = 21 => |m| Response::AttrTriples(m.get_node_attributes(*context, *node, *time)?);
+                } = 21 => |m| Response::AttrTriples(m.get_node_attributes(*context, *node, *time)?)
+                    => fn get_node_attributes -> Vec<(String, AttributeIndex, Value)> {
+                        AttrTriples(items) => items
+                    };
                 /// `getLinkAttributeValue`.
                 GetLinkAttributeValue {
                     /// Target context.
@@ -586,7 +605,7 @@ macro_rules! requests {
                     time: Time,
                 } = 24 => |m| {
                     Response::Value(m.get_link_attribute_value(*context, *link, *attr, *time)?)
-                };
+                } => fn get_link_attribute_value -> Value { Value(value) => value };
                 /// `getLinkAttributes`.
                 GetLinkAttributes {
                     /// Target context.
@@ -595,14 +614,18 @@ macro_rules! requests {
                     link: LinkIndex,
                     /// Time of the query.
                     time: Time,
-                } = 25 => |m| Response::AttrTriples(m.get_link_attributes(*context, *link, *time)?);
+                } = 25 => |m| Response::AttrTriples(m.get_link_attributes(*context, *link, *time)?)
+                    => fn get_link_attributes -> Vec<(String, AttributeIndex, Value)> {
+                        AttrTriples(items) => items
+                    };
                 /// `getGraphDemons`.
                 GetGraphDemons {
                     /// Target context.
                     context: ContextId,
                     /// Time of the query.
                     time: Time,
-                } = 27 => |m| Response::Demons(m.get_graph_demons(*context, *time)?);
+                } = 27 => |m| Response::Demons(m.get_graph_demons(*context, *time)?)
+                    => fn get_graph_demons -> Vec<(Event, DemonSpec)> { Demons(items) => items };
                 /// `getNodeDemons`.
                 GetNodeDemons {
                     /// Target context.
@@ -611,45 +634,60 @@ macro_rules! requests {
                     node: NodeIndex,
                     /// Time of the query.
                     time: Time,
-                } = 29 => |m| Response::Demons(m.get_node_demons(*context, *node, *time)?);
+                } = 29 => |m| Response::Demons(m.get_node_demons(*context, *node, *time)?)
+                    => fn get_node_demons -> Vec<(Event, DemonSpec)> { Demons(items) => items };
             }
             global {
                 /// List live contexts.
-                ListContexts = 36 => |s| Response::Contexts(s.contexts());
+                ListContexts = 36 => |s| Response::Contexts(s.contexts())
+                    => fn list_contexts -> Vec<ContextId> { Contexts(ids) => ids };
                 /// Liveness probe.
-                Ping = 38 => |_| Response::Ok;
+                Ping = 38 => |_| Response::Ok => fn ping -> () { Ok => () };
                 /// Run the integrity verifier (`neptune-check`) over the
                 /// server's store: file scan plus every in-memory invariant.
                 /// It takes each shard's lock in turn for the file scan, the
-                /// one global read that is not lock-free.
-                Verify = 39 => |s| Response::Findings(neptune_check::verify_sharded(s.ham));
+                /// one global read that is not lock-free. No findings means
+                /// the store is clean.
+                Verify = 39 => |s| Response::Findings(neptune_check::verify_sharded(s.ham))
+                    => fn verify -> Vec<Finding> { Findings(findings) => findings };
                 /// Read the version cache's counters — since the archives'
-                /// anchor caches became the only version cache, theirs.
+                /// anchor caches became the only version cache, theirs:
+                /// hits (exact-anchor checkouts), misses (checkouts that
+                /// replayed deltas), and the anchors' entries and bytes.
                 ///
                 /// Compatibility alias: everything it reports (and much more)
                 /// is in [`Request::Metrics`].
-                CacheStats = 40 => |_| cache_stats_response();
+                CacheStats = 40 => |_| cache_stats_response()
+                    => fn cache_stats -> (u64, u64, u64, u64) {
+                        CacheStats { hits, misses, entries, bytes } =>
+                            (hits, misses, entries, bytes)
+                    };
                 /// Read the full metrics registry as Prometheus-style text
                 /// exposition: per-RPC latency histograms, HAM operation
                 /// timings and transaction counters, WAL/replay/cache
                 /// instrumentation.
-                Metrics = 41 => |s| metrics_response(s.snapshot_age());
+                Metrics = 41 => |s| metrics_response(s.snapshot_age())
+                    => fn metrics -> String { Metrics(text) => text };
                 /// Snapshot the server's flight recorder: every retained
                 /// trace (recent tail plus slow/error traces), oldest first.
-                FlightDump = 44 => |_| flight_dump_response();
+                FlightDump = 44 => |_| flight_dump_response()
+                    => fn trace_dump -> Vec<TraceRecord> { Traces(traces) => traces };
                 /// Fetch one retained trace by id; answered with an empty
                 /// [`Response::Traces`] once the trace has aged out of both
                 /// rings.
                 Trace {
                     /// The trace id to look up.
                     trace_id: u64,
-                } = 45 => |_| trace_response(*trace_id);
+                } = 45 => |_| trace_response(*trace_id)
+                    => fn trace -> Option<TraceRecord> {
+                        Traces(traces) => traces.into_iter().next()
+                    };
                 /// Adjust an observability knob at runtime (slow-op
                 /// threshold, instrumentation kill-switch).
                 ObsControl {
                     /// The setting to change.
                     setting: ObsSetting,
-                } = 46 => |_| obs_control_response(*setting);
+                } = 46 => |_| obs_control_response(*setting) => fn obs_control -> () { Ok => () };
             }
             write {
                 /// `addNode`.
@@ -661,14 +699,15 @@ macro_rules! requests {
                 } = 0 => |ham| {
                     let (node, at) = ham.add_node(context, keep_history)?;
                     Response::NodeCreated(node, at)
-                };
+                } => fn add_node -> (NodeIndex, Time) { NodeCreated(node, at) => (node, at) };
                 /// `deleteNode`.
                 DeleteNode {
                     /// Target context.
                     context: ContextId,
                     /// Node to delete.
                     node: NodeIndex,
-                } = 1 => |ham| done(ham.delete_node(context, node)?);
+                } = 1 => |ham| done(ham.delete_node(context, node)?)
+                    => fn delete_node -> () { Ok => () };
                 /// `addLink`.
                 AddLink {
                     /// Target context.
@@ -680,7 +719,7 @@ macro_rules! requests {
                 } = 2 => |ham| {
                     let (link, at) = ham.add_link(context, from, to)?;
                     Response::LinkCreated(link, at)
-                };
+                } => fn add_link -> (LinkIndex, Time) { LinkCreated(link, at) => (link, at) };
                 /// `copyLink`.
                 CopyLink {
                     /// Target context.
@@ -696,14 +735,15 @@ macro_rules! requests {
                 } = 3 => |ham| {
                     let (link, at) = ham.copy_link(context, link, time, keep_source, pt)?;
                     Response::LinkCreated(link, at)
-                };
+                } => fn copy_link -> (LinkIndex, Time) { LinkCreated(link, at) => (link, at) };
                 /// `deleteLink`.
                 DeleteLink {
                     /// Target context.
                     context: ContextId,
                     /// Link to delete.
                     link: LinkIndex,
-                } = 4 => |ham| done(ham.delete_link(context, link)?);
+                } = 4 => |ham| done(ham.delete_link(context, link)?)
+                    => fn delete_link -> () { Ok => () };
                 /// `modifyNode`.
                 ModifyNode {
                     /// Target context.
@@ -718,7 +758,7 @@ macro_rules! requests {
                     link_pts: Vec<LinkPt>,
                 } = 8 => |ham| {
                     Response::Time(ham.modify_node(context, node, time, contents, &link_pts)?)
-                };
+                } => fn modify_node -> Time { Time(time) => time };
                 /// `changeNodeProtection`.
                 ChangeNodeProtection {
                     /// Target context.
@@ -727,7 +767,8 @@ macro_rules! requests {
                     node: NodeIndex,
                     /// New protections.
                     protections: Protections,
-                } = 10 => |ham| done(ham.change_node_protection(context, node, protections)?);
+                } = 10 => |ham| done(ham.change_node_protection(context, node, protections)?)
+                    => fn change_node_protection -> () { Ok => () };
                 /// `getAttributeIndex`: a write, because it interns a name it
                 /// has not seen.
                 GetAttributeIndex {
@@ -735,7 +776,8 @@ macro_rules! requests {
                     context: ContextId,
                     /// Attribute name to intern.
                     name: String,
-                } = 17 => |ham| Response::AttrIndex(ham.get_attribute_index(context, &name)?);
+                } = 17 => |ham| Response::AttrIndex(ham.get_attribute_index(context, &name)?)
+                    => fn get_attribute_index -> AttributeIndex { AttrIndex(attr) => attr };
                 /// `setNodeAttributeValue`.
                 SetNodeAttributeValue {
                     /// Target context.
@@ -746,7 +788,8 @@ macro_rules! requests {
                     attr: AttributeIndex,
                     /// New value.
                     value: Value,
-                } = 18 => |ham| done(ham.set_node_attribute_value(context, node, attr, value)?);
+                } = 18 => |ham| done(ham.set_node_attribute_value(context, node, attr, value)?)
+                    => fn set_node_attribute_value -> () { Ok => () };
                 /// `deleteNodeAttribute`.
                 DeleteNodeAttribute {
                     /// Target context.
@@ -755,7 +798,8 @@ macro_rules! requests {
                     node: NodeIndex,
                     /// Attribute deleted.
                     attr: AttributeIndex,
-                } = 19 => |ham| done(ham.delete_node_attribute(context, node, attr)?);
+                } = 19 => |ham| done(ham.delete_node_attribute(context, node, attr)?)
+                    => fn delete_node_attribute -> () { Ok => () };
                 /// `setLinkAttributeValue`.
                 SetLinkAttributeValue {
                     /// Target context.
@@ -766,7 +810,8 @@ macro_rules! requests {
                     attr: AttributeIndex,
                     /// New value.
                     value: Value,
-                } = 22 => |ham| done(ham.set_link_attribute_value(context, link, attr, value)?);
+                } = 22 => |ham| done(ham.set_link_attribute_value(context, link, attr, value)?)
+                    => fn set_link_attribute_value -> () { Ok => () };
                 /// `deleteLinkAttribute`.
                 DeleteLinkAttribute {
                     /// Target context.
@@ -775,7 +820,8 @@ macro_rules! requests {
                     link: LinkIndex,
                     /// Attribute deleted.
                     attr: AttributeIndex,
-                } = 23 => |ham| done(ham.delete_link_attribute(context, link, attr)?);
+                } = 23 => |ham| done(ham.delete_link_attribute(context, link, attr)?)
+                    => fn delete_link_attribute -> () { Ok => () };
                 /// `setGraphDemonValue`.
                 SetGraphDemonValue {
                     /// Target context.
@@ -784,7 +830,8 @@ macro_rules! requests {
                     event: Event,
                     /// Demon (None disables).
                     demon: Option<DemonSpec>,
-                } = 26 => |ham| done(ham.set_graph_demon_value(context, event, demon)?);
+                } = 26 => |ham| done(ham.set_graph_demon_value(context, event, demon)?)
+                    => fn set_graph_demon_value -> () { Ok => () };
                 /// `setNodeDemon`.
                 SetNodeDemon {
                     /// Target context.
@@ -795,14 +842,16 @@ macro_rules! requests {
                     event: Event,
                     /// Demon (None disables).
                     demon: Option<DemonSpec>,
-                } = 28 => |ham| done(ham.set_node_demon(context, node, event, demon)?);
+                } = 28 => |ham| done(ham.set_node_demon(context, node, event, demon)?)
+                    => fn set_node_demon -> () { Ok => () };
             }
             machine {
                 /// Fork a context.
                 CreateContext {
                     /// Parent context.
                     from: ContextId,
-                } = 33 @from => |s| Response::Context(s.ham.create_context(*from)?);
+                } = 33 @from => |s| Response::Context(s.ham.create_context(*from)?)
+                    => fn create_context -> ContextId { Context(id) => id };
                 /// Merge a context back into its parent, which may live on
                 /// another shard: the sharded merge finds it.
                 MergeContext {
@@ -810,22 +859,25 @@ macro_rules! requests {
                     child: ContextId,
                     /// Conflict policy.
                     policy: ConflictPolicy,
-                } = 34 @child => |s| Response::Merged(s.ham.merge_context(*child, *policy)?);
+                } = 34 @child => |s| Response::Merged(s.ham.merge_context(*child, *policy)?)
+                    => fn merge_context -> MergeReport { Merged(report) => report };
                 /// Discard a context.
                 DestroyContext {
                     /// Context to discard.
                     id: ContextId,
-                } = 35 @id => |s| done(s.ham.destroy_context(*id)?);
+                } = 35 @id => |s| done(s.ham.destroy_context(*id)?)
+                    => fn destroy_context -> () { Ok => () };
                 /// Force a checkpoint.
-                Checkpoint = 37 => |s| done(s.ham.checkpoint()?);
+                Checkpoint = 37 => |s| done(s.ham.checkpoint()?)
+                    => fn checkpoint -> () { Ok => () };
             }
             txn {
                 /// Begin an explicit transaction owned by this connection.
-                BeginTransaction = 30;
+                BeginTransaction = 30 => fn begin_transaction -> u64 { TxnStarted(id) => id };
                 /// Commit this connection's transaction.
-                CommitTransaction = 31;
+                CommitTransaction = 31 => fn commit_transaction -> () { Ok => () };
                 /// Abort this connection's transaction.
-                AbortTransaction = 32;
+                AbortTransaction = 32 => fn abort_transaction -> () { Ok => () };
             }
             batch {
                 /// Several requests executed back-to-back under one gate
@@ -840,35 +892,44 @@ macro_rules! requests {
 }
 pub(crate) use requests;
 
-/// Generate [`Request`], its codec and its classification from the table.
+/// Generate [`Request`], its codec and its classification from the table
+/// (a row's client method is the client's).
 ///
 /// Metavariables are named by section (`r`ead, `g`lobal, `w`rite,
 /// `m`achine, `t`xn, `b`atch) and part: `v` variant, `d` docs, `f` field,
-/// `fd` field docs, `t` field type, `tag`, and the call (`c`) with its
-/// bound source (`m`, `s`, `h`; `x`/`xc` for a read's exclusive call).
+/// `fd` field docs, `t` field type, `tag`, the call (`c`) with its bound
+/// source (`m`, `s`, `h`; `x`/`xc` for a read's exclusive call), and the
+/// client method's name (`n`), return type (`r`) and `reply`.
 macro_rules! protocol {
     (
         read { $(
             $(#[$rd:meta])*
             $rv:ident { $( $(#[$rfd:meta])* $rf:ident : $rt:ty ),* $(,)? }
-            = $rtag:literal => |$rm:pat_param| $rc:expr $(, |$rx:pat_param| $rxc:expr)?;
+            = $rtag:literal => |$rm:pat_param| $rc:expr $(, |$rx:pat_param| $rxc:expr)?
+            => fn $rn:ident -> $rr:ty { $($rreply:tt)* };
         )* }
         global { $(
             $(#[$gd:meta])*
             $gv:ident $({ $( $(#[$gfd:meta])* $gf:ident : $gt:ty ),* $(,)? })?
-            = $gtag:literal => |$gs:pat_param| $gc:expr;
+            = $gtag:literal => |$gs:pat_param| $gc:expr
+            => fn $gn:ident -> $gr:ty { $($greply:tt)* };
         )* }
         write { $(
             $(#[$wd:meta])*
             $wv:ident { $( $(#[$wfd:meta])* $wf:ident : $wt:ty ),* $(,)? }
-            = $wtag:literal => |$wh:pat_param| $wc:expr;
+            = $wtag:literal => |$wh:pat_param| $wc:expr
+            => fn $wn:ident -> $wr:ty { $($wreply:tt)* };
         )* }
         machine { $(
             $(#[$md:meta])*
             $mv:ident $({ $( $(#[$mfd:meta])* $mf:ident : $mt:ty ),* $(,)? })?
-            = $mtag:literal $(@$route:ident)? => |$ms:pat_param| $mc:expr;
+            = $mtag:literal $(@$route:ident)? => |$ms:pat_param| $mc:expr
+            => fn $mn:ident -> $mr:ty { $($mreply:tt)* };
         )* }
-        txn { $( $(#[$td:meta])* $tv:ident = $ttag:literal; )* }
+        txn { $(
+            $(#[$td:meta])*
+            $tv:ident = $ttag:literal => fn $tn:ident -> $tr:ty { $($treply:tt)* };
+        )* }
         batch { $(#[$bd:meta])* $bv:ident = $btag:literal; }
     ) => {
         wire_enum! {

@@ -867,7 +867,8 @@ impl Global<'_> {
 /// `serve_shard` the `read` and `write` rows on a locked home shard, and
 /// `serve_global` the `global` and `machine` rows (`Ok(None)` for any
 /// other). Transaction control and batches are `execute_inner`'s and
-/// `execute_batch`'s own. Metavariables are named as in `proto::protocol!`.
+/// `execute_batch`'s own, and a row's client method is the client's.
+/// Metavariables are named as in `proto::protocol!`.
 macro_rules! dispatchers {
     (@shard_read $ham:ident, $m:pat_param, $call:expr) => {{
         let $m: &Ham = $ham;
@@ -881,24 +882,31 @@ macro_rules! dispatchers {
         read { $(
             $(#[$rd:meta])*
             $rv:ident { $( $(#[$rfd:meta])* $rf:ident : $rt:ty ),* $(,)? }
-            = $rtag:literal => |$rm:pat_param| $rc:expr $(, |$rx:pat_param| $rxc:expr)?;
+            = $rtag:literal => |$rm:pat_param| $rc:expr $(, |$rx:pat_param| $rxc:expr)?
+            => fn $rn:ident -> $rr:ty { $($rreply:tt)* };
         )* }
         global { $(
             $(#[$gd:meta])*
             $gv:ident $({ $( $(#[$gfd:meta])* $gf:ident : $gt:ty ),* $(,)? })?
-            = $gtag:literal => |$gs:pat_param| $gc:expr;
+            = $gtag:literal => |$gs:pat_param| $gc:expr
+            => fn $gn:ident -> $gr:ty { $($greply:tt)* };
         )* }
         write { $(
             $(#[$wd:meta])*
             $wv:ident { $( $(#[$wfd:meta])* $wf:ident : $wt:ty ),* $(,)? }
-            = $wtag:literal => |$wh:pat_param| $wc:expr;
+            = $wtag:literal => |$wh:pat_param| $wc:expr
+            => fn $wn:ident -> $wr:ty { $($wreply:tt)* };
         )* }
         machine { $(
             $(#[$md:meta])*
             $mv:ident $({ $( $(#[$mfd:meta])* $mf:ident : $mt:ty ),* $(,)? })?
-            = $mtag:literal $(@$route:ident)? => |$ms:pat_param| $mc:expr;
+            = $mtag:literal $(@$route:ident)? => |$ms:pat_param| $mc:expr
+            => fn $mn:ident -> $mr:ty { $($mreply:tt)* };
         )* }
-        txn { $( $(#[$td:meta])* $tv:ident = $ttag:literal; )* }
+        txn { $(
+            $(#[$td:meta])*
+            $tv:ident = $ttag:literal => fn $tn:ident -> $tr:ty { $($treply:tt)* };
+        )* }
         batch { $(#[$bd:meta])* $bv:ident = $btag:literal; }
     ) => {
         fn serve_view(view: &CommittedView, request: &Request) -> neptune_ham::Result<Response> {

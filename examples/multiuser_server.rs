@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sg = reader.get_graph_query(
             MAIN_CONTEXT,
             Time::CURRENT,
-            &format!("responsible = {author}"),
+            format!("responsible = {author}"),
             "true",
             vec![],
             vec![],
